@@ -161,6 +161,18 @@ def _parse_psi(text: str, d: int) -> np.ndarray:
     return v
 
 
+def _parse_pairs(entry, ndim: int, message: str) -> np.ndarray:
+    """A JSON array of [re, im] pairs nested ndim deep, as complex entries;
+    anything else (a number, a ragged or a malformed array) is a ValueError."""
+    try:
+        pairs = np.array(entry, dtype=np.float64)
+    except (TypeError, ValueError):
+        pairs = np.empty(0)
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise ValueError(message)
+    return pairs.view(np.complex128)[..., 0]
+
+
 def _parse_operator(entry, d: int) -> np.ndarray:
     if isinstance(entry, str):
         name = entry.strip().lower()
@@ -172,7 +184,7 @@ def _parse_operator(entry, d: int) -> np.ndarray:
             a, b = (int(x) for x in name[len("weyl:"):].split(","))
             return np.linalg.matrix_power(maxent.shift(d), a) @ np.linalg.matrix_power(maxent.clock(d), b)
         raise ValueError(f"unknown operator name {entry!r}")
-    m = np.array([[complex(c[0], c[1]) for c in row] for row in entry])
+    m = _parse_pairs(entry, 2, "an operator is a name or a matrix of [re, im] pairs")
     if m.shape != (d, d):
         raise ValueError(f"operator must be {d}x{d}")
     return m
@@ -220,11 +232,16 @@ def cmd_flow(args) -> int:
         print(f"error: {args.spec}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
     try:
-        d = int(data.get("d", args.d))
-        entries = data["operators"]
-        ops = [_parse_operator(entry, d) for entry in entries]
+        if not isinstance(data, dict):
+            raise ValueError("the spec must be a JSON object")
+        if not isinstance(data.get("operators", []), list):
+            raise ValueError("operators must be a list")
+        d = data.get("d", args.d)
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"d must be a positive integer, got {json.dumps(d)}")
+        ops = [_parse_operator(entry, d) for entry in data["operators"]]
         phi = (_parse_psi(data["phi"], d) if isinstance(data.get("phi"), str)
-               else np.array([complex(c[0], c[1]) for c in data["phi"]], dtype=np.complex128)
+               else _parse_pairs(data["phi"], 1, "phi is a psi string or a list of [re, im] pairs")
                if "phi" in data else linalg.basis_ket(d, 0))
         out = tlalgebra.flow_apply(ops, phi, d)
         expected = tlalgebra.flow_closed_form(ops, phi, d)
@@ -268,18 +285,33 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """--tol: nan would fail every check and inf pass every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entangle-tl",
         description="Verify teleportation / braid / Temperley-Lieb identities numerically.")
-    default_seed = int(os.environ.get("ENTANGLE_TL_SEED", "0"))
+    env_seed = os.environ.get("ENTANGLE_TL_SEED", "0")
+    try:
+        default_seed = int(env_seed)
+    except ValueError:
+        raise ValueError(f"ENTANGLE_TL_SEED must be an integer, got {env_seed!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=False):
         p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
         if with_n:
             p.add_argument("--n", type=int, default=3, help="strand count (default 3)")
-        p.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
+        p.add_argument("--tol", type=_finite_float, default=linalg.DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--trials", type=int, default=1024)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -308,11 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, linalg.DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -50,6 +50,9 @@ _DAGGER_TOGGLE = {
 TOP = "T"
 BOTTOM = "B"
 
+# Largest output, in entries, an evaluation may allocate: 256 MiB of complex128.
+MAX_OUTPUT_ENTRIES = 2 ** 24
+
 
 @dataclass(frozen=True, order=True)
 class Endpoint:
@@ -427,8 +430,35 @@ def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> com
     return value
 
 
-def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
-    """Dense d^bottom x d^top matrix of the diagram (input at top)."""
+def _open_subscripts(diag: DecoratedDiagram, d: int, letter: dict, boundary):
+    """Boundary tensors and their subscripts, then the output subscript and
+    shape of the endpoints left open (bottom, then top), checked up front."""
+    tensors, subs, fed = [], [], set()
+    for endpoints, t in boundary:
+        for e in endpoints:
+            if e not in letter or e in fed:
+                problem = "repeated" if e in fed else "out of range"
+                raise ValueError(f"boundary endpoint {e} {problem}")
+            fed.add(e)
+        if np.size(t) != d ** len(endpoints):
+            raise DimensionError(f"boundary tensor has {np.size(t)} entries, not {d}^{len(endpoints)}")
+        tensors.append(np.reshape(t, (d,) * len(endpoints)))
+        subs.append("".join(letter[e] for e in endpoints))
+    open_ = [e for side in (BOTTOM, TOP) for e in letter if e.side == side and e not in fed]
+    if d ** len(open_) > MAX_OUTPUT_ENTRIES:
+        raise DimensionError(f"output of {d}^{len(open_)} entries exceeds {MAX_OUTPUT_ENTRIES}")
+    n_bottom = sum(e.side == BOTTOM for e in open_)
+    shape = (d ** n_bottom, d ** (len(open_) - n_bottom))
+    return tensors, subs, "".join(letter[e] for e in open_), shape
+
+
+def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None,
+             boundary=()) -> np.ndarray:
+    """Dense d^bottom x d^top matrix of the diagram (input at top).
+
+    boundary holds (endpoints, tensor) pairs, d^len(endpoints) entries each,
+    contracted into the network (kets at top endpoints, unconjugated bras at
+    bottom ones); the result is then d^(open bottom) x d^(open top)."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     ops = ops or {}
@@ -440,6 +470,7 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndar
         letter[Endpoint(TOP, i)] = letters[i]
     for i in range(diag.bottom):
         letter[Endpoint(BOTTOM, i)] = letters[diag.top + i]
+    tensors, boundary_subs, out_sub, shape = _open_subscripts(diag, d, letter, boundary)
 
     value = scalar_value(diag, d, ops)
     if not diag.strands:
@@ -449,17 +480,16 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndar
     for s in diag.strands:
         operands.append(_strand_tensor(s, d, ops))
         subs.append(letter[s.end] + letter[s.start])
-    out_sub = "".join(letter[Endpoint(BOTTOM, i)] for i in range(diag.bottom))
-    out_sub += "".join(letter[Endpoint(TOP, i)] for i in range(diag.top))
-    spec = ",".join(subs) + "->" + out_sub
-    tensor_out = np.einsum(spec, *operands, optimize=True)
-    return value * tensor_out.reshape(d ** diag.bottom, d ** diag.top)
+    spec = ",".join(subs + boundary_subs) + "->" + out_sub
+    tensor_out = np.einsum(spec, *operands, *tensors, optimize=True)
+    return value * tensor_out.reshape(shape)
 
 
-def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
+def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None,
+                         boundary=()) -> np.ndarray:
     """Oracle evaluation: build the full tensor network node by node
     (normalized cup/cap tensors, one matrix node per decoration) and contract
-    exhaustively over every internal index in a single einsum.
+    every internal index and boundary tensor (as in evaluate()) in one einsum.
 
     Shares no strand-level matrix-product or flavor-toggling logic with
     evaluate(); agreement between the two is the correctness test for the
@@ -475,6 +505,7 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
         letter[Endpoint(TOP, i)] = next(pool)
     for i in range(diag.bottom):
         letter[Endpoint(BOTTOM, i)] = next(pool)
+    tensors, boundary_subs, out_sub, shape = _open_subscripts(diag, d, letter, boundary)
 
     def fresh():
         try:
@@ -519,14 +550,12 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
             operands.append(m)
             subs.append(wires[(i + 1) % len(wires)] + wires[i])
 
-    out_sub = "".join(letter[Endpoint(BOTTOM, i)] for i in range(diag.bottom))
-    out_sub += "".join(letter[Endpoint(TOP, i)] for i in range(diag.top))
     prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
     if not operands:
         return np.array([[prefactor]], dtype=np.complex128)
-    spec = ",".join(subs) + "->" + out_sub
-    tensor_out = np.einsum(spec, *operands, optimize=True)
-    return prefactor * tensor_out.reshape(d ** diag.bottom, d ** diag.top)
+    spec = ",".join(subs + boundary_subs) + "->" + out_sub
+    tensor_out = np.einsum(spec, *operands, *tensors, optimize=True)
+    return prefactor * tensor_out.reshape(shape)
 
 
 def adjoint_diagram(diag: DecoratedDiagram) -> DecoratedDiagram:

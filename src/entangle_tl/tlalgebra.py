@@ -234,10 +234,11 @@ def flow_apply(ops, phi, d: int, evaluator=dg.evaluate) -> np.ndarray:
     if phi.shape != (d,):
         raise DimensionError(f"phi must have dimension {d}")
     table = dict(zip(FLOW_LABELS, u))
-    matrix = evaluator(flow_diagram(), d, table)
-    state_in = linalg.kron_vec(phi, phi_of(u[5], d), phi_of(u[7], d))
-    out_full = (matrix @ state_in).reshape(d * d, d * d, d)
-    return np.einsum("i,j,ijk->k", phi_of(u[0], d).conj(), phi_of(u[2], d).conj(), out_full)
+    top = [dg.Endpoint(dg.TOP, i) for i in range(5)]
+    bottom = [dg.Endpoint(dg.BOTTOM, i) for i in range(5)]
+    boundary = [(top[:1], phi), (top[1:3], phi_of(u[5], d)), (top[3:], phi_of(u[7], d)),
+                (bottom[:2], phi_of(u[0], d).conj()), (bottom[2:4], phi_of(u[2], d).conj())]
+    return evaluator(flow_diagram(), d, table, boundary).ravel()
 
 
 def quantum_flow(ops, phi, d: int, tol: float = FLOW_TOL) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from entangle_tl import cli
 from entangle_tl import diagram as dg
 from entangle_tl.cli import main
 from entangle_tl.render import render
@@ -130,6 +131,60 @@ def test_flow_command_malformed_file(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"d": 2, "operators": ["identity"] * 5}))
     assert main(["flow", "--spec", str(wrong)]) == 2
+    capsys.readouterr()
+
+
+def test_flow_spec_not_an_object_exits_2(tmp_path, capsys):
+    spec = tmp_path / "list.json"
+    spec.write_text("[1, 2]")
+    assert main(["flow", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [5, [[1, 0]], [[[1, 0], [0, 0]], [[0, 0]]]])
+def test_flow_spec_malformed_operator_exits_2(tmp_path, capsys, entry):
+    spec = tmp_path / "op.json"
+    spec.write_text(json.dumps({"d": 2, "operators": [entry] + ["identity"] * 7}))
+    assert main(["flow", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bell", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_bad_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ENTANGLE_TL_SEED", "abc")
+    assert main(["verify", "bell"]) == 2
+    assert capsys.readouterr().err == "error: ENTANGLE_TL_SEED must be an integer, got 'abc'\n"
+
+
+def test_output_over_size_limit_exits_2(monkeypatch, capsys):
+    # the d=2, n=3 decorated idempotents evaluate to 64 entries; with the
+    # limit set below that the guard refuses them before allocating
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 63)
+    assert main(["verify", "tl", "--d", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds 63" in err and err.count("\n") == 1
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def exhaust(suite, cfg):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+    monkeypatch.setattr(cli, "run_suite", exhaust)
+    assert main(["verify", "flow", "--d", "8"]) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 16.0 GiB\n"
+
+
+def test_verify_flow_beyond_dense_sizes(capsys):
+    # the d^5 x d^5 flow matrix would need 16 GiB at d=8
+    assert main(["verify", "flow", "--d", "8"]) == 0
     capsys.readouterr()
 
 

@@ -136,6 +136,19 @@ def test_flow_brute_force_matches(rng):
     assert max_residual(got, flow_closed_form(ops, phi, d)) < 1e-9
 
 
+@pytest.mark.parametrize("d", [6, 8, 16])
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+def test_flow_large_d_matches_closed_form(rng, d, evaluator):
+    ops = [random_unitary(rng, d) for _ in range(8)]
+    phi = random_ket(rng, d)
+    expected = flow_closed_form(ops, phi, d)
+    calls = []
+    got = flow_apply(ops, phi, d, evaluator=lambda *a: calls.append(a) or evaluator(*a))
+    assert len(calls) == 1
+    assert got.shape == (d,)
+    assert max_residual(got, expected) <= 1e-9 * np.abs(expected).max()
+
+
 def test_flow_report():
     report = check_flow(2, samples=5, seed=3)
     assert report.overall_pass, [c for c in report.checks if not c.passed]
