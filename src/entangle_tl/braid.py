@@ -86,6 +86,21 @@ def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:
     return report
 
 
+def check_braid_closed_form(b, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """check_braid_relation plus b1 b2 b1 = b2 b1 b2 = (1 x b^2 + b^2 x 1)/sqrt(2),
+    the closed form the Bell matrix B satisfies."""
+    so = as_strand_operator(b)
+    report = check_braid_relation(so, tol)
+    b1, b2 = embed(so, 1, 3), embed(so, 2, 3)
+    square, one = so.matrix @ so.matrix, identity(so.d)
+    closed = (linalg.kron(one, square) + linalg.kron(square, one)) / np.sqrt(2)
+    report.add("b1 b2 b1 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
+               linalg.max_residual(b1 @ b2 @ b1, closed), tol)
+    report.add("b2 b1 b2 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
+               linalg.max_residual(b2 @ b1 @ b2, closed), tol)
+    return report
+
+
 def check_virtual_relations(v, tol: float = DEFAULT_TOL) -> VerificationReport:
     """v^2 = 1, v1 v2 v1 = v2 v1 v2, far commutativity."""
     so = as_strand_operator(v)
@@ -129,3 +144,20 @@ def teleport_swap_reverse(d: int) -> np.ndarray:
     """(1 x P)(P x 1): the inverse cyclic routing |k> x |ij> to |ij> x |k>."""
     p = StrandOperator(d, swap(d))
     return embed(p, 2, 3) @ embed(p, 1, 3)
+
+
+def check_teleport_swapping(d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """(P x 1)(1 x P)|ij>|k> = |k>|ij> on every basis ket, and back."""
+    report = VerificationReport("teleport-swapping")
+    ts, rev = teleport_swap(d), teleport_swap_reverse(d)
+    worst = 0.0
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                v = linalg.kron_vec(linalg.product_ket(d, i, j), linalg.basis_ket(d, k))
+                w = linalg.kron_vec(linalg.basis_ket(d, k), linalg.product_ket(d, i, j))
+                worst = max(worst, linalg.max_residual(ts @ v, w))
+                worst = max(worst, linalg.max_residual(rev @ w, v))
+    report.add("|k>|ij> = (Px1)(1xP)|ij>|k> and back", worst, tol)
+    report.add("reverse undoes forward", linalg.max_residual(rev @ ts, identity(d ** 3)), tol)
+    return report

@@ -20,9 +20,6 @@ from . import braid, diagram, maxent, qubit, render, teleport, tlalgebra
 from . import linalg
 from .report import VerificationReport
 
-SUITES = ("bell", "braid", "virtual", "maxent", "teleport", "tight", "dense",
-          "tl", "brauer", "flow", "all")
-
 
 @dataclass
 class RunConfig:
@@ -30,8 +27,6 @@ class RunConfig:
     strands: int = 3
     tolerance: float = linalg.DEFAULT_TOL
     seed: int = 0
-    trials: int = 1024
-    output_format: str = "text"
 
 
 def _merge(name: str, reports: list[VerificationReport]) -> VerificationReport:
@@ -40,14 +35,18 @@ def _merge(name: str, reports: list[VerificationReport]) -> VerificationReport:
         for c in r.checks:
             prefix = f"{r.suite_name}: " if r.suite_name != name else ""
             merged.checks.append(type(c)(prefix + c.identity_name, c.max_residual, c.passed))
-        merged.details.extend(r.details)
+        if name != "all":  # `verify all` lists checks only, without the dense-coding table
+            merged.details.extend(r.details)
     merged.checks.sort(key=lambda c: c.identity_name)
     return merged
 
 
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
 def _random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(g)
+    q, _ = np.linalg.qr(_random_matrix(rng, d))
     return q
 
 
@@ -56,90 +55,93 @@ def _random_ket(rng, d):
     return v / np.linalg.norm(v)
 
 
-def run_suite(suite: str, cfg: RunConfig) -> VerificationReport:
-    d, tol = cfg.dimension, cfg.tolerance
-    rng = np.random.default_rng(cfg.seed)
-    reports: list[VerificationReport] = []
+# One entry per suite: (cfg, rng) -> its reports.  `verify all` runs them in
+# this order with one shared rng, so each entry must draw from it in a fixed
+# order.
 
-    if suite in ("bell", "all"):
-        reports.append(qubit.check_local_unitary_relations(tol))
-        reports.append(qubit.check_bell_matrix_identities(tol))
-        reports.append(qubit.check_permutation_expansion(tol))
-    if suite in ("braid", "all"):
-        b = qubit.bell_matrix()
-        r = braid.check_braid_relation(b, tol)
-        b1, b2 = braid.embed(b, 1, 3), braid.embed(b, 2, 3)
-        closed = (linalg.kron(np.eye(2), b @ b) + linalg.kron(b @ b, np.eye(2))) / np.sqrt(2)
-        r.add("b1 b2 b1 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-              linalg.max_residual(b1 @ b2 @ b1, closed), tol)
-        r.add("b2 b1 b2 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-              linalg.max_residual(b2 @ b1 @ b2, closed), tol)
-        reports.append(r)
-        reports.append(braid.check_virtual_mixed(b, qubit.permutation_qubit(), tol))
-        if d != 2:
-            reports.append(braid.check_braid_relation(braid.swap(d), tol))
-    if suite in ("virtual", "all"):
-        reports.append(braid.check_virtual_relations(braid.swap(d), tol))
-        r = VerificationReport("teleport-swapping")
-        ts, rev = braid.teleport_swap(d), braid.teleport_swap_reverse(d)
-        worst = 0.0
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    v = linalg.kron_vec(linalg.product_ket(d, i, j), linalg.basis_ket(d, k))
-                    w = linalg.kron_vec(linalg.basis_ket(d, k), linalg.product_ket(d, i, j))
-                    worst = max(worst, linalg.max_residual(ts @ v, w))
-                    worst = max(worst, linalg.max_residual(rev @ w, v))
-        r.add("|k>|ij> = (Px1)(1xP)|ij>|k> and back", worst, tol)
-        r.add("reverse undoes forward", linalg.max_residual(rev @ ts, np.eye(d ** 3)), tol)
-        reports.append(r)
-    if suite in ("maxent", "all"):
-        reports.append(maxent.completeness_check(d, tol=tol))
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        reports.append(maxent.slide_identity_check(m, d, tol))
-        mp = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        reports.append(maxent.trace_identities_check(
-            m, mp, _random_unitary(rng, d), _random_unitary(rng, d), d, tol))
-        u, v = _random_unitary(rng, d), _random_unitary(rng, d)
-        reports.append(maxent.transfer_composition(u, v, d, tol))
-        reports.append(maxent.transfer_composition(u, u, d, tol))
-    if suite in ("teleport", "all"):
-        a, b_amp = _random_ket(rng, 2)
-        reports.append(teleport.teleport_equation_qubit_check(a, b_amp, tol))
-        reports.append(teleport.bell_matrix_form_check(tol, seed=cfg.seed))
-        reports.append(teleport.virtual_form_check(tol, seed=cfg.seed))
-        psi = _random_ket(rng, d)
-        reports.append(teleport.qudit_resolution_check(d, psi, tol=tol))
-        r = VerificationReport("measurement-form")
-        basis = maxent.weyl_basis(d)
-        worst_weight = 0.0
-        for n in range(1, d * d + 1):
-            outcome = teleport.measurement_form(d, n, psi, basis, tol)
-            worst_weight = max(worst_weight, abs(outcome.amplitude_weight - 1 / d ** 2))
-        r.add("branch weight 1/d^2 for every outcome", worst_weight, tol)
-        reports.append(r)
-    if suite in ("tight", "all"):
-        rho = np.outer(_random_ket(rng, d), _random_ket(rng, d).conj())
-        obs = np.outer(_random_ket(rng, d), _random_ket(rng, d).conj())
-        reports.append(teleport.tight_teleportation_check(d, rho, obs, tol=tol))
-    if suite in ("dense", "all"):
-        r = teleport.dense_coding_check(d, tol=tol)
-        if suite == "dense":
-            table = teleport.dense_coding_table(d)
-            r.note(f"delta table ({d * d}x{d * d}):")
-            for row in np.real_if_close(np.round(table, 12)):
-                r.note("  " + " ".join(f"{val.real:6.3f}" for val in row))
-        reports.append(r)
-    if suite in ("tl", "all"):
-        reports.append(tlalgebra.check_tl_axioms(cfg.strands, d, tol))
-        for idx in range(1, d * d + 1):
-            reports.append(tlalgebra.check_tl_decorated(min(cfg.strands, 3), d, idx, tol=tol))
-    if suite in ("brauer", "all"):
-        reports.append(tlalgebra.check_brauer_mixed(cfg.strands, d, tol))
-    if suite in ("flow", "all"):
-        reports.append(tlalgebra.check_flow(d, samples=10, seed=cfg.seed,
-                                            tol=max(tol, linalg.FLOW_TOL)))
-    return _merge(suite, reports)
+
+def _bell(cfg, rng):
+    tol = cfg.tolerance
+    return [qubit.check_local_unitary_relations(tol), qubit.check_bell_matrix_identities(tol),
+            qubit.check_permutation_expansion(tol)]
+
+
+def _braid(cfg, rng):
+    d, tol = cfg.dimension, cfg.tolerance
+    b = qubit.bell_matrix()
+    reports = [braid.check_braid_closed_form(b, tol),
+               braid.check_virtual_mixed(b, qubit.permutation_qubit(), tol)]
+    if d != 2:
+        reports.append(braid.check_braid_relation(braid.swap(d), tol))
+    return reports
+
+
+def _virtual(cfg, rng):
+    d, tol = cfg.dimension, cfg.tolerance
+    return [braid.check_virtual_relations(braid.swap(d), tol),
+            braid.check_teleport_swapping(d, tol)]
+
+
+def _maxent(cfg, rng):
+    d, tol = cfg.dimension, cfg.tolerance
+    m, mp = _random_matrix(rng, d), _random_matrix(rng, d)
+    n1, n2, u, v = (_random_unitary(rng, d) for _ in range(4))
+    return [maxent.completeness_check(d, tol=tol),
+            maxent.slide_identity_check(m, d, tol),
+            maxent.trace_identities_check(m, mp, n1, n2, d, tol),
+            maxent.transfer_composition(u, v, d, tol),
+            maxent.transfer_composition(u, u, d, tol)]
+
+
+def _teleport(cfg, rng):
+    d, tol = cfg.dimension, cfg.tolerance
+    a, b = _random_ket(rng, 2)
+    psi = _random_ket(rng, d)
+    basis = maxent.weyl_basis(d)
+    return [teleport.teleport_equation_qubit_check(a, b, tol),
+            teleport.bell_matrix_form_check(tol, seed=cfg.seed),
+            teleport.virtual_form_check(tol, seed=cfg.seed),
+            teleport.qudit_resolution_check(d, psi, basis, tol),
+            teleport.branch_weights_check(d, psi, basis, tol)]
+
+
+def _tight(cfg, rng):
+    d = cfg.dimension
+    rho = np.outer(_random_ket(rng, d), _random_ket(rng, d).conj())
+    obs = np.outer(_random_ket(rng, d), _random_ket(rng, d).conj())
+    return [teleport.tight_teleportation_check(d, rho, obs, tol=cfg.tolerance)]
+
+
+def _dense(cfg, rng):
+    return [teleport.dense_coding_check(cfg.dimension, tol=cfg.tolerance)]
+
+
+def _tl(cfg, rng):
+    n, d, tol = cfg.strands, cfg.dimension, cfg.tolerance
+    basis = maxent.weyl_basis(d)
+    return [tlalgebra.check_tl_axioms(n, d, tol)] + [
+        tlalgebra.check_tl_decorated(min(n, 3), d, idx, basis, tol) for idx in range(1, d * d + 1)]
+
+
+def _brauer(cfg, rng):
+    return [tlalgebra.check_brauer_mixed(cfg.strands, cfg.dimension, cfg.tolerance)]
+
+
+def _flow(cfg, rng):
+    return [tlalgebra.check_flow(cfg.dimension, samples=10, seed=cfg.seed,
+                                 tol=max(cfg.tolerance, linalg.FLOW_TOL))]
+
+
+REGISTRY = {"bell": _bell, "braid": _braid, "virtual": _virtual, "maxent": _maxent,
+            "teleport": _teleport, "tight": _tight, "dense": _dense, "tl": _tl,
+            "brauer": _brauer, "flow": _flow}
+SUITES = (*REGISTRY, "all")
+
+
+def run_suite(suite: str, cfg: RunConfig) -> VerificationReport:
+    rng = np.random.default_rng(cfg.seed)
+    names = REGISTRY if suite == "all" else (suite,)
+    return _merge(suite, [r for name in names for r in REGISTRY[name](cfg, rng)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +201,8 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(dimension=args.d, strands=args.n, tolerance=args.tol,
-                    seed=args.seed, trials=args.trials, output_format=args.format)
-    report = run_suite(args.suite, cfg)
-    return _emit(report, cfg.output_format)
+    cfg = RunConfig(dimension=args.d, strands=args.n, tolerance=args.tol, seed=args.seed)
+    return _emit(run_suite(args.suite, cfg), args.format)
 
 
 def cmd_simulate(args) -> int:
@@ -296,6 +296,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """--d: a zero or negative dimension has no states to check."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entangle-tl",
@@ -308,12 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=False):
-        p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
+        p.add_argument("--d", type=_positive_int, default=2, help="local dimension (default 2)")
         if with_n:
             p.add_argument("--n", type=int, default=3, help="strand count (default 3)")
         p.add_argument("--tol", type=_finite_float, default=linalg.DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--trials", type=int, default=1024)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -323,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo teleportation protocol")
     common(p_sim)
+    p_sim.add_argument("--trials", type=int, default=1024)
     p_sim.add_argument("--psi", default="uniform",
                        help="comma-separated amplitudes, 'uniform', or 'basisK'")
     p_sim.set_defaults(func=cmd_simulate)

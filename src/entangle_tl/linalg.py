@@ -65,55 +65,6 @@ def kron_vec(*vecs) -> np.ndarray:
     return out
 
 
-def mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(c, a) -> np.ndarray:
-    return complex(c) * as_matrix(a)
-
-
-def dagger(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T
-
-
-def conj(a) -> np.ndarray:
-    return as_matrix(a).conj()
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("trace needs a square matrix")
-    return complex(np.trace(a))
-
-
-def apply(m, v) -> np.ndarray:
-    m, v = as_matrix(m), as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"cannot apply {m.shape} to vector of length {v.shape[0]}")
-    return m @ v
-
-
-def outer(u, v) -> np.ndarray:
-    """|u><v| for kets u, v."""
-    return np.outer(as_vector(u), as_vector(v).conj())
-
-
 def basis_ket(d: int, i: int) -> np.ndarray:
     if not 0 <= i < d:
         raise DimensionError(f"basis index {i} out of range for dimension {d}")

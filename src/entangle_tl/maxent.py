@@ -1,5 +1,5 @@
 """Maximally entangled qudit states, the trace-orthonormal unitary basis,
-slide/trace identities and the transfer operator.
+slide/trace identities and transfer composition.
 
 The unitary basis is the clock-and-shift family U = X^a Z^b with
 X|j> = |j+1 mod d> and Z|j> = exp(2 pi i j / d)|j>, ordered so (a, b) = (0, 0)
@@ -60,6 +60,8 @@ class WeylBasis:
     def __post_init__(self):
         mats = tuple(linalg.as_matrix(u) for u in self.unitaries)
         d = self.d
+        if d < 1:
+            raise DimensionError("dimension must be >= 1")
         if len(mats) != d * d:
             raise ValueError(f"need {d * d} unitaries, got {len(mats)}")
         for n, u in enumerate(mats, start=1):
@@ -69,7 +71,8 @@ class WeylBasis:
                 raise ValueError(f"U_{n} is not unitary")
         if linalg.max_residual(mats[0], identity(d)) > 1e-12:
             raise ValueError("U_1 must be the identity")
-        gram = np.array([[np.trace(u.conj().T @ v) for v in mats] for u in mats])
+        flat = np.array(mats).reshape(d * d, d * d)
+        gram = flat.conj() @ flat.T  # tr(U_n^dag U_m) for all n, m
         if linalg.max_residual(gram, d * np.eye(d * d)) > 1e-9:
             raise ValueError("basis is not trace-orthogonal")
         object.__setattr__(self, "unitaries", mats)
@@ -113,26 +116,15 @@ def omega_n(d: int, n: int, basis: WeylBasis | None = None) -> MaxEntangled:
     basis = basis if basis is not None else weyl_basis(d)
     if basis.d != d:
         raise DimensionError("basis dimension mismatch")
-    u = basis.unitary(n)
-    ket = linalg.kron(u, identity(d)) @ omega(d)
-    return MaxEntangled(d, n, ket)
-
-
-@dataclass(frozen=True)
-class TransferOperator:
-    """Identity-shaped relabeling of Charlie's system to Bob's."""
-
-    d: int
-    matrix: np.ndarray
-
-
-def transfer_operator(d: int) -> TransferOperator:
-    return TransferOperator(d, identity(d))
+    return MaxEntangled(d, n, phi_of(basis.unitary(n), d))
 
 
 def phi_of(u, d: int) -> np.ndarray:
-    """(U x 1)|Omega>."""
-    return linalg.kron(linalg.as_matrix(u), identity(d)) @ omega(d)
+    """(U x 1)|Omega>, which is vec(U)/sqrt(d) with U read row by row."""
+    u = linalg.as_matrix(u)
+    if u.shape != (d, d):
+        raise DimensionError(f"operator must be {d}x{d}")
+    return u.reshape(-1) / math.sqrt(d)
 
 
 def slide_identity_check(m, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -185,7 +177,7 @@ def transfer_composition(u, v, d: int, tol: float = DEFAULT_TOL) -> Verification
         raise ValueError("transfer composition expects unitary operators")
     report = VerificationReport("transfer-composition")
     got = partial_inner_ca_ab(phi_of(u, d), phi_of(v.T, d), d)
-    expected = (v @ u.conj().T) @ transfer_operator(d).matrix / d
+    expected = (v @ u.conj().T) / d
     report.add("<Phi(U)|Phi(V^T)> = (V U^dag) T / d", linalg.max_residual(got, expected), tol)
     if linalg.approx_eq(u, v, 1e-14):
         report.add("U=V special case = T/d", linalg.max_residual(got, identity(d) / d), tol)

@@ -101,28 +101,26 @@ REPORT_SCHEMA = {
 }
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float)}
+
+
+def _validate(value, schema: dict, where: str) -> None:
+    kind = schema["type"]
+    # bool is an int subclass, but true is not a JSON number
+    if not isinstance(value, _JSON_TYPES[kind]) or (kind == "number" and isinstance(value, bool)):
+        raise ValueError(f"{where} must be of type {kind}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ValueError(f"{where} missing key {key!r}")
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            _validate(value[key], sub, key)
+    if "items" in schema:
+        for item in value:
+            _validate(item, schema["items"], f"{where} entry")
+
+
 def validate_report_dict(data: dict) -> None:
-    """Minimal structural validation against REPORT_SCHEMA; raises ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError("report must be an object")
-    for key in ("suite_name", "checks", "overall_pass"):
-        if key not in data:
-            raise ValueError(f"report missing key {key!r}")
-    if not isinstance(data["suite_name"], str):
-        raise ValueError("suite_name must be a string")
-    if not isinstance(data["overall_pass"], bool):
-        raise ValueError("overall_pass must be a boolean")
-    if not isinstance(data["checks"], list):
-        raise ValueError("checks must be an array")
-    for item in data["checks"]:
-        if not isinstance(item, dict):
-            raise ValueError("check entries must be objects")
-        for key in ("identity_name", "max_residual", "pass"):
-            if key not in item:
-                raise ValueError(f"check entry missing key {key!r}")
-        if not isinstance(item["identity_name"], str):
-            raise ValueError("identity_name must be a string")
-        if not isinstance(item["max_residual"], (int, float)):
-            raise ValueError("max_residual must be a number")
-        if not isinstance(item["pass"], bool):
-            raise ValueError("pass must be a boolean")
+    """Structural validation against REPORT_SCHEMA; raises ValueError."""
+    _validate(data, REPORT_SCHEMA, "report")

@@ -65,58 +65,52 @@ def _vec_sigma_expansion(prefix: np.ndarray, psi: np.ndarray, coeff: complex = 0
     return out
 
 
-def bell_matrix_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0) -> VerificationReport:
-    """The B-form of the teleportation equation and its three resource-state
-    variants, including the (B^-1 x 1)(1 x B) configuration forms."""
-    report = VerificationReport("teleport-bell-matrix-form")
-    b = bell_matrix()
-    binv = bell_matrix_inverse()
-    one2 = identity(2)
+def _worst_over_kets(name: str, residuals, samples: int, seed: int, tol: float) -> VerificationReport:
+    """Report each identity at its largest residual over |0>, |1> and
+    `samples` random qubit kets; residuals(psi) yields (identity, residual)."""
     rng = np.random.default_rng(seed)
     psis = [linalg.basis_ket(2, 0), linalg.basis_ket(2, 1)]
     for _ in range(samples):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         psis.append(v / np.linalg.norm(v))
-
-    worst = {name: 0.0 for name in (
-        "phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)",
-        "phi+ resource: configuration form",
-        "phi- resource: (1xB)(psi x |00>) = psi x phi-",
-        "phi- resource: (Bx1) form with s3 corrections",
-        "psi+ resource: configuration form with s1 corrections",
-        "psi- resource: configuration form with -i s2 corrections",
-    )}
+    worst: dict[str, float] = {}
     for psi in psis:
+        for identity_name, value in residuals(psi):
+            worst[identity_name] = max(worst.get(identity_name, 0.0), value)
+    report = VerificationReport(name)
+    for identity_name, residual in worst.items():
+        report.add(identity_name, residual, tol)
+    return report
+
+
+def bell_matrix_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0) -> VerificationReport:
+    """The B-form of the teleportation equation and its three resource-state
+    variants, including the (B^-1 x 1)(1 x B) configuration forms."""
+    b = bell_matrix()
+    one2 = identity(2)
+    config = kron(bell_matrix_inverse(), one2) @ kron(one2, b)
+
+    def residuals(psi):
         lhs = kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 1, 1))
         rhs = kron(b, one2) @ _vec_sigma_expansion(one2, psi)
-        worst["phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)"] = max(
-            worst["phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)"], linalg.max_residual(lhs, rhs))
-
-        cfg = kron(binv, one2) @ kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 1, 1))
-        worst["phi+ resource: configuration form"] = max(
-            worst["phi+ resource: configuration form"], linalg.max_residual(cfg, _vec_sigma_expansion(one2, psi)))
-
+        yield ("phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)",
+               linalg.max_residual(lhs, rhs))
+        cfg = config @ linalg.kron_vec(psi, linalg.product_ket(2, 1, 1))
+        yield ("phi+ resource: configuration form",
+               linalg.max_residual(cfg, _vec_sigma_expansion(one2, psi)))
         lhs_m = kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 0, 0))
-        worst["phi- resource: (1xB)(psi x |00>) = psi x phi-"] = max(
-            worst["phi- resource: (1xB)(psi x |00>) = psi x phi-"],
-            linalg.max_residual(lhs_m, linalg.kron_vec(psi, bell_state(BellKind.PHI_MINUS))))
-
+        yield ("phi- resource: (1xB)(psi x |00>) = psi x phi-",
+               linalg.max_residual(lhs_m, linalg.kron_vec(psi, bell_state(BellKind.PHI_MINUS))))
         rhs_m = kron(b, one2) @ _vec_sigma_expansion(pauli(3), psi)
-        worst["phi- resource: (Bx1) form with s3 corrections"] = max(
-            worst["phi- resource: (Bx1) form with s3 corrections"], linalg.max_residual(lhs_m, rhs_m))
+        yield ("phi- resource: (Bx1) form with s3 corrections", linalg.max_residual(lhs_m, rhs_m))
+        cfg_p = config @ linalg.kron_vec(psi, linalg.product_ket(2, 0, 1))
+        yield ("psi+ resource: configuration form with s1 corrections",
+               linalg.max_residual(cfg_p, _vec_sigma_expansion(pauli(1), psi)))
+        cfg_m = config @ linalg.kron_vec(psi, -linalg.product_ket(2, 1, 0))
+        yield ("psi- resource: configuration form with -i s2 corrections",
+               linalg.max_residual(cfg_m, _vec_sigma_expansion(-1j * pauli(2), psi)))
 
-        cfg_p = kron(binv, one2) @ kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 0, 1))
-        worst["psi+ resource: configuration form with s1 corrections"] = max(
-            worst["psi+ resource: configuration form with s1 corrections"],
-            linalg.max_residual(cfg_p, _vec_sigma_expansion(pauli(1), psi)))
-
-        cfg_m = kron(binv, one2) @ kron(one2, b) @ linalg.kron_vec(psi, -linalg.product_ket(2, 1, 0))
-        worst["psi- resource: configuration form with -i s2 corrections"] = max(
-            worst["psi- resource: configuration form with -i s2 corrections"],
-            linalg.max_residual(cfg_m, _vec_sigma_expansion(-1j * pauli(2), psi)))
-    for name, residual in worst.items():
-        report.add(name, residual, tol)
-    return report
+    return _worst_over_kets("teleport-bell-matrix-form", residuals, samples, seed, tol)
 
 
 def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0) -> VerificationReport:
@@ -124,51 +118,38 @@ def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0
     variants, plus the teleportation-swapping equivalence."""
     from .braid import teleport_swap
 
-    report = VerificationReport("teleport-virtual-form")
     b = bell_matrix()
     p = permutation_qubit()
     one2 = identity(2)
-    one8 = identity(8)
     swap_op = teleport_swap(2)  # (P x 1)(1 x P)
-    rng = np.random.default_rng(seed)
-    psis = [linalg.basis_ket(2, 0), linalg.basis_ket(2, 1)]
-    for _ in range(samples):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psis.append(v / np.linalg.norm(v))
-
     subtractions = {
         BellKind.PHI_PLUS: kron(one2, kron(pauli(2), pauli(2))),
         BellKind.PHI_MINUS: kron(one2, kron(pauli(1), pauli(1))),
         BellKind.PSI_PLUS: kron(one2, kron(pauli(3), pauli(3))),
-        BellKind.PSI_MINUS: one8,
+        BellKind.PSI_MINUS: identity(8),
     }
-    worst: dict[str, float] = {}
 
-    def bump(name, value):
-        worst[name] = max(worst.get(name, 0.0), value)
-
-    for psi in psis:
+    def residuals(psi):
         for kind, sub in subtractions.items():
             lhs = linalg.kron_vec(psi, bell_state(kind))
             op = kron(one2, p) - sub
             rhs = op @ linalg.kron_vec(bell_state(kind), psi)
-            bump(f"{kind.value} resource: (1xP - subtraction) form", linalg.max_residual(lhs, rhs))
+            yield f"{kind.value} resource: (1xP - subtraction) form", linalg.max_residual(lhs, rhs)
             swapped = swap_op @ linalg.kron_vec(bell_state(kind), psi)
-            bump(f"{kind.value} resource: teleport-swap equivalence", linalg.max_residual(rhs, swapped))
+            yield (f"{kind.value} resource: teleport-swap equivalence",
+                   linalg.max_residual(rhs, swapped))
 
         base = linalg.kron_vec(linalg.product_ket(2, 1, 1), psi)
         lhs_mix = kron(one2, b) @ swap_op @ base
         rhs_mix = swap_op @ kron(b, one2) @ base
-        bump("virtual mixed relation on |11> x psi", linalg.max_residual(lhs_mix, rhs_mix))
-        bump("left side via (1xB)(Px1)(1xP)", linalg.max_residual(
-            lhs_mix, linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS))))
+        yield "virtual mixed relation on |11> x psi", linalg.max_residual(lhs_mix, rhs_mix)
+        yield "left side via (1xB)(Px1)(1xP)", linalg.max_residual(
+            lhs_mix, linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS)))
         rhs_op = (kron(one2, p) - kron(one2, kron(pauli(2), pauli(2)))) @ kron(b, one2)
-        bump("right side via (1xP - s2s2)(Bx1)", linalg.max_residual(
-            rhs_op @ base, linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS))))
+        yield "right side via (1xP - s2s2)(Bx1)", linalg.max_residual(
+            rhs_op @ base, linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS)))
 
-    for name, residual in worst.items():
-        report.add(name, residual, tol)
-    return report
+    return _worst_over_kets("teleport-virtual-form", residuals, samples, seed, tol)
 
 
 @dataclass(frozen=True)
@@ -203,6 +184,18 @@ def measurement_form(d: int, n: int, psi, basis: WeylBasis | None = None, tol: f
         bob_state=bob_branch * d,
         amplitude_weight=weight,
     )
+
+
+def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Every measurement outcome n has branch weight 1/d^2."""
+    basis = basis if basis is not None else weyl_basis(d)
+    report = VerificationReport("measurement-form")
+    worst = 0.0
+    for n in range(1, d * d + 1):
+        outcome = measurement_form(d, n, psi, basis, tol)
+        worst = max(worst, abs(outcome.amplitude_weight - 1 / d ** 2))
+    report.add("branch weight 1/d^2 for every outcome", worst, tol)
+    return report
 
 
 def qudit_resolution_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -317,8 +310,12 @@ def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
 
 
 def dense_coding_check(d: int, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """tr(omega (T_n x 1)(omega_m)) = delta_nm for all n, m."""
+    """tr(omega (T_n x 1)(omega_m)) = delta_nm for all n, m; the details
+    list the table itself."""
     report = VerificationReport("dense-coding")
     table = dense_coding_table(d, basis)
     report.add("delta table", linalg.max_residual(table, np.eye(d * d)), tol)
+    report.note(f"delta table ({d * d}x{d * d}):")
+    for row in np.real_if_close(np.round(table, 12)):
+        report.note("  " + " ".join(f"{val.real:6.3f}" for val in row))
     return report

@@ -15,7 +15,7 @@ from . import diagram as dg
 from . import linalg
 from .braid import StrandOperator, embed, swap
 from .linalg import DEFAULT_TOL, FLOW_TOL, DimensionError, identity
-from .maxent import WeylBasis, omega_projector, phi_of, weyl_basis
+from .maxent import WeylBasis, clock, omega_projector, phi_of, weyl_basis
 from .report import VerificationReport
 
 
@@ -281,11 +281,9 @@ def check_flow(d: int, samples: int = 10, seed: int = 0, tol: float = FLOW_TOL) 
     report.add("all-identity: output = phi / d^4",
                linalg.max_residual(got, phi / d ** 4), 1e-12)
 
-    basis = weyl_basis(d)
     if d >= 2:
         ops = [one] * 8
-        ops[1] = basis.unitary(1)   # U_2 = 1
-        ops[4] = basis.unitary(2)   # U_5 trace-orthogonal to U_2
+        ops[4] = clock(d)   # U_5 trace-orthogonal to U_2 = 1
         got = flow_apply(ops, phi, d)
         report.add("orthogonal pair U2, U5: zero output",
                    linalg.max_residual(got, np.zeros(d)), 1e-12)

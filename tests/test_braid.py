@@ -3,7 +3,8 @@ import pytest
 
 from entangle_tl import braid, linalg
 from entangle_tl.braid import (StrandOperator, as_strand_operator, braid_teleport_config,
-                               check_braid_relation, check_virtual_mixed,
+                               check_braid_closed_form, check_braid_relation,
+                               check_teleport_swapping, check_virtual_mixed,
                                check_virtual_relations, embed, swap, teleport_swap,
                                teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
@@ -40,9 +41,28 @@ def test_teleport_swap_reverse_undoes_forward():
         assert max_residual(teleport_swap_reverse(d) @ teleport_swap(d), identity(d ** 3)) == 0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_teleport_swapping(d):
+    report = check_teleport_swapping(d)
+    assert report.suite_name == "teleport-swapping"
+    assert [c.identity_name for c in report.checks] == [
+        "reverse undoes forward", "|k>|ij> = (Px1)(1xP)|ij>|k> and back"]
+    assert report.overall_pass and report.max_residual == 0
+
+
 def test_teleport_swap_d1_is_scalar_one():
     assert teleport_swap(1).shape == (1, 1)
     assert teleport_swap(1)[0, 0] == 1
+
+
+def test_braid_closed_form():
+    report = check_braid_closed_form(bell_matrix(), 1e-12)
+    assert report.suite_name == "braid-relation"
+    assert len(report.checks) == 4 and report.overall_pass
+    # the swap satisfies the braid relation but not B's closed form
+    names = {c.identity_name: c.passed for c in check_braid_closed_form(swap(2)).checks}
+    assert names["b1 b2 b1 = b2 b1 b2"]
+    assert not names["b1 b2 b1 equals (1 x B^2 + B^2 x 1)/sqrt(2)"]
 
 
 def test_braid_relation_bell_matrix():

@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from entangle_tl import cli
@@ -39,6 +41,26 @@ def test_verify_all_d2_to_d4(capsys):
     for d in (2, 3, 4):
         assert main(["verify", "all", "--d", str(d)]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_all_runs_every_registry_entry(d):
+    cfg = cli.RunConfig(dimension=d)
+    report = cli.run_suite("all", cfg)
+    expected = Counter(f"{r.suite_name}: {c.identity_name}"
+                       for entry in cli.REGISTRY.values()
+                       for r in entry(cfg, np.random.default_rng(0)) for c in r.checks)
+    assert Counter(c.identity_name for c in report.checks) == expected
+    assert report.details == []  # the dense-coding table is shown by `verify dense` only
+
+
+@pytest.mark.parametrize("argv", [["verify", "maxent"], ["verify", "teleport"],
+                                  ["verify", "bell"], ["simulate"]])
+def test_zero_dimension_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--d", "0"])
+    assert exc.value.code == 2
+    assert "error: argument --d: expected a positive integer" in capsys.readouterr().err
 
 
 def test_verify_json_schema_and_agreement(capsys):

@@ -10,7 +10,7 @@ from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import (WeylBasis, clock, completeness_check, omega, omega_n,
                                 pauli_weyl_basis, partial_inner_ca_ab, phi_of, shift,
                                 slide_identity_check, trace_identities_check,
-                                transfer_composition, transfer_operator, weyl_basis)
+                                transfer_composition, weyl_basis)
 from entangle_tl.qubit import BellKind, bell_state, pauli
 
 from conftest import random_complex_matrix, random_unitary
@@ -67,6 +67,8 @@ def test_weyl_basis_rejects_bad_input():
         WeylBasis(2, (pauli(1), identity(2), 1j * pauli(2), pauli(3)))  # U_1 != 1
     with pytest.raises(ValueError):
         WeylBasis(2, (identity(2), pauli(1)))  # wrong count
+    with pytest.raises(linalg.DimensionError):
+        weyl_basis(0)
 
 
 def test_pauli_weyl_basis_is_valid():
@@ -140,6 +142,15 @@ def test_slide_identity_holds_for_every_matrix(d, data):
     assert max_residual(left, right) < 1e-10
 
 
+def test_phi_of_is_the_kron_product_on_omega(rng):
+    # vec(U)/sqrt(d) reproduces (U x 1)|Omega> bit for bit
+    for d in range(1, 6):
+        u = random_complex_matrix(rng, d)
+        assert np.array_equal(phi_of(u, d), kron(u, identity(d)) @ omega(d))
+    with pytest.raises(linalg.DimensionError):
+        phi_of(identity(3), 2)
+
+
 def test_trace_identities():
     assert trace_identities_check(identity(2), identity(2), identity(2), identity(2), 2).overall_pass
     # tr(sigma1) = 0 matches <phi+|psi+> = 0
@@ -195,11 +206,6 @@ def test_transfer_composition_u_equals_v_random(rng):
 def test_transfer_composition_rejects_nonunitary():
     with pytest.raises(ValueError):
         transfer_composition(np.diag([1.0, 2.0]), identity(2), 2)
-
-
-def test_transfer_operator_is_identity_shaped():
-    t = transfer_operator(4)
-    assert max_residual(t.matrix, identity(4)) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])

@@ -39,6 +39,10 @@ def test_to_dict_validates():
     {"suite_name": "s", "checks": {}, "overall_pass": True},
     {"suite_name": "s", "checks": [{"identity_name": "x"}], "overall_pass": True},
     {"suite_name": "s", "checks": [], "overall_pass": "yes"},
+    {"suite_name": "s", "checks": [{"identity_name": "x", "max_residual": True, "pass": True}],
+     "overall_pass": True},
+    {"suite_name": "s", "checks": [{"identity_name": "x", "max_residual": 0.0, "pass": 1}],
+     "overall_pass": True},
 ])
 def test_validate_rejects_malformed(broken):
     with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ from entangle_tl import linalg, teleport
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_n, pauli_weyl_basis, weyl_basis
 from entangle_tl.qubit import BellKind, bell_state, pauli
-from entangle_tl.teleport import (bell_matrix_form_check, dense_coding_check,
-                                  dense_coding_table, measurement_form,
+from entangle_tl.teleport import (bell_matrix_form_check, branch_weights_check,
+                                  dense_coding_check, dense_coding_table, measurement_form,
                                   qudit_resolution_check, simulate,
                                   teleport_equation_qubit_check,
                                   tight_teleportation_check, virtual_form_check)
@@ -113,6 +113,14 @@ def test_measurement_form_random_d3(rng):
         want = np.kron(ket_n, basis.unitary(n).conj().T @ psi) / 3
         assert max_residual(got, want) < 1e-10
         assert abs(outcome.amplitude_weight - 1 / 9) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_branch_weights(rng, d):
+    report = branch_weights_check(d, random_ket(rng, d), tol=1e-12)
+    assert report.suite_name == "measurement-form"
+    assert [c.identity_name for c in report.checks] == ["branch weight 1/d^2 for every outcome"]
+    assert report.overall_pass
 
 
 def test_measurement_branches_sum_to_state():
