@@ -2,8 +2,10 @@
 pairs, plus the braid teleportation configuration and teleportation swapping.
 
 A strand operator is a d^2 x d^2 matrix acting on two adjacent strands of a
-d-dimensional system; embed() places it at position i of n strands.  The
-relation checkers verify on the minimal strand counts that exercise each
+d-dimensional system; apply_on_strands() applies it at position i of n
+strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding, and
+strand_product() (embed() with one factor) forms each side of a relation.
+The relation checkers verify on the minimal strand counts that exercise each
 relation (3 for adjacent relations, 4 for far commutativity): a violation at
 higher n always restricts to these cases.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import diagram, linalg
 from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
 
@@ -58,14 +60,35 @@ def swap(d: int) -> np.ndarray:
     return p
 
 
-def embed(op, i: int, n: int) -> np.ndarray:
-    """1 x ... x op x ... x 1 with op on strands (i, i+1) of n, 1-based i."""
+def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
+    """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based
+    i, for x with d^n rows; the embedding is never formed."""
     so = as_strand_operator(op)
     if not 1 <= i <= n - 1:
         raise DimensionError(f"position {i} out of range for {n} strands")
-    left = identity(so.d ** (i - 1))
-    right = identity(so.d ** (n - i - 1))
-    return linalg.kron_all(left, so.matrix, right)
+    x = np.asarray(x)
+    if x.shape[0] != so.d ** n:
+        raise DimensionError(f"operand has {x.shape[0]} rows, not {so.d}^{n}")
+    blocks = x.reshape(so.d ** (i - 1), so.d * so.d, -1)
+    return np.matmul(so.matrix, blocks).reshape(x.shape)
+
+
+def strand_product(factors, n: int) -> np.ndarray:
+    """The d^n x d^n product of (op, i) factors, written left to right and
+    applied right to left to the identity."""
+    d = as_strand_operator(factors[0][0]).d
+    if d ** (2 * n) > diagram.MAX_OUTPUT_ENTRIES:
+        raise DimensionError(
+            f"strand product of {d}^{2 * n} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+    out = identity(d ** n)
+    for op, i in reversed(factors):
+        out = apply_on_strands(op, i, n, out)
+    return out
+
+
+def embed(op, i: int, n: int) -> np.ndarray:
+    """1 x ... x op x ... x 1 with op on strands (i, i+1) of n, 1-based i."""
+    return strand_product([(op, i)], n)
 
 
 def _inverse(so: StrandOperator) -> np.ndarray:
@@ -75,14 +98,18 @@ def _inverse(so: StrandOperator) -> np.ndarray:
     return np.linalg.inv(so.matrix)
 
 
+def _residual(lhs, rhs, n: int) -> float:
+    """Entrywise residual between two strand products on n strands."""
+    return linalg.max_residual(strand_product(lhs, n), strand_product(rhs, n))
+
+
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:
     """b1 b2 b1 = b2 b1 b2 on 3 strands; b1 b3 = b3 b1 on 4 strands."""
     so = as_strand_operator(b)
     report = VerificationReport("braid-relation")
-    b1, b2 = embed(so, 1, 3), embed(so, 2, 3)
-    report.add("b1 b2 b1 = b2 b1 b2", linalg.max_residual(b1 @ b2 @ b1, b2 @ b1 @ b2), tol)
-    c1, c3 = embed(so, 1, 4), embed(so, 3, 4)
-    report.add("b1 b3 = b3 b1", linalg.max_residual(c1 @ c3, c3 @ c1), tol)
+    report.add("b1 b2 b1 = b2 b1 b2", _residual([(so, 1), (so, 2), (so, 1)],
+                                                [(so, 2), (so, 1), (so, 2)], 3), tol)
+    report.add("b1 b3 = b3 b1", _residual([(so, 1), (so, 3)], [(so, 3), (so, 1)], 4), tol)
     return report
 
 
@@ -91,13 +118,12 @@ def check_braid_closed_form(b, tol: float = DEFAULT_TOL) -> VerificationReport:
     the closed form the Bell matrix B satisfies."""
     so = as_strand_operator(b)
     report = check_braid_relation(so, tol)
-    b1, b2 = embed(so, 1, 3), embed(so, 2, 3)
     square, one = so.matrix @ so.matrix, identity(so.d)
     closed = (linalg.kron(one, square) + linalg.kron(square, one)) / np.sqrt(2)
     report.add("b1 b2 b1 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-               linalg.max_residual(b1 @ b2 @ b1, closed), tol)
+               linalg.max_residual(strand_product([(so, 1), (so, 2), (so, 1)], 3), closed), tol)
     report.add("b2 b1 b2 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-               linalg.max_residual(b2 @ b1 @ b2, closed), tol)
+               linalg.max_residual(strand_product([(so, 2), (so, 1), (so, 2)], 3), closed), tol)
     return report
 
 
@@ -106,10 +132,9 @@ def check_virtual_relations(v, tol: float = DEFAULT_TOL) -> VerificationReport:
     so = as_strand_operator(v)
     report = VerificationReport("virtual-relations")
     report.add("v^2 = 1", linalg.max_residual(so.matrix @ so.matrix, identity(so.d ** 2)), tol)
-    v1, v2 = embed(so, 1, 3), embed(so, 2, 3)
-    report.add("v1 v2 v1 = v2 v1 v2", linalg.max_residual(v1 @ v2 @ v1, v2 @ v1 @ v2), tol)
-    w1, w3 = embed(so, 1, 4), embed(so, 3, 4)
-    report.add("v1 v3 = v3 v1", linalg.max_residual(w1 @ w3, w3 @ w1), tol)
+    report.add("v1 v2 v1 = v2 v1 v2", _residual([(so, 1), (so, 2), (so, 1)],
+                                                [(so, 2), (so, 1), (so, 2)], 3), tol)
+    report.add("v1 v3 = v3 v1", _residual([(so, 1), (so, 3)], [(so, 3), (so, 1)], 4), tol)
     return report
 
 
@@ -119,31 +144,28 @@ def check_virtual_mixed(b, v, tol: float = DEFAULT_TOL) -> VerificationReport:
     if bo.d != vo.d:
         raise DimensionError("braid and virtual crossing must share the local dimension")
     report = VerificationReport("virtual-mixed")
-    b1, b2 = embed(bo, 1, 3), embed(bo, 2, 3)
-    v1, v2 = embed(vo, 1, 3), embed(vo, 2, 3)
-    report.add("b2 v1 v2 = v1 v2 b1", linalg.max_residual(b2 @ v1 @ v2, v1 @ v2 @ b1), tol)
-    c1, u3 = embed(bo, 1, 4), embed(vo, 3, 4)
-    report.add("b1 v3 = v3 b1", linalg.max_residual(c1 @ u3, u3 @ c1), tol)
+    report.add("b2 v1 v2 = v1 v2 b1", _residual([(bo, 2), (vo, 1), (vo, 2)],
+                                                [(vo, 1), (vo, 2), (bo, 1)], 3), tol)
+    report.add("b1 v3 = v3 b1", _residual([(bo, 1), (vo, 3)], [(vo, 3), (bo, 1)], 4), tol)
     return report
 
 
 def braid_teleport_config(b) -> np.ndarray:
     """(b^-1 x 1)(1 x b) on 3 strands."""
     so = as_strand_operator(b)
-    inv = StrandOperator(so.d, _inverse(so))
-    return embed(inv, 1, 3) @ embed(so, 2, 3)
+    return strand_product([(_inverse(so), 1), (so, 2)], 3)
 
 
 def teleport_swap(d: int) -> np.ndarray:
     """(P x 1)(1 x P): routes |ij> x |k> to |k> x |ij> cyclically."""
-    p = StrandOperator(d, swap(d))
-    return embed(p, 1, 3) @ embed(p, 2, 3)
+    p = swap(d)
+    return strand_product([(p, 1), (p, 2)], 3)
 
 
 def teleport_swap_reverse(d: int) -> np.ndarray:
     """(1 x P)(P x 1): the inverse cyclic routing |k> x |ij> to |ij> x |k>."""
-    p = StrandOperator(d, swap(d))
-    return embed(p, 2, 3) @ embed(p, 1, 3)
+    p = swap(d)
+    return strand_product([(p, 2), (p, 1)], 3)
 
 
 def check_teleport_swapping(d: int, tol: float = DEFAULT_TOL) -> VerificationReport:

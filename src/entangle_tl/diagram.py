@@ -50,7 +50,8 @@ _DAGGER_TOGGLE = {
 TOP = "T"
 BOTTOM = "B"
 
-# Largest output, in entries, an evaluation may allocate: 256 MiB of complex128.
+# Largest output, in entries, an evaluation or a braid.strand_product may
+# allocate: 256 MiB of complex128.
 MAX_OUTPUT_ENTRIES = 2 ** 24
 
 

@@ -6,7 +6,8 @@ of a composite index, so |i> (x) |j> maps to index i*d + j and
 kron(A, B) acts on the composite space the usual way.
 
 All helpers validate shapes and reject non-finite entries; everything else
-is a thin layer over numpy.
+is a thin layer over numpy.  Operators on a pair of strands are never
+embedded here as kron(1, op, 1): braid.apply_on_strands applies them locally.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def identity(d: int) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def kron_all(*mats) -> np.ndarray:
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
 
 
 def kron_vec(*vecs) -> np.ndarray:

@@ -286,7 +286,8 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
         u = basis.unitary(n)
         ket_n = omega_n(d, n, basis).ket
         t_n_obs = u.conj().T @ obs @ u
-        term = np.trace(rho_omega @ kron(np.outer(ket_n, ket_n.conj()), t_n_obs))
+        # tr(A B) = sum(A * B^T), without forming the d^3 x d^3 product
+        term = np.sum(rho_omega * kron(np.outer(ket_n, ket_n.conj()), t_n_obs).T)
         total += term
         worst_term = max(worst_term, abs(term - target / d ** 2))
     report.add("per-term value tr(rho O)/d^2", worst_term, tol)
@@ -296,16 +297,17 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
 
 def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
     """The d^2 x d^2 table tr(omega (T_n x 1)(omega_m)) with
-    (T_n x 1)(omega_m) = (U_n^dag x 1) omega_m (U_n x 1)."""
+    (T_n x 1)(omega_m) = (U_n^dag x 1) omega_m (U_n x 1).
+
+    omega_m = |omega_m><omega_m|, so each entry is <phi|omega|phi> with
+    |phi> = (U_n^dag x 1)|omega_m>; row n takes all d^2 kets at once."""
     basis = basis if basis is not None else weyl_basis(d)
     w = omega_projector(d)
-    kets = [omega_n(d, n, basis).ket for n in range(1, d * d + 1)]
+    kets = np.stack([omega_n(d, m, basis).ket for m in range(1, d * d + 1)], axis=1)
     table = np.zeros((d * d, d * d), dtype=np.complex128)
     for n in range(d * d):
-        un = kron(basis.unitary(n + 1), identity(d))
-        for m in range(d * d):
-            wm = np.outer(kets[m], kets[m].conj())
-            table[n, m] = np.trace(w @ (un.conj().T @ wm @ un))
+        phis = kron(basis.unitary(n + 1).conj().T, identity(d)) @ kets
+        table[n] = np.sum(phis.conj() * (w @ phis), axis=0)
     return table
 
 

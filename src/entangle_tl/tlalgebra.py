@@ -3,8 +3,10 @@ quantum-information-flow evaluation.
 
 The TL idempotents are realized both as decorated diagrams and as dense
 matrices E_i = 1 x ... x omega x ... x 1 built from the maximally entangled
-projector; virtual crossings are swap embeddings.  The loop parameter is the
-local dimension d.
+projector; virtual crossings are swaps on strand pairs.  The dense relation
+checks form each side as a strand product (braid.strand_product), applying
+omega and the swap locally instead of multiplying d^n x d^n embeddings.  The
+loop parameter is the local dimension d.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import diagram as dg
 from . import linalg
-from .braid import StrandOperator, embed, swap
+from .braid import embed, strand_product, swap
 from .linalg import DEFAULT_TOL, FLOW_TOL, DimensionError, identity
 from .maxent import WeylBasis, clock, omega_projector, phi_of, weyl_basis
 from .report import VerificationReport
@@ -21,12 +23,12 @@ from .report import VerificationReport
 
 def e_matrix(i: int, n: int, d: int) -> np.ndarray:
     """Dense TL idempotent: the omega projector on strands (i, i+1) of n."""
-    return embed(StrandOperator(d, omega_projector(d)), i, n)
+    return embed(omega_projector(d), i, n)
 
 
 def v_matrix(i: int, n: int, d: int) -> np.ndarray:
     """Dense virtual crossing: the swap on strands (i, i+1) of n."""
-    return embed(StrandOperator(d, swap(d)), i, n)
+    return embed(swap(d), i, n)
 
 
 def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
@@ -51,11 +53,12 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
     if n < 3:
         raise ValueError("adjacent TL relations need n >= 3")
     report = VerificationReport(f"tl-axioms n={n} d={d}")
-    mats = {i: e_matrix(i, n, d) for i in range(1, n)}
+    w = omega_projector(d)
 
     for i in range(1, n):
-        ei = mats[i]
-        report.add(f"E_{i}^2 = E_{i} (dense)", linalg.max_residual(ei @ ei, ei), tol)
+        ei = embed(w, i, n)
+        report.add(f"E_{i}^2 = E_{i} (dense)",
+                   linalg.max_residual(strand_product([(w, i), (w, i)], n), ei), tol)
         report.add(f"E_{i} hermitian (dense)", linalg.max_residual(ei, ei.conj().T), tol)
         di = dg.e_gen(i, n)
         ratio = dg.structural_ratio(dg.compose(di, di), di, d)
@@ -68,9 +71,9 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            lhs = mats[i] @ mats[j] @ mats[i]
+            lhs = strand_product([(w, i), (w, j), (w, i)], n)
             report.add(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (dense)",
-                       linalg.max_residual(lhs, mats[i] / d ** 2), tol)
+                       linalg.max_residual(lhs, embed(w, i, n) / d ** 2), tol)
             di, dj = dg.e_gen(i, n), dg.e_gen(j, n)
             composed = dg.compose(dg.compose(di, dj), di)
             ratio = dg.structural_ratio(composed, di, d)
@@ -80,8 +83,8 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
 
     for i in range(1, n):
         for j in range(i + 2, n):
-            lhs, rhs = mats[i] @ mats[j], mats[j] @ mats[i]
-            report.add(f"E_{i}E_{j} = E_{j}E_{i} (dense)", linalg.max_residual(lhs, rhs), tol)
+            report.add(f"E_{i}E_{j} = E_{j}E_{i} (dense)", linalg.max_residual(
+                strand_product([(w, i), (w, j)], n), strand_product([(w, j), (w, i)], n)), tol)
             ci = dg.compose(dg.e_gen(i, n), dg.e_gen(j, n))
             cj = dg.compose(dg.e_gen(j, n), dg.e_gen(i, n))
             report.add_bool(f"E_{i}E_{j} = E_{j}E_{i} (diagram)", ci == cj)
@@ -99,12 +102,12 @@ def check_tl_decorated(n: int, d: int, basis_index: int,
     report = VerificationReport(f"tl-decorated n={n} d={d} basis={basis_index}")
     w = omega_projector(d)
     wn = linalg.kron(u, identity(d)) @ w @ linalg.kron(u, identity(d)).conj().T
-    mats = {i: embed(StrandOperator(d, wn), i, n) for i in range(1, n)}
     ops = {"u": u}
 
     for i in range(1, n):
-        ei = mats[i]
-        report.add(f"Et_{i}^2 = Et_{i}", linalg.max_residual(ei @ ei, ei), tol)
+        ei = embed(wn, i, n)
+        report.add(f"Et_{i}^2 = Et_{i}",
+                   linalg.max_residual(strand_product([(wn, i), (wn, i)], n), ei), tol)
         report.add(f"Et_{i} hermitian", linalg.max_residual(ei, ei.conj().T), tol)
         evaluated = dg.evaluate(decorated_e_gen(i, n, "u"), d, ops)
         report.add(f"decorated diagram evaluates to Et_{i}",
@@ -113,13 +116,13 @@ def check_tl_decorated(n: int, d: int, basis_index: int,
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            lhs = mats[i] @ mats[j] @ mats[i]
+            lhs = strand_product([(wn, i), (wn, j), (wn, i)], n)
             report.add(f"Et_{i}Et_{j}Et_{i} = d^-2 Et_{i}",
-                       linalg.max_residual(lhs, mats[i] / d ** 2), tol)
+                       linalg.max_residual(lhs, embed(wn, i, n) / d ** 2), tol)
     for i in range(1, n):
         for j in range(i + 2, n):
-            report.add(f"Et_{i}Et_{j} = Et_{j}Et_{i}",
-                       linalg.max_residual(mats[i] @ mats[j], mats[j] @ mats[i]), tol)
+            report.add(f"Et_{i}Et_{j} = Et_{j}Et_{i}", linalg.max_residual(
+                strand_product([(wn, i), (wn, j)], n), strand_product([(wn, j), (wn, i)], n)), tol)
     return report
 
 
@@ -130,26 +133,28 @@ def check_brauer_mixed(n: int, d: int, tol: float = DEFAULT_TOL) -> Verification
     if n < 3:
         raise ValueError("mixed adjacent relations need n >= 3")
     report = VerificationReport(f"brauer-mixed n={n} d={d}")
-    e = {i: e_matrix(i, n, d) for i in range(1, n)}
-    v = {i: v_matrix(i, n, d) for i in range(1, n)}
+    w, p = omega_projector(d), swap(d)
 
     for i in range(1, n):
-        report.add(f"E_{i} v_{i} = E_{i}", linalg.max_residual(e[i] @ v[i], e[i]), tol)
-        report.add(f"v_{i} E_{i} = E_{i}", linalg.max_residual(v[i] @ e[i], e[i]), tol)
+        ei = embed(w, i, n)
+        report.add(f"E_{i} v_{i} = E_{i}",
+                   linalg.max_residual(strand_product([(w, i), (p, i)], n), ei), tol)
+        report.add(f"v_{i} E_{i} = E_{i}",
+                   linalg.max_residual(strand_product([(p, i), (w, i)], n), ei), tol)
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
-                report.add(f"E_{i} v_{j} = v_{j} E_{i}",
-                           linalg.max_residual(e[i] @ v[j], v[j] @ e[i]), tol)
+                report.add(f"E_{i} v_{j} = v_{j} E_{i}", linalg.max_residual(
+                    strand_product([(w, i), (p, j)], n), strand_product([(p, j), (w, i)], n)), tol)
     for i in range(1, n):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            target = d * (e[i] @ e[j])
-            report.add(f"v_{j} v_{i} E_{j} = d E_{i} E_{j}",
-                       linalg.max_residual(v[j] @ v[i] @ e[j], target), tol)
-            report.add(f"E_{i} v_{j} v_{i} = d E_{i} E_{j}",
-                       linalg.max_residual(e[i] @ v[j] @ v[i], target), tol)
+            target = d * strand_product([(w, i), (w, j)], n)
+            report.add(f"v_{j} v_{i} E_{j} = d E_{i} E_{j}", linalg.max_residual(
+                strand_product([(p, j), (p, i), (w, j)], n), target), tol)
+            report.add(f"E_{i} v_{j} v_{i} = d E_{i} E_{j}", linalg.max_residual(
+                strand_product([(w, i), (p, j), (p, i)], n), target), tol)
     return report
 
 

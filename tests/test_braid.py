@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from entangle_tl import braid, linalg
-from entangle_tl.braid import (StrandOperator, as_strand_operator, braid_teleport_config,
-                               check_braid_closed_form, check_braid_relation,
-                               check_teleport_swapping, check_virtual_mixed,
-                               check_virtual_relations, embed, swap, teleport_swap,
-                               teleport_swap_reverse)
+from entangle_tl import diagram as dg
+from entangle_tl.braid import (StrandOperator, apply_on_strands, as_strand_operator,
+                               braid_teleport_config, check_braid_closed_form,
+                               check_braid_relation, check_teleport_swapping,
+                               check_virtual_mixed, check_virtual_relations, embed,
+                               strand_product, swap, teleport_swap, teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
 from entangle_tl.qubit import bell_matrix, permutation_qubit
 
@@ -168,3 +169,63 @@ def test_strand_operator_validation():
         as_strand_operator(np.eye(3))  # 3 is not a perfect square
     so = as_strand_operator(np.eye(9))
     assert so.d == 3
+
+
+# --- local strand kernel ------------------------------------------------------
+
+STRAND_CASES = [(d, n, i) for d in (1, 2, 3) for n in range(2, 6) for i in range(1, n)]
+
+
+def dense_embed(op, i, n, d):
+    """The explicit kron(1, op, 1) embedding the local kernel replaces."""
+    return np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (n - i - 1)))
+
+
+def random_op(rng, d):
+    return rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+
+
+@pytest.mark.parametrize("d,n,i", STRAND_CASES)
+def test_apply_on_strands_matches_kron(rng, d, n, i):
+    op = random_op(rng, d)
+    x = rng.normal(size=(d ** n, 3)) + 1j * rng.normal(size=(d ** n, 3))
+    dense = dense_embed(op, i, n, d)
+    assert max_residual(apply_on_strands(op, i, n, x), dense @ x) < 1e-12
+    assert max_residual(apply_on_strands(op, i, n, x[:, 0]), dense @ x[:, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("d,n,i", STRAND_CASES)
+def test_embed_bit_identical_to_kron(rng, d, n, i):
+    op = random_op(rng, d)
+    assert max_residual(embed(op, i, n), dense_embed(op, i, n, d)) == 0
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(2, 6)])
+def test_strand_product_matches_chained_embeds(rng, d, n):
+    factors = [(random_op(rng, d), int(rng.integers(1, n))) for _ in range(4)]
+    dense = np.eye(d ** n)
+    for op, i in factors:
+        dense = dense @ dense_embed(op, i, n, d)
+    assert max_residual(strand_product(factors, n), dense) < 1e-12 * max(1.0, np.abs(dense).max())
+
+
+def test_strand_positions_out_of_range_raise():
+    b = bell_matrix()
+    x = np.eye(8)
+    for i in (0, 3):
+        with pytest.raises(linalg.DimensionError):
+            apply_on_strands(b, i, 3, x)
+        with pytest.raises(linalg.DimensionError):
+            strand_product([(b, 1), (b, i)], 3)
+    with pytest.raises(linalg.DimensionError):
+        apply_on_strands(b, 1, 3, np.eye(4))  # 4 rows, not 2^3
+    with pytest.raises(linalg.DimensionError):
+        strand_product([(b, 1), (swap(3), 2)], 3)  # mixed local dimensions
+
+
+def test_strand_product_size_guard(monkeypatch):
+    # refused before the d^n x d^n identity is allocated
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 63)
+    with pytest.raises(linalg.DimensionError, match="2\\^6 entries exceeds 63"):
+        embed(bell_matrix(), 1, 3)
+    assert embed(bell_matrix(), 1, 2).shape == (4, 4)

@@ -196,6 +196,24 @@ def test_output_over_size_limit_exits_2(monkeypatch, capsys):
     assert err.startswith("error: ") and "exceeds 63" in err and err.count("\n") == 1
 
 
+def test_strand_product_over_size_limit_exits_2(monkeypatch, capsys):
+    # the 4-strand braid products at d=3 have 3^8 entries; with the limit
+    # set below that the guard refuses them before allocating
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 8 - 1)
+    assert main(["verify", "braid", "--d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: strand product of 3^8 entries exceeds 6560\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "tl", "--d", "3", "--n", "9"],
+                                  ["verify", "brauer", "--d", "3", "--n", "9"]])
+def test_strand_products_beyond_limit_exit_2(argv, capsys):
+    # d^(2n) = 3^18 entries (6 GiB) is refused before anything that size exists
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: strand product of 3^18 entries exceeds 16777216\n"
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhaust(suite, cfg):
         raise MemoryError("Unable to allocate 16.0 GiB")

@@ -6,7 +6,7 @@ import pytest
 
 from entangle_tl import linalg, teleport
 from entangle_tl.linalg import identity, kron, max_residual
-from entangle_tl.maxent import omega, omega_n, pauli_weyl_basis, weyl_basis
+from entangle_tl.maxent import omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
 from entangle_tl.qubit import BellKind, bell_state, pauli
 from entangle_tl.teleport import (bell_matrix_form_check, branch_weights_check,
                                   dense_coding_check, dense_coding_table, measurement_form,
@@ -240,3 +240,37 @@ def test_dense_coding_tables():
 def test_dense_coding_n_equals_m_is_one():
     table = dense_coding_table(3)
     assert abs(table[0, 0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tight_teleportation_matches_explicit_trace_form(rng, d):
+    # the residuals of sum_n tr((rho x omega)(omega_n x T_n(O))) with each
+    # trace taken of the explicit d^3 x d^3 product
+    basis = weyl_basis(d)
+    rho = np.outer(random_ket(rng, d), random_ket(rng, d).conj())
+    obs = np.outer(random_ket(rng, d), random_ket(rng, d).conj())
+    target = np.trace(rho @ obs)
+    terms = []
+    for n in range(1, d * d + 1):
+        u, ket_n = basis.unitary(n), omega_n(d, n, basis).ket
+        b = np.kron(np.outer(ket_n, ket_n.conj()), u.conj().T @ obs @ u)
+        terms.append(np.trace(np.kron(rho, omega_projector(d)) @ b))
+    want = {"per-term value tr(rho O)/d^2": max(abs(t - target / d ** 2) for t in terms),
+            "total sum = tr(rho O)": abs(sum(terms) - target)}
+    got = {c.identity_name: c.max_residual for c in tight_teleportation_check(d, rho, obs, basis).checks}
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) < 1e-13 for k in want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dense_coding_table_matches_explicit_trace_form(d):
+    # tr(omega (U_n^dag x 1) omega_m (U_n x 1)) with the conjugated projector formed
+    basis = weyl_basis(d)
+    w = omega_projector(d)
+    want = np.zeros((d * d, d * d), dtype=complex)
+    for n in range(d * d):
+        un = np.kron(basis.unitary(n + 1), np.eye(d))
+        for m in range(d * d):
+            ket = omega_n(d, m + 1, basis).ket
+            want[n, m] = np.trace(w @ (un.conj().T @ np.outer(ket, ket.conj()) @ un))
+    assert max_residual(dense_coding_table(d, basis), want) < 1e-13

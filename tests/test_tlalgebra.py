@@ -3,6 +3,7 @@ import pytest
 
 from entangle_tl import diagram as dg
 from entangle_tl import linalg, tlalgebra
+from entangle_tl.braid import swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega_projector, phi_of, weyl_basis
 from entangle_tl.tlalgebra import (check_brauer_mixed, check_flow, check_tl_axioms,
@@ -82,6 +83,54 @@ def test_brauer_v2v1e2_index_oracle():
                             oracle[(l * d + l) * d + a, col] += 1 / d
         assert max_residual(lhs, oracle) < 1e-12
         assert max_residual(lhs, d * (e_matrix(1, 3, d) @ e_matrix(2, 3, d))) < 1e-12
+
+
+def dense_strand_matrices(n, d):
+    """E_i and v_i as explicit kron(1, op, 1) matrices."""
+    def emb(op, i):
+        return np.kron(np.kron(np.eye(d ** (i - 1)), op), np.eye(d ** (n - i - 1)))
+    e = {i: emb(omega_projector(d), i) for i in range(1, n)}
+    v = {i: emb(swap(d), i) for i in range(1, n)}
+    return e, v
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tl_axioms_residuals_equal_dense_formula(d):
+    n = 4
+    e, _ = dense_strand_matrices(n, d)
+    want = {}
+    for i in range(1, n):
+        want[f"E_{i}^2 = E_{i} (dense)"] = max_residual(e[i] @ e[i], e[i])
+        want[f"E_{i} hermitian (dense)"] = max_residual(e[i], e[i].conj().T)
+        for j in (i - 1, i + 1):
+            if 1 <= j <= n - 1:
+                want[f"E_{i}E_{j}E_{i} = d^-2 E_{i} (dense)"] = max_residual(
+                    e[i] @ e[j] @ e[i], e[i] / d ** 2)
+        for j in range(i + 2, n):
+            want[f"E_{i}E_{j} = E_{j}E_{i} (dense)"] = max_residual(e[i] @ e[j], e[j] @ e[i])
+    got = {c.identity_name: c.max_residual for c in check_tl_axioms(n, d).checks
+           if c.identity_name.endswith("(dense)")}
+    assert got == want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_brauer_mixed_residuals_equal_dense_formula(d):
+    n = 4
+    e, v = dense_strand_matrices(n, d)
+    want = {}
+    for i in range(1, n):
+        want[f"E_{i} v_{i} = E_{i}"] = max_residual(e[i] @ v[i], e[i])
+        want[f"v_{i} E_{i} = E_{i}"] = max_residual(v[i] @ e[i], e[i])
+        for j in range(1, n):
+            if abs(i - j) > 1:
+                want[f"E_{i} v_{j} = v_{j} E_{i}"] = max_residual(e[i] @ v[j], v[j] @ e[i])
+        for j in (i - 1, i + 1):
+            if 1 <= j <= n - 1:
+                target = d * (e[i] @ e[j])
+                want[f"v_{j} v_{i} E_{j} = d E_{i} E_{j}"] = max_residual(v[j] @ v[i] @ e[j], target)
+                want[f"E_{i} v_{j} v_{i} = d E_{i} E_{j}"] = max_residual(e[i] @ v[j] @ v[i], target)
+    got = {c.identity_name: c.max_residual for c in check_brauer_mixed(n, d).checks}
+    assert got == want
 
 
 def test_teleportation_configuration_via_swaps():
