@@ -237,7 +237,7 @@ def cmd_flow(args) -> int:
         if not isinstance(data.get("operators", []), list):
             raise ValueError("operators must be a list")
         d = data.get("d", args.d)
-        if not isinstance(d, int) or d < 1:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise ValueError(f"d must be a positive integer, got {json.dumps(d)}")
         ops = [_parse_operator(entry, d) for entry in data["operators"]]
         phi = (_parse_psi(data["phi"], d) if isinstance(data.get("phi"), str)

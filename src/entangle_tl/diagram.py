@@ -95,10 +95,13 @@ class Decoration:
     def toggle_dagger(self) -> "Decoration":
         return Decoration(self.op, _DAGGER_TOGGLE[self.flavor])
 
-    def matrix(self, ops: dict) -> np.ndarray:
+    def matrix(self, ops: dict, d: int) -> np.ndarray:
+        """ops[op] with this flavor applied; it must be d x d."""
         if self.op not in ops:
             raise ValueError(f"unresolvable operator label {self.op!r}")
         m = linalg.as_matrix(ops[self.op])
+        if m.shape != (d, d):
+            raise DimensionError(f"operator {self.op!r} must be {d}x{d}, got {m.shape}")
         if self.flavor == "plain":
             return m
         if self.flavor == "transpose":
@@ -405,9 +408,7 @@ def _strand_tensor(s: Strand, d: int, ops: dict) -> np.ndarray:
     out = np.eye(d, dtype=np.complex128)
     start_is_bottom = s.start.side == BOTTOM
     for deco in s.decorations:
-        m = deco.matrix(ops)
-        if m.shape != (d, d):
-            raise DimensionError(f"operator {deco.op!r} must be {d}x{d}, got {m.shape}")
+        m = deco.matrix(ops, d)
         out = (m.T if start_is_bottom else m) @ out
     return out
 
@@ -415,10 +416,7 @@ def _strand_tensor(s: Strand, d: int, ops: dict) -> np.ndarray:
 def _loop_value(loop, d: int, ops: dict) -> complex:
     prod = np.eye(d, dtype=np.complex128)
     for deco in loop:
-        m = deco.matrix(ops)
-        if m.shape != (d, d):
-            raise DimensionError(f"operator {deco.op!r} must be {d}x{d}, got {m.shape}")
-        prod = m @ prod
+        prod = deco.matrix(ops, d) @ prod
     return complex(np.trace(prod))
 
 
@@ -523,10 +521,7 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
         prev = letter[s.start]
         for deco in s.decorations:
             nxt = fresh()
-            m = deco.matrix(ops)
-            if m.shape != (d, d):
-                raise DimensionError(f"operator {deco.op!r} must be {d}x{d}")
-            operands.append(m)
+            operands.append(deco.matrix(ops, d))
             # wire runs start -> nxt; orient the matrix along physical flow
             subs.append((nxt + prev) if start_down else (prev + nxt))
             prev = nxt
@@ -545,10 +540,7 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
             continue
         wires = [fresh() for _ in loop]
         for i, deco in enumerate(loop):
-            m = deco.matrix(ops)
-            if m.shape != (d, d):
-                raise DimensionError(f"operator {deco.op!r} must be {d}x{d}")
-            operands.append(m)
+            operands.append(deco.matrix(ops, d))
             subs.append(wires[(i + 1) % len(wires)] + wires[i])
 
     prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
@@ -608,6 +600,13 @@ def to_dict(diag: DecoratedDiagram) -> dict:
     }
 
 
+def _json_int(value, key: str) -> int:
+    """A count read from JSON: 2.7, "2" or true is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def from_dict(data: dict) -> DecoratedDiagram:
     try:
         strands = []
@@ -617,8 +616,9 @@ def from_dict(data: dict) -> DecoratedDiagram:
             strands.append(Strand(start, end, decos))
         loops = tuple(tuple(Decoration.from_dict(d) for d in loop) for loop in data["loops"])
         re, im = data["scalar"]["coeff"]
-        scalar = ScalarFactor(complex(float(re), float(im)), int(data["scalar"]["half_power"]))
-        return DecoratedDiagram(int(data["top"]), int(data["bottom"]),
+        scalar = ScalarFactor(complex(float(re), float(im)),
+                              _json_int(data["scalar"]["half_power"], "half_power"))
+        return DecoratedDiagram(_json_int(data["top"], "top"), _json_int(data["bottom"], "bottom"),
                                 tuple(strands), loops, scalar)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed diagram data: {exc}") from exc

@@ -104,19 +104,12 @@ def pauli_weyl_basis() -> WeylBasis:
     return WeylBasis(2, (pauli(0), pauli(1), 1j * pauli(2), pauli(3)))
 
 
-@dataclass(frozen=True)
-class MaxEntangled:
-    d: int
-    index: int
-    ket: np.ndarray
-
-
-def omega_n(d: int, n: int, basis: WeylBasis | None = None) -> MaxEntangled:
+def omega_n(d: int, n: int, basis: WeylBasis | None = None) -> np.ndarray:
     """|Omega_n> = (U_n x 1)|Omega>."""
     basis = basis if basis is not None else weyl_basis(d)
     if basis.d != d:
         raise DimensionError("basis dimension mismatch")
-    return MaxEntangled(d, n, phi_of(basis.unitary(n), d))
+    return phi_of(basis.unitary(n), d)
 
 
 def phi_of(u, d: int) -> np.ndarray:
@@ -192,7 +185,7 @@ def completeness_check(d: int, basis: WeylBasis | None = None, tol: float = DEFA
     """
     basis = basis if basis is not None else weyl_basis(d)
     report = VerificationReport("maxent-completeness")
-    kets = [omega_n(d, n, basis).ket for n in range(1, d * d + 1)]
+    kets = [omega_n(d, n, basis) for n in range(1, d * d + 1)]
     gram = np.array([[linalg.inner(a, b) for b in kets] for a in kets])
     report.add("<Omega_n|Omega_m> = delta_nm", linalg.max_residual(gram, np.eye(d * d)), tol)
     total = sum(np.outer(k, k.conj()) for k in kets)

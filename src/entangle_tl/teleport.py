@@ -5,12 +5,17 @@ the entangling matrix B and through the swap/virtual-crossing form, the
 measurement formulation at general dimension, the qudit resolution summing
 those measurement branches, a Monte Carlo protocol simulation, and the
 characteristic trace equations of the tight schemes.
+
+measurement_form is the one place a measurement branch is computed: it
+returns Bob's branch (<Omega_n| x 1)(|psi> x |Omega>) after checking the
+measurement equation, and the branch weights and the simulator reuse it.
+The rank-one projectors omega and omega_n are contracted as kets; no
+d^3 x d^3 projector is formed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,38 +157,24 @@ def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0
     return _worst_over_kets("teleport-virtual-form", residuals, samples, seed, tol)
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
-    outcome_index: int
-    correction: np.ndarray
-    bob_state: np.ndarray
-    amplitude_weight: float
-
-
-def measurement_form(d: int, n: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> TeleportOutcome:
-    """Apply the Bell-type measurement projector for outcome n and verify the
-    branch equals (1/d)|Omega_n> x U_n^dag|psi>."""
+def measurement_form(d: int, n: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Bob's unnormalized branch (<Omega_n| x 1)(|psi> x |Omega>) for outcome
+    n, after checking (|Omega_n><Omega_n| x 1)(|psi> x |Omega>) =
+    (1/d)|Omega_n> x U_n^dag|psi>; the projector is rank one on CA, so its
+    image is |Omega_n> x branch."""
     basis = basis if basis is not None else weyl_basis(d)
     psi = _require_unit(psi)
     if psi.shape != (d,):
         raise DimensionError(f"psi must have dimension {d}")
-    ket_n = omega_n(d, n, basis).ket
-    state = linalg.kron_vec(psi, omega(d))
-    projector = kron(np.outer(ket_n, ket_n.conj()), identity(d))
-    measured = projector @ state
-    u = basis.unitary(n)
-    expected = linalg.kron_vec(ket_n, u.conj().T @ psi) / d
-    residual = linalg.max_residual(measured, expected)
+    ket_n = omega_n(d, n, basis)
+    state = np.outer(psi, omega(d)).reshape(d, d, d)  # |psi>_C x |Omega>_AB
+    branch = np.einsum("ca,cab->b", ket_n.conj().reshape(d, d), state)
+    # both sides as d^2 x d arrays, row CA and column B
+    expected = np.outer(ket_n, basis.unitary(n).conj().T @ psi) / d
+    residual = linalg.max_residual(np.outer(ket_n, branch), expected)
     if residual > tol:
         raise ValueError(f"measurement identity violated: residual {residual:.3e}")
-    bob_branch = np.einsum("ca,cab->b", ket_n.conj().reshape(d, d), state.reshape(d, d, d))
-    weight = float(np.linalg.norm(bob_branch) ** 2)
-    return TeleportOutcome(
-        outcome_index=n,
-        correction=u,
-        bob_state=bob_branch * d,
-        amplitude_weight=weight,
-    )
+    return branch
 
 
 def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -192,8 +183,8 @@ def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float
     report = VerificationReport("measurement-form")
     worst = 0.0
     for n in range(1, d * d + 1):
-        outcome = measurement_form(d, n, psi, basis, tol)
-        worst = max(worst, abs(outcome.amplitude_weight - 1 / d ** 2))
+        weight = float(np.linalg.norm(measurement_form(d, n, psi, basis, tol)) ** 2)
+        worst = max(worst, abs(weight - 1 / d ** 2))
     report.add("branch weight 1/d^2 for every outcome", worst, tol)
     return report
 
@@ -207,7 +198,7 @@ def qudit_resolution_check(d: int, psi, basis: WeylBasis | None = None, tol: flo
     rhs = np.zeros(d ** 3, dtype=np.complex128)
     for n in range(1, d * d + 1):
         u = basis.unitary(n)
-        rhs += linalg.kron_vec(omega_n(d, n, basis).ket, u.conj().T @ psi) / d
+        rhs += linalg.kron_vec(omega_n(d, n, basis), u.conj().T @ psi) / d
     report.add("psi x Omega = sum of measurement branches / d", linalg.max_residual(lhs, rhs), tol)
     return report
 
@@ -236,34 +227,25 @@ class SimulationResult:
 def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, seed: int = 0) -> SimulationResult:
     """Sample measurement outcomes, apply Bob's correction, record fidelity.
 
-    Outcome probabilities are computed from the branch amplitudes (they come
-    out 1/d^2 each); every corrected state reproduces psi, so min_fidelity
-    stays at 1 up to roundoff.
+    Each outcome's branch comes from measurement_form and its probability
+    is the branch weight (1/d^2 each).  The corrected state depends only on
+    the outcome, so it and its fidelity are formed once per outcome that
+    occurred; every corrected state reproduces psi, so min_fidelity stays at
+    1 up to roundoff.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis = basis if basis is not None else weyl_basis(d)
     psi = _require_unit(psi)
-    state = linalg.kron_vec(psi, omega(d)).reshape(d, d, d)
-    branches = []
-    probs = []
-    for n in range(1, d * d + 1):
-        bra = omega_n(d, n, basis).ket.conj().reshape(d, d)
-        branch = np.einsum("ca,cab->b", bra, state)
-        branches.append(branch)
-        probs.append(float(np.linalg.norm(branch) ** 2))
-    probs = np.array(probs)
+    branches = [measurement_form(d, n, psi, basis) for n in range(1, d * d + 1)]
+    probs = np.array([float(np.linalg.norm(branch) ** 2) for branch in branches])
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    counts = np.zeros(d * d, dtype=int)
-    min_fidelity = 1.0
-    outcomes = rng.choice(d * d, size=trials, p=probs)
-    for idx in outcomes:
-        counts[idx] += 1
-        corrected = basis.unitary(int(idx) + 1) @ linalg.normalize(branches[idx])
-        fidelity = abs(linalg.inner(psi, corrected)) ** 2
-        min_fidelity = min(min_fidelity, fidelity)
-    return SimulationResult(d=d, seed=seed, trials=trials, histogram=counts.tolist(), min_fidelity=float(min_fidelity))
+    counts = np.bincount(rng.choice(d * d, size=trials, p=probs), minlength=d * d)
+    fidelities = [abs(linalg.inner(psi, basis.unitary(idx + 1) @ linalg.normalize(branches[idx]))) ** 2
+                  for idx in np.flatnonzero(counts)]
+    return SimulationResult(d=d, seed=seed, trials=trials, histogram=counts.tolist(),
+                            min_fidelity=float(min([1.0, *fidelities])))
 
 
 def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -279,15 +261,16 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
         raise DimensionError(f"rho and O must be {d}x{d}")
     report = VerificationReport("tight-teleportation")
     target = np.trace(rho @ obs)
-    rho_omega = kron(rho, omega_projector(d))
+    w = omega(d).reshape(d, d)
     total = 0.0 + 0.0j
     worst_term = 0.0
     for n in range(1, d * d + 1):
         u = basis.unitary(n)
-        ket_n = omega_n(d, n, basis).ket
-        t_n_obs = u.conj().T @ obs @ u
-        # tr(A B) = sum(A * B^T), without forming the d^3 x d^3 product
-        term = np.sum(rho_omega * kron(np.outer(ket_n, ket_n.conj()), t_n_obs).T)
+        k_n = omega_n(d, n, basis).reshape(d, d)
+        # tr((rho x omega)(omega_n x T_n(O))) with both projectors rank one:
+        # rho on C, omega on AB, omega_n on CA, T_n(O) on B
+        term = np.einsum("cC,ab,AB,CA,ca,Bb->", rho, w, w.conj(), k_n, k_n.conj(),
+                         u.conj().T @ obs @ u, optimize=True)
         total += term
         worst_term = max(worst_term, abs(term - target / d ** 2))
     report.add("per-term value tr(rho O)/d^2", worst_term, tol)
@@ -303,7 +286,7 @@ def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
     |phi> = (U_n^dag x 1)|omega_m>; row n takes all d^2 kets at once."""
     basis = basis if basis is not None else weyl_basis(d)
     w = omega_projector(d)
-    kets = np.stack([omega_n(d, m, basis).ket for m in range(1, d * d + 1)], axis=1)
+    kets = np.stack([omega_n(d, m, basis) for m in range(1, d * d + 1)], axis=1)
     table = np.zeros((d * d, d * d), dtype=np.complex128)
     for n in range(d * d):
         phis = kron(basis.unitary(n + 1).conj().T, identity(d)) @ kets

@@ -46,6 +46,26 @@ def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
     return dg.DecoratedDiagram(base.top, base.bottom, tuple(strands), base.loops, base.scalar)
 
 
+def _check_dense_relations(report: VerificationReport, w: np.ndarray, x: str, suffix: str,
+                           n: int, d: int, tol: float) -> None:
+    """With X_i the projector w on strands (i, i+1) of n, named x_i in the
+    report: X_i^2 = X_i, X_i hermitian, X_i X_j X_i = d^-2 X_i for adjacent j
+    and X_i X_j = X_j X_i for far j, each side a strand product compared
+    entrywise."""
+    for i in range(1, n):
+        xi = embed(w, i, n)
+        report.add(f"{x}_{i}^2 = {x}_{i}{suffix}",
+                   linalg.max_residual(strand_product([(w, i), (w, i)], n), xi), tol)
+        report.add(f"{x}_{i} hermitian{suffix}", linalg.max_residual(xi, xi.conj().T), tol)
+        for j in (i - 1, i + 1):
+            if 1 <= j <= n - 1:
+                report.add(f"{x}_{i}{x}_{j}{x}_{i} = d^-2 {x}_{i}{suffix}", linalg.max_residual(
+                    strand_product([(w, i), (w, j), (w, i)], n), xi / d ** 2), tol)
+        for j in range(i + 2, n):
+            report.add(f"{x}_{i}{x}_{j} = {x}_{j}{x}_{i}{suffix}", linalg.max_residual(
+                strand_product([(w, i), (w, j)], n), strand_product([(w, j), (w, i)], n)), tol)
+
+
 def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """E_i^2 = E_i, E_i^dag = E_i, E_i E_{i+-1} E_i = d^-2 E_i and far
     commutativity, checked diagrammatically (structure plus exact scalar
@@ -53,41 +73,21 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
     if n < 3:
         raise ValueError("adjacent TL relations need n >= 3")
     report = VerificationReport(f"tl-axioms n={n} d={d}")
-    w = omega_projector(d)
-
+    _check_dense_relations(report, omega_projector(d), "E", " (dense)", n, d, tol)
     for i in range(1, n):
-        ei = embed(w, i, n)
-        report.add(f"E_{i}^2 = E_{i} (dense)",
-                   linalg.max_residual(strand_product([(w, i), (w, i)], n), ei), tol)
-        report.add(f"E_{i} hermitian (dense)", linalg.max_residual(ei, ei.conj().T), tol)
         di = dg.e_gen(i, n)
         ratio = dg.structural_ratio(dg.compose(di, di), di, d)
-        ok = ratio is not None and abs(ratio - 1.0) <= tol
-        report.add_bool(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)", ok)
-        adj = dg.adjoint_diagram(di)
-        report.add_bool(f"E_{i} self-adjoint (diagram)", adj == di)
-
-    for i in range(1, n):
+        report.add_bool(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)",
+                        ratio is not None and abs(ratio - 1.0) <= tol)
+        report.add_bool(f"E_{i} self-adjoint (diagram)", dg.adjoint_diagram(di) == di)
         for j in (i - 1, i + 1):
-            if not 1 <= j <= n - 1:
-                continue
-            lhs = strand_product([(w, i), (w, j), (w, i)], n)
-            report.add(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (dense)",
-                       linalg.max_residual(lhs, embed(w, i, n) / d ** 2), tol)
-            di, dj = dg.e_gen(i, n), dg.e_gen(j, n)
-            composed = dg.compose(dg.compose(di, dj), di)
-            ratio = dg.structural_ratio(composed, di, d)
-            ok = ratio is not None and abs(ratio - 1.0 / d ** 2) <= tol
-            report.add_bool(
-                f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)", ok)
-
-    for i in range(1, n):
+            if 1 <= j <= n - 1:
+                ratio = dg.structural_ratio(dg.compose(dg.compose(di, dg.e_gen(j, n)), di), di, d)
+                report.add_bool(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)",
+                                ratio is not None and abs(ratio - 1.0 / d ** 2) <= tol)
         for j in range(i + 2, n):
-            report.add(f"E_{i}E_{j} = E_{j}E_{i} (dense)", linalg.max_residual(
-                strand_product([(w, i), (w, j)], n), strand_product([(w, j), (w, i)], n)), tol)
-            ci = dg.compose(dg.e_gen(i, n), dg.e_gen(j, n))
-            cj = dg.compose(dg.e_gen(j, n), dg.e_gen(i, n))
-            report.add_bool(f"E_{i}E_{j} = E_{j}E_{i} (diagram)", ci == cj)
+            dj = dg.e_gen(j, n)
+            report.add_bool(f"E_{i}E_{j} = E_{j}E_{i} (diagram)", dg.compose(di, dj) == dg.compose(dj, di))
     return report
 
 
@@ -102,27 +102,11 @@ def check_tl_decorated(n: int, d: int, basis_index: int,
     report = VerificationReport(f"tl-decorated n={n} d={d} basis={basis_index}")
     w = omega_projector(d)
     wn = linalg.kron(u, identity(d)) @ w @ linalg.kron(u, identity(d)).conj().T
-    ops = {"u": u}
-
+    _check_dense_relations(report, wn, "Et", "", n, d, tol)
     for i in range(1, n):
-        ei = embed(wn, i, n)
-        report.add(f"Et_{i}^2 = Et_{i}",
-                   linalg.max_residual(strand_product([(wn, i), (wn, i)], n), ei), tol)
-        report.add(f"Et_{i} hermitian", linalg.max_residual(ei, ei.conj().T), tol)
-        evaluated = dg.evaluate(decorated_e_gen(i, n, "u"), d, ops)
+        evaluated = dg.evaluate(decorated_e_gen(i, n, "u"), d, {"u": u})
         report.add(f"decorated diagram evaluates to Et_{i}",
-                   linalg.max_residual(evaluated, ei), tol)
-    for i in range(1, n):
-        for j in (i - 1, i + 1):
-            if not 1 <= j <= n - 1:
-                continue
-            lhs = strand_product([(wn, i), (wn, j), (wn, i)], n)
-            report.add(f"Et_{i}Et_{j}Et_{i} = d^-2 Et_{i}",
-                       linalg.max_residual(lhs, embed(wn, i, n) / d ** 2), tol)
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            report.add(f"Et_{i}Et_{j} = Et_{j}Et_{i}", linalg.max_residual(
-                strand_product([(wn, i), (wn, j)], n), strand_product([(wn, j), (wn, i)], n)), tol)
+                   linalg.max_residual(evaluated, embed(wn, i, n)), tol)
     return report
 
 

@@ -173,6 +173,15 @@ def test_flow_spec_malformed_operator_exits_2(tmp_path, capsys, entry):
     assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
 
 
+def test_flow_spec_boolean_d_exits_2(tmp_path, capsys):
+    # true is a JSON boolean, not the dimension 1
+    spec = tmp_path / "d.json"
+    spec.write_text(json.dumps({"d": True, "operators": ["identity"] * 8}))
+    assert main(["flow", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: d must be a positive integer") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_non_finite_tol_exits_2(capsys, tol):
     with pytest.raises(SystemExit) as exc:
@@ -259,6 +268,20 @@ def test_render_malformed_exits_2(tmp_path, capsys):
                  '"scalar": {"coeff": [1, 0], "half_power": 0}}')
     assert main(["render", "--diagram", str(f)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [("top", 2.7), ("bottom", "2"), ("top", True),
+                                        ("half_power", 0.5)])
+def test_render_non_integer_count_exits_2(tmp_path, capsys, key, value):
+    # int() would truncate these, and the JSON output would no longer round-trip
+    data = dg.to_dict(dg.e_gen(1, 2))
+    (data["scalar"] if key == "half_power" else data)[key] = value
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(data))
+    assert main(["render", "--diagram", str(f), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {f}: {key} must be an integer") and captured.err.count("\n") == 1
 
 
 def test_render_shows_decorations(capsys):

@@ -154,6 +154,16 @@ def test_evaluate_errors():
         dg.evaluate(dg.cup_diagram(), 0)
 
 
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+def test_decoration_of_wrong_size_raises(evaluator):
+    # strand and loop decorations are both resolved by Decoration.matrix
+    strand = dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration("m"))
+    loop = dg.DecoratedDiagram(0, 0, (), ((dg.Decoration("m"),),))
+    for diag in (strand, loop):
+        with pytest.raises(linalg.DimensionError, match="'m' must be 2x2"):
+            evaluator(diag, 2, {"m": np.eye(3)})
+
+
 def test_matching_validation():
     with pytest.raises(ValueError):
         dg.DecoratedDiagram(2, 0, ())  # unmatched endpoints

@@ -80,21 +80,21 @@ def test_pauli_weyl_basis_is_valid():
 def test_omega_n_first_is_omega():
     for d in (1, 2, 3):
         ent = omega_n(d, 1)
-        assert max_residual(ent.ket, omega(d)) == 0
+        assert max_residual(ent, omega(d)) == 0
 
 
 def test_omega_n_d2_are_bell_states_up_to_phase():
     basis = weyl_basis(2)
     bells = [bell_state(k) for k in BellKind]
     for n in range(1, 5):
-        ket = omega_n(2, n, basis).ket
+        ket = omega_n(2, n, basis)
         overlaps = [abs(linalg.inner(b, ket)) for b in bells]
         assert max(overlaps) > 1 - 1e-12
 
 
 def test_omega_n_orthonormal_d3():
     basis = weyl_basis(3)
-    kets = [omega_n(3, n, basis).ket for n in range(1, 10)]
+    kets = [omega_n(3, n, basis) for n in range(1, 10)]
     for a in range(9):
         for b in range(9):
             got = linalg.inner(kets[a], kets[b])
@@ -104,7 +104,7 @@ def test_omega_n_orthonormal_d3():
 def test_omega_n_projector_idempotent():
     basis = weyl_basis(3)
     for n in (1, 4, 9):
-        ket = omega_n(3, n, basis).ket
+        ket = omega_n(3, n, basis)
         proj = np.outer(ket, ket.conj())
         assert max_residual(proj @ proj, proj) < 1e-12
 

@@ -6,7 +6,7 @@ import pytest
 
 from entangle_tl import linalg, teleport
 from entangle_tl.linalg import identity, kron, max_residual
-from entangle_tl.maxent import omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
+from entangle_tl.maxent import WeylBasis, omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
 from entangle_tl.qubit import BellKind, bell_state, pauli
 from entangle_tl.teleport import (bell_matrix_form_check, branch_weights_check,
                                   dense_coding_check, dense_coding_table, measurement_form,
@@ -83,22 +83,21 @@ def test_measurement_form_qubit_displayed_equations():
     # basis order: U_1=1, U_2=s1, U_3=i s2, U_4=s3
     expected_corrections = [identity(2), pauli(1), -1j * pauli(2), pauli(3)]
     for n in range(1, 5):
-        outcome = measurement_form(2, n, psi, basis)
-        ket_n = omega_n(2, n, basis).ket
+        branch = measurement_form(2, n, psi, basis)
+        ket_n = omega_n(2, n, basis)
         # raw projector application oracle
         proj = kron(np.outer(ket_n, ket_n.conj()), identity(2))
         got = proj @ state
         want = np.kron(ket_n, expected_corrections[n - 1] @ psi) / 2
         assert max_residual(got, want) < 1e-12
-        assert abs(outcome.amplitude_weight - 0.25) < 1e-12
-        assert max_residual(outcome.bob_state / 2,
-                            expected_corrections[n - 1] @ psi / 2) < 1e-12
+        assert abs(np.linalg.norm(branch) ** 2 - 0.25) < 1e-12
+        assert max_residual(branch, expected_corrections[n - 1] @ psi / 2) < 1e-12
 
 
 def test_measurement_form_n1_returns_psi():
     psi = np.array([0.6, 0.8])
-    outcome = measurement_form(2, 1, psi)
-    assert max_residual(outcome.bob_state, psi) < 1e-12
+    branch = measurement_form(2, 1, psi)
+    assert max_residual(2 * branch, psi) < 1e-12
 
 
 def test_measurement_form_random_d3(rng):
@@ -106,13 +105,24 @@ def test_measurement_form_random_d3(rng):
     psi = random_ket(rng, 3)
     state = np.kron(psi, omega(3))
     for n in (2, 5, 9):
-        outcome = measurement_form(3, n, psi, basis, tol=1e-10)
-        ket_n = omega_n(3, n, basis).ket
+        branch = measurement_form(3, n, psi, basis, tol=1e-10)
+        ket_n = omega_n(3, n, basis)
         proj = kron(np.outer(ket_n, ket_n.conj()), identity(3))
         got = proj @ state
         want = np.kron(ket_n, basis.unitary(n).conj().T @ psi) / 3
         assert max_residual(got, want) < 1e-10
-        assert abs(outcome.amplitude_weight - 1 / 9) < 1e-12
+        assert abs(np.linalg.norm(branch) ** 2 - 1 / 9) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_measurement_form_returns_bob_branch(rng, d):
+    # (<Omega_n| x 1)(|psi> x |Omega>) = U_n^dag |psi> / d for every outcome
+    basis = weyl_basis(d)
+    psi = random_ket(rng, d)
+    for n in range(1, d * d + 1):
+        branch = measurement_form(d, n, psi, basis)
+        assert branch.shape == (d,)
+        assert max_residual(branch, basis.unitary(n).conj().T @ psi / d) < 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -131,7 +141,7 @@ def test_measurement_branches_sum_to_state():
     psi = psi / np.linalg.norm(psi)
     total = np.zeros(8, dtype=complex)
     for n in range(1, 5):
-        ket_n = omega_n(2, n, basis).ket
+        ket_n = omega_n(2, n, basis)
         total += np.kron(ket_n, basis.unitary(n).conj().T @ psi) / 2
     assert max_residual(total, np.kron(psi, omega(2))) < 1e-12
 
@@ -184,6 +194,41 @@ def test_simulate_golden_histogram_d3():
     assert result.min_fidelity > 1 - 1e-12
 
 
+def test_simulate_work_per_outcome_not_per_trial(monkeypatch):
+    # the corrected state is formed once per outcome that occurred, so the
+    # number of unitaries looked up does not grow with the trial count
+    calls = []
+    unitary = WeylBasis.unitary
+    monkeypatch.setattr(WeylBasis, "unitary", lambda self, n: calls.append(n) or unitary(self, n))
+    counts = []
+    for trials in (10, 10_000):
+        calls.clear()
+        result = simulate(2, np.array([0.6, 0.8]), trials=trials, seed=1)
+        assert all(result.histogram)  # every outcome occurs in both runs
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+# recorded from the per-trial implementation this one replaced
+_D8_HISTOGRAM = [1531, 1596, 1564, 1549, 1567, 1522, 1590, 1660, 1556, 1490, 1580, 1553, 1594, 1550,
+                 1646, 1572, 1566, 1577, 1549, 1512, 1470, 1582, 1597, 1466, 1593, 1557, 1550, 1528,
+                 1610, 1571, 1626, 1585, 1509, 1498, 1478, 1544, 1532, 1612, 1601, 1583, 1550, 1616,
+                 1565, 1526, 1590, 1604, 1564, 1605, 1612, 1507, 1526, 1515, 1614, 1505, 1538, 1647,
+                 1559, 1583, 1546, 1542, 1548, 1603, 1557, 1562]
+
+
+@pytest.mark.parametrize("d, seed, trials, expected", [
+    (2, 7, 1000, '{"d": 2, "histogram": [257, 245, 245, 253], "min_fidelity": 1.0, "seed": 7, '
+                 '"trials": 1000}'),
+    (3, 7, 1000, '{"d": 3, "histogram": [110, 129, 109, 98, 114, 113, 115, 105, 107], '
+                 '"min_fidelity": 1.0, "seed": 7, "trials": 1000}'),
+    (8, 11, 100_000, '{"d": 8, "histogram": [' + ", ".join(map(str, _D8_HISTOGRAM))
+                     + '], "min_fidelity": 0.9999999999999998, "seed": 11, "trials": 100000}'),
+])
+def test_simulate_json_pinned(d, seed, trials, expected):
+    assert simulate(d, random_ket(np.random.default_rng(d), d), trials=trials, seed=seed).to_json() == expected
+
+
 def test_simulate_json_record_schema():
     result = simulate(2, np.array([1.0, 0.0]), trials=8, seed=1)
     record = json.loads(result.to_json())
@@ -222,7 +267,7 @@ def test_tight_teleportation_trace_oracle(rng):
     obs = np.outer(random_ket(rng, d), random_ket(rng, d).conj())
     w = np.outer(omega(d), omega(d).conj())
     n = 4
-    ket_n = omega_n(d, n, basis).ket
+    ket_n = omega_n(d, n, basis)
     wn = np.outer(ket_n, ket_n.conj())
     tno = basis.unitary(n).conj().T @ obs @ basis.unitary(n)
     a, b = np.kron(rho, w), np.kron(wn, tno)
@@ -252,7 +297,7 @@ def test_tight_teleportation_matches_explicit_trace_form(rng, d):
     target = np.trace(rho @ obs)
     terms = []
     for n in range(1, d * d + 1):
-        u, ket_n = basis.unitary(n), omega_n(d, n, basis).ket
+        u, ket_n = basis.unitary(n), omega_n(d, n, basis)
         b = np.kron(np.outer(ket_n, ket_n.conj()), u.conj().T @ obs @ u)
         terms.append(np.trace(np.kron(rho, omega_projector(d)) @ b))
     want = {"per-term value tr(rho O)/d^2": max(abs(t - target / d ** 2) for t in terms),
@@ -271,6 +316,6 @@ def test_dense_coding_table_matches_explicit_trace_form(d):
     for n in range(d * d):
         un = np.kron(basis.unitary(n + 1), np.eye(d))
         for m in range(d * d):
-            ket = omega_n(d, m + 1, basis).ket
+            ket = omega_n(d, m + 1, basis)
             want[n, m] = np.trace(w @ (un.conj().T @ np.outer(ket, ket.conj()) @ un))
     assert max_residual(dense_coding_table(d, basis), want) < 1e-13
