@@ -1,52 +1,24 @@
 """Braid, virtual-braid and mixed relations for matrices acting on strand
 pairs, plus the braid teleportation configuration and teleportation swapping.
 
-A strand operator is a d^2 x d^2 matrix acting on two adjacent strands of a
-d-dimensional system; apply_on_strands() applies it at position i of n
+A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
+of a d-dimensional system; apply_on_strands() applies it at position i of n
 strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding, and
-strand_product() (embed() with one factor) forms each side of a relation.
-The relation checkers verify on the minimal strand counts that exercise each
-relation (3 for adjacent relations, 4 for far commutativity): a violation at
-higher n always restricts to these cases.
+strand_product() (embed() with one factor) forms a word of such factors.
+Every relation is compared by relation_residual() on the minimal strand
+count that exercises it (2 for one pair, 3 for adjacent pairs, 4 for far
+commutativity): on n strands both sides only gain identity strands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagram, linalg
 from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
-
-
-@dataclass(frozen=True)
-class StrandOperator:
-    d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        if m.shape != (self.d * self.d, self.d * self.d):
-            raise DimensionError(
-                f"strand operator for d={self.d} must be {self.d**2}x{self.d**2}, got {m.shape}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-
-def as_strand_operator(op) -> StrandOperator:
-    """Coerce a StrandOperator or a bare d^2 x d^2 matrix."""
-    if isinstance(op, StrandOperator):
-        return op
-    m = linalg.as_matrix(op)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError("strand operator must be square")
-    d = math.isqrt(m.shape[0])
-    if d * d != m.shape[0]:
-        raise DimensionError(f"matrix dimension {m.shape[0]} is not a perfect square")
-    return StrandOperator(d, m)
 
 
 def swap(d: int) -> np.ndarray:
@@ -60,23 +32,32 @@ def swap(d: int) -> np.ndarray:
     return p
 
 
+def _local_dimension(op) -> tuple[int, np.ndarray]:
+    """(d, op) for a finite d^2 x d^2 strand operator."""
+    m = linalg.as_matrix(op)
+    d = math.isqrt(m.shape[0])
+    if m.shape != (d * d, d * d):
+        raise DimensionError(f"strand operator must be d^2 x d^2, got {m.shape}")
+    return d, m
+
+
 def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based
     i, for x with d^n rows; the embedding is never formed."""
-    so = as_strand_operator(op)
+    d, op = _local_dimension(op)
     if not 1 <= i <= n - 1:
         raise DimensionError(f"position {i} out of range for {n} strands")
     x = np.asarray(x)
-    if x.shape[0] != so.d ** n:
-        raise DimensionError(f"operand has {x.shape[0]} rows, not {so.d}^{n}")
-    blocks = x.reshape(so.d ** (i - 1), so.d * so.d, -1)
-    return np.matmul(so.matrix, blocks).reshape(x.shape)
+    if x.shape[0] != d ** n:
+        raise DimensionError(f"operand has {x.shape[0]} rows, not {d}^{n}")
+    blocks = x.reshape(d ** (i - 1), d * d, -1)
+    return np.matmul(op, blocks).reshape(x.shape)
 
 
 def strand_product(factors, n: int) -> np.ndarray:
     """The d^n x d^n product of (op, i) factors, written left to right and
     applied right to left to the identity."""
-    d = as_strand_operator(factors[0][0]).d
+    d, _ = _local_dimension(factors[0][0])
     if d ** (2 * n) > diagram.MAX_OUTPUT_ENTRIES:
         raise DimensionError(
             f"strand product of {d}^{2 * n} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
@@ -91,69 +72,77 @@ def embed(op, i: int, n: int) -> np.ndarray:
     return strand_product([(op, i)], n)
 
 
-def _inverse(so: StrandOperator) -> np.ndarray:
-    if linalg.is_unitary(so.matrix):
-        return so.matrix.conj().T
-    # falls back to explicit inversion; raises LinAlgError when singular
-    return np.linalg.inv(so.matrix)
+def relation_residual(lhs, rhs, scale=1) -> float:
+    """max|L - scale R| for the words lhs and rhs of (op, i) factors, formed
+    on the strands they touch only.
 
+    The touched pairs keep their order; overlapping pairs stay adjacent and
+    disjoint ones sit side by side, so a relation on two pairs needs at most
+    4 strands.  Up to a strand permutation the operators on any larger n are
+    L x 1 and R x 1, whose entries are those of L and R plus zeros, so the
+    residual is the same number.
+    """
+    positions = sorted({i for _, i in (*lhs, *rhs)})
+    places = [1]
+    for a, b in zip(positions, positions[1:]):
+        places.append(places[-1] + min(b - a, 2))
+    where = dict(zip(positions, places))
+    n = places[-1] + 1
 
-def _residual(lhs, rhs, n: int) -> float:
-    """Entrywise residual between two strand products on n strands."""
-    return linalg.max_residual(strand_product(lhs, n), strand_product(rhs, n))
+    def product(word):
+        return strand_product([(op, where[i]) for op, i in word], n)
+
+    return linalg.max_residual(product(lhs), scale * product(rhs))
 
 
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """b1 b2 b1 = b2 b1 b2 on 3 strands; b1 b3 = b3 b1 on 4 strands."""
-    so = as_strand_operator(b)
+    """b1 b2 b1 = b2 b1 b2 and b1 b3 = b3 b1."""
     report = VerificationReport("braid-relation")
-    report.add("b1 b2 b1 = b2 b1 b2", _residual([(so, 1), (so, 2), (so, 1)],
-                                                [(so, 2), (so, 1), (so, 2)], 3), tol)
-    report.add("b1 b3 = b3 b1", _residual([(so, 1), (so, 3)], [(so, 3), (so, 1)], 4), tol)
+    report.add("b1 b2 b1 = b2 b1 b2", relation_residual([(b, 1), (b, 2), (b, 1)],
+                                                        [(b, 2), (b, 1), (b, 2)]), tol)
+    report.add("b1 b3 = b3 b1", relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)]), tol)
     return report
 
 
 def check_braid_closed_form(b, tol: float = DEFAULT_TOL) -> VerificationReport:
     """check_braid_relation plus b1 b2 b1 = b2 b1 b2 = (1 x b^2 + b^2 x 1)/sqrt(2),
     the closed form the Bell matrix B satisfies."""
-    so = as_strand_operator(b)
-    report = check_braid_relation(so, tol)
-    square, one = so.matrix @ so.matrix, identity(so.d)
-    closed = (linalg.kron(one, square) + linalg.kron(square, one)) / np.sqrt(2)
+    b = linalg.as_matrix(b)
+    report = check_braid_relation(b, tol)
+    square = b @ b
+    closed = (embed(square, 2, 3) + embed(square, 1, 3)) / np.sqrt(2)
     report.add("b1 b2 b1 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-               linalg.max_residual(strand_product([(so, 1), (so, 2), (so, 1)], 3), closed), tol)
+               linalg.max_residual(strand_product([(b, 1), (b, 2), (b, 1)], 3), closed), tol)
     report.add("b2 b1 b2 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-               linalg.max_residual(strand_product([(so, 2), (so, 1), (so, 2)], 3), closed), tol)
+               linalg.max_residual(strand_product([(b, 2), (b, 1), (b, 2)], 3), closed), tol)
     return report
 
 
 def check_virtual_relations(v, tol: float = DEFAULT_TOL) -> VerificationReport:
     """v^2 = 1, v1 v2 v1 = v2 v1 v2, far commutativity."""
-    so = as_strand_operator(v)
     report = VerificationReport("virtual-relations")
-    report.add("v^2 = 1", linalg.max_residual(so.matrix @ so.matrix, identity(so.d ** 2)), tol)
-    report.add("v1 v2 v1 = v2 v1 v2", _residual([(so, 1), (so, 2), (so, 1)],
-                                                [(so, 2), (so, 1), (so, 2)], 3), tol)
-    report.add("v1 v3 = v3 v1", _residual([(so, 1), (so, 3)], [(so, 3), (so, 1)], 4), tol)
+    report.add("v^2 = 1", relation_residual([(v, 1), (v, 1)], [(identity(len(v)), 1)]), tol)
+    report.add("v1 v2 v1 = v2 v1 v2", relation_residual([(v, 1), (v, 2), (v, 1)],
+                                                        [(v, 2), (v, 1), (v, 2)]), tol)
+    report.add("v1 v3 = v3 v1", relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)]), tol)
     return report
 
 
 def check_virtual_mixed(b, v, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """b2 v1 v2 = v1 v2 b1 on 3 strands; b and v far-commute on 4 strands."""
-    bo, vo = as_strand_operator(b), as_strand_operator(v)
-    if bo.d != vo.d:
-        raise DimensionError("braid and virtual crossing must share the local dimension")
+    """b2 v1 v2 = v1 v2 b1 and b1 v3 = v3 b1; b and v must share d."""
     report = VerificationReport("virtual-mixed")
-    report.add("b2 v1 v2 = v1 v2 b1", _residual([(bo, 2), (vo, 1), (vo, 2)],
-                                                [(vo, 1), (vo, 2), (bo, 1)], 3), tol)
-    report.add("b1 v3 = v3 b1", _residual([(bo, 1), (vo, 3)], [(vo, 3), (bo, 1)], 4), tol)
+    report.add("b2 v1 v2 = v1 v2 b1", relation_residual([(b, 2), (v, 1), (v, 2)],
+                                                        [(v, 1), (v, 2), (b, 1)]), tol)
+    report.add("b1 v3 = v3 b1", relation_residual([(b, 1), (v, 3)], [(v, 3), (b, 1)]), tol)
     return report
 
 
 def braid_teleport_config(b) -> np.ndarray:
-    """(b^-1 x 1)(1 x b) on 3 strands."""
-    so = as_strand_operator(b)
-    return strand_product([(_inverse(so), 1), (so, 2)], 3)
+    """(b^-1 x 1)(1 x b) on 3 strands; b^-1 is b^dag for a unitary b and an
+    explicit inverse otherwise (LinAlgError when b is singular)."""
+    b = linalg.as_matrix(b)
+    inverse = b.conj().T if linalg.is_unitary(b) else np.linalg.inv(b)
+    return strand_product([(inverse, 1), (b, 2)], 3)
 
 
 def teleport_swap(d: int) -> np.ndarray:

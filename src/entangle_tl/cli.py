@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_n=False):
         p.add_argument("--d", type=_positive_int, default=2, help="local dimension (default 2)")
         if with_n:
-            p.add_argument("--n", type=int, default=3, help="strand count (default 3)")
+            p.add_argument("--n", type=int, default=3,
+                           help=f"strand count, 3..{tlalgebra.MAX_STRANDS} (default 3)")
         p.add_argument("--tol", type=_finite_float, default=linalg.DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--format", choices=("text", "json"), default="text")

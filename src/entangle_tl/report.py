@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 
@@ -35,16 +36,15 @@ class VerificationReport:
     def add(self, identity_name: str, max_residual: float, tol: float) -> CheckResult:
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        result = CheckResult(identity_name, float(max_residual), float(max_residual) <= tol)
-        self.checks.append(result)
-        self.checks.sort(key=lambda c: c.identity_name)
-        return result
+        return self._insert(CheckResult(identity_name, float(max_residual), float(max_residual) <= tol))
 
     def add_bool(self, identity_name: str, ok: bool) -> CheckResult:
         # For yes/no checks with no meaningful residual (residual 0 or inf).
-        result = CheckResult(identity_name, 0.0 if ok else float("inf"), bool(ok))
-        self.checks.append(result)
-        self.checks.sort(key=lambda c: c.identity_name)
+        return self._insert(CheckResult(identity_name, 0.0 if ok else float("inf"), bool(ok)))
+
+    def _insert(self, result: CheckResult) -> CheckResult:
+        # after any equal names, so those keep their insertion order
+        bisect.insort(self.checks, result, key=lambda c: c.identity_name)
         return result
 
     def note(self, line: str) -> None:

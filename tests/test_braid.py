@@ -3,11 +3,11 @@ import pytest
 
 from entangle_tl import braid, linalg
 from entangle_tl import diagram as dg
-from entangle_tl.braid import (StrandOperator, apply_on_strands, as_strand_operator,
-                               braid_teleport_config, check_braid_closed_form,
+from entangle_tl.braid import (apply_on_strands, braid_teleport_config, check_braid_closed_form,
                                check_braid_relation, check_teleport_swapping,
                                check_virtual_mixed, check_virtual_relations, embed,
-                               strand_product, swap, teleport_swap, teleport_swap_reverse)
+                               relation_residual, strand_product, swap, teleport_swap,
+                               teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
 from entangle_tl.qubit import bell_matrix, permutation_qubit
 
@@ -163,12 +163,16 @@ def test_embed_locality_far_commutes(rng):
 
 
 def test_strand_operator_validation():
+    x = np.eye(9)
     with pytest.raises(linalg.DimensionError):
-        StrandOperator(2, np.eye(3))
+        apply_on_strands(np.eye(3), 1, 2, x)  # 3 is not a perfect square
     with pytest.raises(linalg.DimensionError):
-        as_strand_operator(np.eye(3))  # 3 is not a perfect square
-    so = as_strand_operator(np.eye(9))
-    assert so.d == 3
+        strand_product([(np.eye(3), 1)], 2)
+    with pytest.raises(linalg.DimensionError):
+        apply_on_strands(np.eye(9)[:, :3], 1, 2, x)  # not square
+    with pytest.raises(ValueError, match="finite"):
+        apply_on_strands(np.full((9, 9), np.nan), 1, 2, x)
+    assert strand_product([(np.eye(9), 1)], 2).shape == (9, 9)  # d = 3 derived from 9 x 9
 
 
 # --- local strand kernel ------------------------------------------------------
@@ -229,3 +233,41 @@ def test_strand_product_size_guard(monkeypatch):
     with pytest.raises(linalg.DimensionError, match="2\\^6 entries exceeds 63"):
         embed(bell_matrix(), 1, 3)
     assert embed(bell_matrix(), 1, 2).shape == (4, 4)
+
+
+# --- relations on the strands they touch --------------------------------------
+
+# (lhs, rhs) words as positions into a list of operators: the same pair,
+# adjacent pairs, far pairs and words written with j < i
+RELATION_WORDS = [
+    ([(0, 2), (1, 2)], [(0, 2)]),
+    ([(0, 1), (1, 2), (0, 1)], [(1, 2), (0, 1), (1, 2)]),
+    ([(0, 3), (1, 2), (1, 3)], [(0, 2)]),
+    ([(0, 1), (1, 4)], [(1, 4), (0, 1)]),
+    ([(0, 4), (1, 2)], [(1, 2), (0, 4)]),
+    ([(0, 3), (1, 2), (0, 3)], [(1, 2), (0, 3), (1, 2)]),
+    ([(0, 5), (1, 1), (0, 5)], [(1, 1), (0, 5)]),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lhs,rhs", RELATION_WORDS)
+def test_relation_residual_equals_n_strand_residual(rng, d, lhs, rhs):
+    ops = [random_op(rng, d) for _ in range(2)]
+    n = 6
+    scale = complex(rng.normal(), rng.normal())
+    lhs = [(ops[k], i) for k, i in lhs]
+    rhs = [(ops[k], i) for k, i in rhs]
+    want = max_residual(strand_product(lhs, n), scale * strand_product(rhs, n))
+    assert abs(relation_residual(lhs, rhs, scale) - want) <= 1e-12 * want
+    assert relation_residual(lhs, lhs) == 0
+
+
+def test_relation_residual_stays_on_four_strands(monkeypatch):
+    # far commutativity at position 40 needs 4 strands, not 41
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8)
+    b = bell_matrix()
+    assert relation_residual([(b, 1), (b, 40)], [(b, 40), (b, 1)]) < 1e-15
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8 - 1)
+    with pytest.raises(linalg.DimensionError, match="2\\^8 entries exceeds 255"):
+        relation_residual([(b, 1), (b, 40)], [(b, 40), (b, 1)])

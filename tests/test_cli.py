@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from entangle_tl import cli
+from entangle_tl import cli, tlalgebra
 from entangle_tl import diagram as dg
 from entangle_tl.cli import main
 from entangle_tl.render import render
@@ -214,13 +215,32 @@ def test_strand_product_over_size_limit_exits_2(monkeypatch, capsys):
     assert err == "error: strand product of 3^8 entries exceeds 6560\n"
 
 
-@pytest.mark.parametrize("argv", [["verify", "tl", "--d", "3", "--n", "9"],
-                                  ["verify", "brauer", "--d", "3", "--n", "9"]])
+@pytest.mark.parametrize("argv", [["verify", "braid", "--d", "9"],
+                                  ["verify", "tl", "--d", "9", "--n", "4"]])
 def test_strand_products_beyond_limit_exit_2(argv, capsys):
-    # d^(2n) = 3^18 entries (6 GiB) is refused before anything that size exists
+    # far commutativity needs 4 strands whatever n is: 9^8 entries are refused
+    # before anything that size exists
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: strand product of 3^18 entries exceeds 16777216\n"
+    assert err == "error: strand product of 9^8 entries exceeds 16777216\n"
+
+
+@pytest.mark.parametrize("suite", ["tl", "brauer"])
+def test_relations_past_the_old_strand_guard_pass(suite, capsys):
+    # d^(2n) = 3^18 entries, refused while each relation was formed on all n strands
+    assert main(["verify", suite, "--d", "3", "--n", "9"]) == 0
+    assert capsys.readouterr().out.endswith("checks)\n")
+
+
+@pytest.mark.parametrize("suite, relations", [("tl", "adjacent TL"), ("brauer", "mixed adjacent"),
+                                              ("all", "adjacent TL")])
+def test_strand_count_above_limit_exits_2(suite, relations, capsys):
+    n = tlalgebra.MAX_STRANDS + 1
+    t0 = time.perf_counter()
+    assert main(["verify", suite, "--n", str(n)]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().err == (
+        f"error: {relations} relations need 3 <= n <= {tlalgebra.MAX_STRANDS}, got {n}\n")
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):

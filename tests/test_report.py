@@ -17,6 +17,15 @@ def test_checks_sorted_by_name():
     r.add("zeta", 0.0, 1.0)
     r.add("alpha", 0.0, 1.0)
     assert [c.identity_name for c in r.checks] == ["alpha", "zeta"]
+    # equal names keep the order they were added in
+    r.add("beta", 0.5, 1.0)
+    r.add_bool("alpha", False)
+    r.add("beta", 0.25, 1.0)
+    r.add("alpha", 0.125, 1.0)
+    r.add_bool("zeta", True)
+    assert [(c.identity_name, c.max_residual) for c in r.checks] == [
+        ("alpha", 0.0), ("alpha", float("inf")), ("alpha", 0.125), ("beta", 0.5),
+        ("beta", 0.25), ("zeta", 0.0), ("zeta", 0.0)]
 
 
 def test_tolerance_must_be_positive():

@@ -8,8 +8,7 @@ from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega_projector, phi_of, weyl_basis
 from entangle_tl.tlalgebra import (check_brauer_mixed, check_flow, check_tl_axioms,
                                    check_tl_decorated, e_matrix, flow_apply,
-                                   flow_closed_form, flow_diagram, quantum_flow,
-                                   v_matrix)
+                                   flow_closed_form, flow_diagram, v_matrix)
 
 from conftest import random_ket, random_unitary
 
@@ -94,43 +93,55 @@ def dense_strand_matrices(n, d):
     return e, v
 
 
+def ordered_by_name(want):
+    """(name, residual) pairs as a report lists them: by name, equal names in
+    the order they were added."""
+    return sorted(want, key=lambda pair: pair[0])
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_tl_axioms_residuals_equal_dense_formula(d):
-    n = 4
-    e, _ = dense_strand_matrices(n, d)
-    want = {}
-    for i in range(1, n):
-        want[f"E_{i}^2 = E_{i} (dense)"] = max_residual(e[i] @ e[i], e[i])
-        want[f"E_{i} hermitian (dense)"] = max_residual(e[i], e[i].conj().T)
-        for j in (i - 1, i + 1):
-            if 1 <= j <= n - 1:
-                want[f"E_{i}E_{j}E_{i} = d^-2 E_{i} (dense)"] = max_residual(
-                    e[i] @ e[j] @ e[i], e[i] / d ** 2)
-        for j in range(i + 2, n):
-            want[f"E_{i}E_{j} = E_{j}E_{i} (dense)"] = max_residual(e[i] @ e[j], e[j] @ e[i])
-    got = {c.identity_name: c.max_residual for c in check_tl_axioms(n, d).checks
-           if c.identity_name.endswith("(dense)")}
-    assert got == want
+    # each relation on all n strands, including the two E_iE_jE_i checks
+    # that share a name
+    for n in (3, 4, 5, 6):
+        e, _ = dense_strand_matrices(n, d)
+        want = []
+        for i in range(1, n):
+            want.append((f"E_{i}^2 = E_{i} (dense)", max_residual(e[i] @ e[i], e[i])))
+            want.append((f"E_{i} hermitian (dense)", max_residual(e[i], e[i].conj().T)))
+            for j in (i - 1, i + 1):
+                if 1 <= j <= n - 1:
+                    want.append((f"E_{i}E_{j}E_{i} = d^-2 E_{i} (dense)",
+                                 max_residual(e[i] @ e[j] @ e[i], e[i] / d ** 2)))
+            for j in range(i + 2, n):
+                want.append((f"E_{i}E_{j} = E_{j}E_{i} (dense)",
+                             max_residual(e[i] @ e[j], e[j] @ e[i])))
+        got = [(c.identity_name, c.max_residual) for c in check_tl_axioms(n, d).checks
+               if c.identity_name.endswith("(dense)")]
+        assert got == ordered_by_name(want), n
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_brauer_mixed_residuals_equal_dense_formula(d):
-    n = 4
-    e, v = dense_strand_matrices(n, d)
-    want = {}
-    for i in range(1, n):
-        want[f"E_{i} v_{i} = E_{i}"] = max_residual(e[i] @ v[i], e[i])
-        want[f"v_{i} E_{i} = E_{i}"] = max_residual(v[i] @ e[i], e[i])
-        for j in range(1, n):
-            if abs(i - j) > 1:
-                want[f"E_{i} v_{j} = v_{j} E_{i}"] = max_residual(e[i] @ v[j], v[j] @ e[i])
-        for j in (i - 1, i + 1):
-            if 1 <= j <= n - 1:
-                target = d * (e[i] @ e[j])
-                want[f"v_{j} v_{i} E_{j} = d E_{i} E_{j}"] = max_residual(v[j] @ v[i] @ e[j], target)
-                want[f"E_{i} v_{j} v_{i} = d E_{i} E_{j}"] = max_residual(e[i] @ v[j] @ v[i], target)
-    got = {c.identity_name: c.max_residual for c in check_brauer_mixed(n, d).checks}
-    assert got == want
+    for n in (3, 4, 5, 6):
+        e, v = dense_strand_matrices(n, d)
+        want = []
+        for i in range(1, n):
+            want.append((f"E_{i} v_{i} = E_{i}", max_residual(e[i] @ v[i], e[i])))
+            want.append((f"v_{i} E_{i} = E_{i}", max_residual(v[i] @ e[i], e[i])))
+            for j in range(1, n):
+                if abs(i - j) > 1:
+                    want.append((f"E_{i} v_{j} = v_{j} E_{i}",
+                                 max_residual(e[i] @ v[j], v[j] @ e[i])))
+            for j in (i - 1, i + 1):
+                if 1 <= j <= n - 1:
+                    target = d * (e[i] @ e[j])
+                    want.append((f"v_{j} v_{i} E_{j} = d E_{i} E_{j}",
+                                 max_residual(v[j] @ v[i] @ e[j], target)))
+                    want.append((f"E_{i} v_{j} v_{i} = d E_{i} E_{j}",
+                                 max_residual(e[i] @ v[j] @ v[i], target)))
+        got = [(c.identity_name, c.max_residual) for c in check_brauer_mixed(n, d).checks]
+        assert got == ordered_by_name(want), n
 
 
 def test_teleportation_configuration_via_swaps():
@@ -173,7 +184,7 @@ def test_flow_closed_form_random(rng):
     for d in (2, 3):
         ops = [random_unitary(rng, d) for _ in range(8)]
         phi = random_ket(rng, d)
-        out = quantum_flow(ops, phi, d, tol=1e-9)
+        out = flow_apply(ops, phi, d)
         assert max_residual(out, flow_closed_form(ops, phi, d)) < 1e-9
 
 
