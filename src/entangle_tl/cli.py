@@ -285,14 +285,15 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    """--tol: nan would fail every check and inf pass every one."""
+def _positive_float(text: str) -> float:
+    """--tol: nan would fail every check and inf pass every one, and a
+    bound of zero or below is no tolerance."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 
@@ -318,12 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
         raise ValueError(f"ENTANGLE_TL_SEED must be an integer, got {env_seed!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=False):
+    def common(p, with_n=False, with_tol=True):
         p.add_argument("--d", type=_positive_int, default=2, help="local dimension (default 2)")
         if with_n:
             p.add_argument("--n", type=int, default=3,
                            help=f"strand count, 3..{tlalgebra.MAX_STRANDS} (default 3)")
-        p.add_argument("--tol", type=_finite_float, default=linalg.DEFAULT_TOL)
+        if with_tol:
+            p.add_argument("--tol", type=_positive_float, default=linalg.DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo teleportation protocol")
-    common(p_sim)
+    common(p_sim, with_tol=False)
     p_sim.add_argument("--trials", type=int, default=1024)
     p_sim.add_argument("--psi", default="uniform",
                        help="comma-separated amplitudes, 'uniform', or 'basisK'")

@@ -429,35 +429,19 @@ def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> com
     return value
 
 
-def _open_subscripts(diag: DecoratedDiagram, d: int, letter: dict, boundary):
-    """Boundary tensors and their subscripts, then the output subscript and
-    shape of the endpoints left open (bottom, then top), checked up front."""
-    tensors, subs, fed = [], [], set()
-    for endpoints, t in boundary:
-        for e in endpoints:
-            if e not in letter or e in fed:
-                problem = "repeated" if e in fed else "out of range"
-                raise ValueError(f"boundary endpoint {e} {problem}")
-            fed.add(e)
-        if np.size(t) != d ** len(endpoints):
-            raise DimensionError(f"boundary tensor has {np.size(t)} entries, not {d}^{len(endpoints)}")
-        tensors.append(np.reshape(t, (d,) * len(endpoints)))
-        subs.append("".join(letter[e] for e in endpoints))
-    open_ = [e for side in (BOTTOM, TOP) for e in letter if e.side == side and e not in fed]
+def _open_subscripts(diag: DecoratedDiagram, d: int, letter: dict):
+    """The output subscript and shape of the open endpoints (bottom, then
+    top), refused up front when the output would be too large."""
+    open_ = [e for side in (BOTTOM, TOP) for e in letter if e.side == side]
     if d ** len(open_) > MAX_OUTPUT_ENTRIES:
         raise DimensionError(f"output of {d}^{len(open_)} entries exceeds {MAX_OUTPUT_ENTRIES}")
-    n_bottom = sum(e.side == BOTTOM for e in open_)
-    shape = (d ** n_bottom, d ** (len(open_) - n_bottom))
-    return tensors, subs, "".join(letter[e] for e in open_), shape
+    return "".join(letter[e] for e in open_), (d ** diag.bottom, d ** diag.top)
 
 
-def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None,
-             boundary=()) -> np.ndarray:
-    """Dense d^bottom x d^top matrix of the diagram (input at top).
-
-    boundary holds (endpoints, tensor) pairs, d^len(endpoints) entries each,
-    contracted into the network (kets at top endpoints, unconjugated bras at
-    bottom ones); the result is then d^(open bottom) x d^(open top)."""
+def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
+    """Dense d^bottom x d^top matrix of the diagram (input at top), from one
+    einsum over its strand tensors.  States and effects enter as cups and
+    caps composed onto the diagram, as in tlalgebra.closed_flow_diagram."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     ops = ops or {}
@@ -469,7 +453,7 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None,
         letter[Endpoint(TOP, i)] = letters[i]
     for i in range(diag.bottom):
         letter[Endpoint(BOTTOM, i)] = letters[diag.top + i]
-    tensors, boundary_subs, out_sub, shape = _open_subscripts(diag, d, letter, boundary)
+    out_sub, shape = _open_subscripts(diag, d, letter)
 
     value = scalar_value(diag, d, ops)
     if not diag.strands:
@@ -479,16 +463,15 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None,
     for s in diag.strands:
         operands.append(_strand_tensor(s, d, ops))
         subs.append(letter[s.end] + letter[s.start])
-    spec = ",".join(subs + boundary_subs) + "->" + out_sub
-    tensor_out = np.einsum(spec, *operands, *tensors, optimize=True)
+    spec = ",".join(subs) + "->" + out_sub
+    tensor_out = np.einsum(spec, *operands, optimize=True)
     return value * tensor_out.reshape(shape)
 
 
-def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None,
-                         boundary=()) -> np.ndarray:
+def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Oracle evaluation: build the full tensor network node by node
     (normalized cup/cap tensors, one matrix node per decoration) and contract
-    every internal index and boundary tensor (as in evaluate()) in one einsum.
+    every internal index in one einsum.
 
     Shares no strand-level matrix-product or flavor-toggling logic with
     evaluate(); agreement between the two is the correctness test for the
@@ -504,7 +487,7 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
         letter[Endpoint(TOP, i)] = next(pool)
     for i in range(diag.bottom):
         letter[Endpoint(BOTTOM, i)] = next(pool)
-    tensors, boundary_subs, out_sub, shape = _open_subscripts(diag, d, letter, boundary)
+    out_sub, shape = _open_subscripts(diag, d, letter)
 
     def fresh():
         try:
@@ -546,8 +529,8 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
     if not operands:
         return np.array([[prefactor]], dtype=np.complex128)
-    spec = ",".join(subs + boundary_subs) + "->" + out_sub
-    tensor_out = np.einsum(spec, *operands, *tensors, optimize=True)
+    spec = ",".join(subs) + "->" + out_sub
+    tensor_out = np.einsum(spec, *operands, optimize=True)
     return prefactor * tensor_out.reshape(shape)
 
 
@@ -616,8 +599,11 @@ def from_dict(data: dict) -> DecoratedDiagram:
             strands.append(Strand(start, end, decos))
         loops = tuple(tuple(Decoration.from_dict(d) for d in loop) for loop in data["loops"])
         re, im = data["scalar"]["coeff"]
-        scalar = ScalarFactor(complex(float(re), float(im)),
-                              _json_int(data["scalar"]["half_power"], "half_power"))
+        coeff = complex(float(re), float(im))
+        if not np.isfinite(coeff):
+            # json would write it back as Infinity or NaN, which is not JSON
+            raise ValueError(f"coeff must be finite, got {[re, im]!r}")
+        scalar = ScalarFactor(coeff, _json_int(data["scalar"]["half_power"], "half_power"))
         return DecoratedDiagram(_json_int(data["top"], "top"), _json_int(data["bottom"], "bottom"),
                                 tuple(strands), loops, scalar)
     except (KeyError, IndexError, TypeError) as exc:

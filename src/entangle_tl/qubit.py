@@ -65,11 +65,6 @@ def bell_matrix() -> np.ndarray:
     ) / math.sqrt(2)
 
 
-def bell_matrix_inverse() -> np.ndarray:
-    # B is real orthogonal, so the inverse is the transpose.
-    return bell_matrix().T.copy()
-
-
 def permutation_qubit() -> np.ndarray:
     """The two-qubit swap: P|ij> = |ji>."""
     return np.array(

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .braid import braid_teleport_config, teleport_swap
 from .linalg import DEFAULT_TOL, DimensionError, identity, kron
 from .maxent import WeylBasis, omega, omega_n, omega_projector, weyl_basis
-from .qubit import BellKind, bell_matrix, bell_matrix_inverse, bell_state, pauli, permutation_qubit, sigma_vec_11
+from .qubit import BellKind, bell_matrix, bell_state, pauli, permutation_qubit, sigma_vec_11
 from .report import VerificationReport
 
 
@@ -93,7 +94,7 @@ def bell_matrix_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int
     variants, including the (B^-1 x 1)(1 x B) configuration forms."""
     b = bell_matrix()
     one2 = identity(2)
-    config = kron(bell_matrix_inverse(), one2) @ kron(one2, b)
+    config = braid_teleport_config(b)
 
     def residuals(psi):
         lhs = kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 1, 1))
@@ -121,8 +122,6 @@ def bell_matrix_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int
 def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0) -> VerificationReport:
     """The swap/virtual-crossing form of the teleportation equation and its
     variants, plus the teleportation-swapping equivalence."""
-    from .braid import teleport_swap
-
     b = bell_matrix()
     p = permutation_qubit()
     one2 = identity(2)

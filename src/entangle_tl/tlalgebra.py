@@ -17,7 +17,7 @@ from . import diagram as dg
 from . import linalg
 from .braid import embed, relation_residual, swap
 from .linalg import DEFAULT_TOL, FLOW_TOL, DimensionError, identity
-from .maxent import WeylBasis, clock, omega_projector, phi_of, weyl_basis
+from .maxent import WeylBasis, clock, omega_projector, weyl_basis
 from .report import VerificationReport
 
 # Largest n of the TL and Brauer checks: each relation stays on <= 4 strands,
@@ -75,19 +75,19 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
         raise ValueError(f"adjacent TL relations need 3 <= n <= {MAX_STRANDS}, got {n}")
     report = VerificationReport(f"tl-axioms n={n} d={d}")
     _check_dense_relations(report, omega_projector(d), "E", " (dense)", n, d, tol)
-    for i in range(1, n):
-        di = dg.e_gen(i, n)
+    gens = {i: dg.e_gen(i, n) for i in range(1, n)}
+    for i, di in gens.items():
         ratio = dg.structural_ratio(dg.compose(di, di), di, d)
         report.add_bool(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)",
                         ratio is not None and abs(ratio - 1.0) <= tol)
         report.add_bool(f"E_{i} self-adjoint (diagram)", dg.adjoint_diagram(di) == di)
         for j in (i - 1, i + 1):
-            if 1 <= j <= n - 1:
-                ratio = dg.structural_ratio(dg.compose(dg.compose(di, dg.e_gen(j, n)), di), di, d)
+            if j in gens:
+                ratio = dg.structural_ratio(dg.compose(dg.compose(di, gens[j]), di), di, d)
                 report.add_bool(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)",
                                 ratio is not None and abs(ratio - 1.0 / d ** 2) <= tol)
         for j in range(i + 2, n):
-            dj = dg.e_gen(j, n)
+            dj = gens[j]
             report.add_bool(f"E_{i}E_{j} = E_{j}E_{i} (diagram)", dg.compose(di, dj) == dg.compose(dj, di))
     return report
 
@@ -178,6 +178,27 @@ def flow_diagram() -> dg.DecoratedDiagram:
     return dg.DecoratedDiagram(5, 5, strands, loops, dg.ScalarFactor(1.0, -16))
 
 
+def closed_flow_diagram() -> dg.DecoratedDiagram:
+    """flow_diagram() with its four boundary projectors resolved: cups
+    decorated by U6 and U8 feed the absorbed arcs on top, caps decorated by
+    U1^dag and U3^dag close the emitted arcs below.
+
+    The result is the (1, 1) diagram of the closed form: one strand carrying
+    U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag, the loops tr(U2^dag U5) and
+    tr(U4^dag U7), four unitarity loops tr(U^* U^T) = d and the scalar d^-10.
+    """
+    def cup(label):
+        return dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration(label, "plain"))
+
+    def cap(label):
+        return dg.decorate(dg.cap_diagram(), 0, 0, dg.Decoration(label, "dagger"))
+
+    one = dg.identity_diagram(1)
+    feed = dg.tensor(dg.tensor(one, cup("u6")), cup("u8"))
+    close = dg.tensor(dg.tensor(cap("u1"), cap("u3")), one)
+    return dg.compose(dg.compose(feed, flow_diagram()), close)
+
+
 def _check_flow_ops(ops, d: int) -> list[np.ndarray]:
     if len(ops) != 8:
         raise ValueError("the flow takes exactly eight operators")
@@ -205,22 +226,13 @@ def flow_closed_form(ops, phi, d: int) -> np.ndarray:
 
 
 def flow_apply(ops, phi, d: int, evaluator=dg.evaluate) -> np.ndarray:
-    """Contract the flow diagram against |phi> on strand 1.
-
-    The absorbed boundary arcs are fed their own entangled kets and the
-    emitted ones are projected onto theirs, which just resolves the four
-    boundary projectors; what remains is the strand-5 output vector.
-    """
+    """The flow's output for the input |phi>: the d x d matrix of
+    closed_flow_diagram(), from one evaluator call, applied to |phi>."""
     u = _check_flow_ops(ops, d)
     phi = linalg.as_vector(phi)
     if phi.shape != (d,):
         raise DimensionError(f"phi must have dimension {d}")
-    table = dict(zip(FLOW_LABELS, u))
-    top = [dg.Endpoint(dg.TOP, i) for i in range(5)]
-    bottom = [dg.Endpoint(dg.BOTTOM, i) for i in range(5)]
-    boundary = [(top[:1], phi), (top[1:3], phi_of(u[5], d)), (top[3:], phi_of(u[7], d)),
-                (bottom[:2], phi_of(u[0], d).conj()), (bottom[2:4], phi_of(u[2], d).conj())]
-    return evaluator(flow_diagram(), d, table, boundary).ravel()
+    return evaluator(closed_flow_diagram(), d, dict(zip(FLOW_LABELS, u))) @ phi
 
 
 def check_flow(d: int, samples: int = 10, seed: int = 0, tol: float = FLOW_TOL) -> VerificationReport:

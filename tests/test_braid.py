@@ -51,6 +51,14 @@ def test_check_teleport_swapping(d):
     assert report.overall_pass and report.max_residual == 0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_teleport_swapping_fails_on_reverse_routing(monkeypatch, d):
+    monkeypatch.setattr(braid, "teleport_swap", teleport_swap_reverse)
+    report = check_teleport_swapping(d)
+    routing = {c.identity_name: c for c in report.checks}["|k>|ij> = (Px1)(1xP)|ij>|k> and back"]
+    assert not routing.passed and routing.max_residual == 1
+
+
 def test_teleport_swap_d1_is_scalar_one():
     assert teleport_swap(1).shape == (1, 1)
     assert teleport_swap(1)[0, 0] == 1

@@ -191,6 +191,27 @@ def test_non_finite_tol_exits_2(capsys, tol):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_non_positive_flow_tol_exits_2(tmp_path, capsys, tol):
+    # a bound of zero or below used to read as a failed check (exit 1)
+    spec = tmp_path / "flow.json"
+    spec.write_text(json.dumps({"d": 2, "operators": ["identity"] * 8}))
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--spec", str(spec), f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "finite positive number" in captured.err
+
+
+def test_simulate_takes_no_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--tol", "1e-10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "unrecognized arguments: --tol" in err
+
+
 def test_bad_seed_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("ENTANGLE_TL_SEED", "abc")
     assert main(["verify", "bell"]) == 2
@@ -288,6 +309,17 @@ def test_render_malformed_exits_2(tmp_path, capsys):
                  '"scalar": {"coeff": [1, 0], "half_power": 0}}')
     assert main(["render", "--diagram", str(f)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("coeff", ["1e400", "NaN"])
+def test_render_non_finite_coeff_exits_2(tmp_path, capsys, coeff):
+    # json.dumps would print Infinity or NaN back, which is not JSON
+    f = tmp_path / "d.json"
+    f.write_text(dg.dumps(dg.cup_diagram()).replace('"coeff": [1.0, 0.0]', f'"coeff": [{coeff}, 0.0]'))
+    assert main(["render", "--diagram", str(f), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {f}: coeff must be finite") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [("top", 2.7), ("bottom", "2"), ("top", True),

@@ -236,64 +236,6 @@ def test_oracle_agreement_random_composites(rng):
                                 dg.brute_force_evaluate(diag, d, ops)) < 1e-10
 
 
-def _random_boundary(rng, diag, d):
-    """Random tensors on a random subset of the endpoints, in groups of 1-3."""
-    points = [dg.Endpoint(dg.TOP, i) for i in range(diag.top)]
-    points += [dg.Endpoint(dg.BOTTOM, i) for i in range(diag.bottom)]
-    chosen = [points[k] for k in rng.permutation(len(points))]
-    chosen = chosen[:int(rng.integers(0, len(points) + 1))]
-    boundary = []
-    while chosen:
-        k = int(rng.integers(1, 4))
-        group, chosen = chosen[:k], chosen[k:]
-        size = d ** len(group)
-        boundary.append((group, rng.normal(size=size) + 1j * rng.normal(size=size)))
-    return boundary
-
-
-def _contract_afterwards(matrix, diag, d, boundary):
-    """Contract the boundary tensors into an already evaluated dense matrix."""
-    axes = [dg.Endpoint(dg.BOTTOM, i) for i in range(diag.bottom)]
-    axes += [dg.Endpoint(dg.TOP, i) for i in range(diag.top)]
-    label = {e: k for k, e in enumerate(axes)}
-    args = [matrix.reshape((d,) * len(axes)), list(range(len(axes)))]
-    for endpoints, t in boundary:
-        args += [t.reshape((d,) * len(endpoints)), [label[e] for e in endpoints]]
-    fed = {e for endpoints, _ in boundary for e in endpoints}
-    open_ = [e for e in axes if e not in fed]
-    out = np.einsum(*args, [label[e] for e in open_])
-    n_bottom = sum(e.side == dg.BOTTOM for e in open_)
-    return out.reshape(d ** n_bottom, d ** (len(open_) - n_bottom))
-
-
-@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
-def test_boundary_contraction_matches_dense(rng, evaluator):
-    for d in (2, 3):
-        ops = random_operator_table(rng, d)
-        for _ in range(30):
-            top = int(rng.integers(0, 5))
-            bottom = int(rng.integers(0, 5))
-            bottom += (top + bottom) % 2
-            diag = random_matching_diagram(rng, top, bottom)
-            boundary = _random_boundary(rng, diag, d)
-            expected = _contract_afterwards(evaluator(diag, d, ops), diag, d, boundary)
-            got = evaluator(diag, d, ops, boundary)
-            assert got.shape == expected.shape
-            assert max_residual(got, expected) < 1e-10
-
-
-@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
-def test_boundary_validation(evaluator):
-    e = dg.e_gen(1, 2)
-    t0, t1 = dg.Endpoint(dg.TOP, 0), dg.Endpoint(dg.TOP, 1)
-    with pytest.raises(ValueError, match="repeated"):
-        evaluator(e, 2, None, [([t0], np.ones(2)), ([t1, t0], np.ones(4))])
-    with pytest.raises(ValueError, match="out of range"):
-        evaluator(e, 2, None, [([dg.Endpoint(dg.BOTTOM, 2)], np.ones(2))])
-    with pytest.raises(linalg.DimensionError):
-        evaluator(e, 2, None, [([t0, t1], np.ones(3))])
-
-
 @pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
 def test_output_size_guard(evaluator):
     # 4^26 output entries: refused before anything is allocated

@@ -6,8 +6,8 @@ from entangle_tl import linalg, tlalgebra
 from entangle_tl.braid import swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega_projector, phi_of, weyl_basis
-from entangle_tl.tlalgebra import (check_brauer_mixed, check_flow, check_tl_axioms,
-                                   check_tl_decorated, e_matrix, flow_apply,
+from entangle_tl.tlalgebra import (FLOW_LABELS, check_brauer_mixed, check_flow, check_tl_axioms,
+                                   check_tl_decorated, closed_flow_diagram, e_matrix, flow_apply,
                                    flow_closed_form, flow_diagram, v_matrix)
 
 from conftest import random_ket, random_unitary
@@ -161,6 +161,41 @@ def test_flow_diagram_shape():
     assert diag.top == 5 and diag.bottom == 5
     assert len(diag.loops) == 2
     assert diag.scalar.half_power_of_d == -16
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+def test_closed_flow_matches_dense_flow_with_boundary_kets(rng, d, evaluator):
+    # the dense d^5 x d^5 flow matrix, its boundary projectors resolved in
+    # plain numpy: U6, U8 kets on T1-T4, U1, U3 bras on B0-B3
+    u = [random_unitary(rng, d) for _ in range(8)]
+    ops = dict(zip(FLOW_LABELS, u))
+    dense = dg.evaluate(flow_diagram(), d, ops).reshape((d,) * 10)
+    kets = [phi_of(u[k], d).reshape(d, d) for k in (5, 7, 0, 2)]
+    expected = np.einsum("abcdeftuvw,tu,vw,ab,cd->ef", dense, kets[0], kets[1],
+                         kets[2].conj(), kets[3].conj())
+    assert max_residual(evaluator(closed_flow_diagram(), d, ops), expected) < 1e-12
+
+
+def test_closed_flow_diagram_structure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed_flow_diagram must not evaluate")
+    monkeypatch.setattr(dg, "evaluate", refuse)
+    monkeypatch.setattr(dg, "brute_force_evaluate", refuse)
+    diag = closed_flow_diagram()
+    D = dg.Decoration
+    assert (diag.top, diag.bottom) == (1, 1)
+    (strand,) = diag.strands
+    assert (strand.start, strand.end) == (dg.Endpoint(dg.TOP, 0), dg.Endpoint(dg.BOTTOM, 0))
+    # walked top to bottom: U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag
+    assert strand.decorations == (D("u1", "dagger"), D("u2", "transpose"), D("u3", "dagger"),
+                                  D("u4", "plain"), D("u5", "conjugate"), D("u6", "transpose"),
+                                  D("u7", "dagger"), D("u8", "transpose"))
+    # tr(U2^dag U5), tr(U4^dag U7) and four loops tr(U^* U^T) = d
+    unitarity = tuple((D(u, "transpose"), D(u, "conjugate")) for u in ("u6", "u8", "u1", "u3"))
+    assert diag.loops == ((D("u2", "dagger"), D("u5", "plain")),
+                          (D("u4", "dagger"), D("u7", "plain"))) + unitarity
+    assert diag.scalar == dg.ScalarFactor(1.0, -20)
 
 
 def test_flow_all_identities():
