@@ -4,10 +4,10 @@ pairs, plus the braid teleportation configuration and teleportation swapping.
 A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
 of a d-dimensional system; apply_on_strands() applies it at position i of n
 strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding, and
-strand_product() (embed() with one factor) forms a word of such factors.
-Every relation is compared by relation_residual() on the minimal strand
-count that exercises it (2 for one pair, 3 for adjacent pairs, 4 for far
-commutativity): on n strands both sides only gain identity strands.
+strand_product() (embed() with one factor) forms a word of such factors on
+the strands it touches.  Each relation is compared by relation_residual() on
+the fewest strands that exercise it (2 for one pair, 3 for adjacent pairs, 4
+for far commutativity): on n strands both sides only gain identity strands.
 """
 
 from __future__ import annotations
@@ -54,17 +54,37 @@ def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     return np.matmul(op, blocks).reshape(x.shape)
 
 
+def _pad(x, d: int, left: int, right: int) -> np.ndarray:
+    """x with `left` identity strands before it and `right` after it."""
+    x = np.kron(identity(d ** left), x) if left else x
+    return np.kron(x, identity(d ** right)) if right else x
+
+
 def strand_product(factors, n: int) -> np.ndarray:
     """The d^n x d^n product of (op, i) factors, written left to right and
-    applied right to left to the identity."""
+    applied right to left on the strands lo..hi touched so far: a disjoint
+    factor joins by one Kronecker product (A x 1)(1 x B) = A x B across any gap
+    of identity strands, an overlapping one widens lo..hi and is applied by
+    apply_on_strands, and identity strands pad the two ends only on return."""
     d, _ = _local_dimension(factors[0][0])
     if d ** (2 * n) > diagram.MAX_OUTPUT_ENTRIES:
         raise DimensionError(
             f"strand product of {d}^{2 * n} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
-    out = identity(d ** n)
-    for op, i in reversed(factors):
-        out = apply_on_strands(op, i, n, out)
-    return out
+    for k, (op, i) in enumerate(reversed(factors)):
+        d_op, op = _local_dimension(op)
+        if d_op != d or not 1 <= i <= n - 1:
+            raise DimensionError(f"factor at {i} (d={d_op}) does not fit {n} strands of d={d}")
+        if k == 0:  # the rightmost factor starts the product as itself
+            out, lo, hi = op.copy(), i, i + 1
+        elif i > hi:
+            out, hi = np.kron(_pad(out, d, 0, i - hi - 1), op), i + 1
+        elif i + 1 < lo:
+            out, lo = np.kron(op, _pad(out, d, lo - i - 2, 0)), i
+        else:
+            out = _pad(out, d, lo - min(lo, i), max(hi, i + 1) - hi)
+            lo, hi = min(lo, i), max(hi, i + 1)
+            out = apply_on_strands(op, i - lo + 1, hi - lo + 1, out)
+    return _pad(out, d, lo - 1, n - hi)
 
 
 def embed(op, i: int, n: int) -> np.ndarray:
@@ -92,7 +112,7 @@ def relation_residual(lhs, rhs, scale=1) -> float:
     def product(word):
         return strand_product([(op, where[i]) for op, i in word], n)
 
-    return linalg.max_residual(product(lhs), scale * product(rhs))
+    return linalg.max_residual(product(lhs), product(rhs) if scale == 1 else scale * product(rhs))
 
 
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -28,7 +28,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -37,7 +37,7 @@ def as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128)
     if a.ndim != 1:
         raise DimensionError(f"expected a vector, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
 

@@ -61,12 +61,16 @@ def teleport_equation_qubit_check(a: complex, b: complex, tol: float = DEFAULT_T
     return report
 
 
+# |00>, |01>, |10>, |11>, each paired with its entry of sigma_vec_11()
+_KET00, _KET01, _KET10, _KET11 = (linalg.product_ket(2, i, j) for i in (0, 1) for j in (0, 1))
+_SIGMA_TERMS = tuple(zip((_KET00, _KET01, _KET10, _KET11), sigma_vec_11()))
+
+
 def _vec_sigma_expansion(prefix: np.ndarray, psi: np.ndarray, coeff: complex = 0.5) -> np.ndarray:
     """coeff * sum_k |v_k> x (prefix sigma_k psi) over the product kets
     v = (|00>, |01>, |10>, |11>) and the correction vector (s3, s1, i s2, 1)."""
-    kets = [linalg.product_ket(2, i, j) for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1))]
     out = np.zeros(8, dtype=np.complex128)
-    for ket, op in zip(kets, sigma_vec_11()):
+    for ket, op in _SIGMA_TERMS:
         out += coeff * linalg.kron_vec(ket, (prefix @ op) @ psi)
     return out
 
@@ -95,26 +99,24 @@ def bell_matrix_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int
     b = bell_matrix()
     one2 = identity(2)
     config = braid_teleport_config(b)
+    one_b, b_one = kron(one2, b), kron(b, one2)
+    phi_minus = bell_state(BellKind.PHI_MINUS)
 
     def residuals(psi):
-        lhs = kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 1, 1))
-        rhs = kron(b, one2) @ _vec_sigma_expansion(one2, psi)
+        start = linalg.kron_vec(psi, _KET11)
+        expansion = _vec_sigma_expansion(one2, psi)
         yield ("phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)",
-               linalg.max_residual(lhs, rhs))
-        cfg = config @ linalg.kron_vec(psi, linalg.product_ket(2, 1, 1))
-        yield ("phi+ resource: configuration form",
-               linalg.max_residual(cfg, _vec_sigma_expansion(one2, psi)))
-        lhs_m = kron(one2, b) @ linalg.kron_vec(psi, linalg.product_ket(2, 0, 0))
+               linalg.max_residual(one_b @ start, b_one @ expansion))
+        yield ("phi+ resource: configuration form", linalg.max_residual(config @ start, expansion))
+        lhs_m = one_b @ linalg.kron_vec(psi, _KET00)
         yield ("phi- resource: (1xB)(psi x |00>) = psi x phi-",
-               linalg.max_residual(lhs_m, linalg.kron_vec(psi, bell_state(BellKind.PHI_MINUS))))
-        rhs_m = kron(b, one2) @ _vec_sigma_expansion(pauli(3), psi)
-        yield ("phi- resource: (Bx1) form with s3 corrections", linalg.max_residual(lhs_m, rhs_m))
-        cfg_p = config @ linalg.kron_vec(psi, linalg.product_ket(2, 0, 1))
-        yield ("psi+ resource: configuration form with s1 corrections",
-               linalg.max_residual(cfg_p, _vec_sigma_expansion(pauli(1), psi)))
-        cfg_m = config @ linalg.kron_vec(psi, -linalg.product_ket(2, 1, 0))
-        yield ("psi- resource: configuration form with -i s2 corrections",
-               linalg.max_residual(cfg_m, _vec_sigma_expansion(-1j * pauli(2), psi)))
+               linalg.max_residual(lhs_m, linalg.kron_vec(psi, phi_minus)))
+        yield ("phi- resource: (Bx1) form with s3 corrections",
+               linalg.max_residual(lhs_m, b_one @ _vec_sigma_expansion(pauli(3), psi)))
+        yield ("psi+ resource: configuration form with s1 corrections", linalg.max_residual(
+            config @ linalg.kron_vec(psi, _KET01), _vec_sigma_expansion(pauli(1), psi)))
+        yield ("psi- resource: configuration form with -i s2 corrections", linalg.max_residual(
+            config @ linalg.kron_vec(psi, -_KET10), _vec_sigma_expansion(-1j * pauli(2), psi)))
 
     return _worst_over_kets("teleport-bell-matrix-form", residuals, samples, seed, tol)
 
@@ -123,35 +125,31 @@ def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0
     """The swap/virtual-crossing form of the teleportation equation and its
     variants, plus the teleportation-swapping equivalence."""
     b = bell_matrix()
-    p = permutation_qubit()
     one2 = identity(2)
+    one_p, b_one = kron(one2, permutation_qubit()), kron(b, one2)
     swap_op = teleport_swap(2)  # (P x 1)(1 x P)
-    subtractions = {
-        BellKind.PHI_PLUS: kron(one2, kron(pauli(2), pauli(2))),
-        BellKind.PHI_MINUS: kron(one2, kron(pauli(1), pauli(1))),
-        BellKind.PSI_PLUS: kron(one2, kron(pauli(3), pauli(3))),
-        BellKind.PSI_MINUS: identity(8),
-    }
+    forms = [(kind.value, bell_state(kind), one_p - sub) for kind, sub in (
+        (BellKind.PHI_PLUS, kron(one2, kron(pauli(2), pauli(2)))),
+        (BellKind.PHI_MINUS, kron(one2, kron(pauli(1), pauli(1)))),
+        (BellKind.PSI_PLUS, kron(one2, kron(pauli(3), pauli(3)))),
+        (BellKind.PSI_MINUS, identity(8)))]
+    _, phi_plus, phi_plus_op = forms[0]  # phi+ and 1xP - s2s2
+    mix_lhs, mix_rhs, rhs_op = kron(one2, b) @ swap_op, swap_op @ b_one, phi_plus_op @ b_one
 
     def residuals(psi):
-        for kind, sub in subtractions.items():
-            lhs = linalg.kron_vec(psi, bell_state(kind))
-            op = kron(one2, p) - sub
-            rhs = op @ linalg.kron_vec(bell_state(kind), psi)
-            yield f"{kind.value} resource: (1xP - subtraction) form", linalg.max_residual(lhs, rhs)
-            swapped = swap_op @ linalg.kron_vec(bell_state(kind), psi)
-            yield (f"{kind.value} resource: teleport-swap equivalence",
-                   linalg.max_residual(rhs, swapped))
+        for kind, bell, op in forms:
+            start = linalg.kron_vec(bell, psi)
+            rhs = op @ start
+            yield (f"{kind} resource: (1xP - subtraction) form",
+                   linalg.max_residual(linalg.kron_vec(psi, bell), rhs))
+            yield f"{kind} resource: teleport-swap equivalence", linalg.max_residual(rhs, swap_op @ start)
 
-        base = linalg.kron_vec(linalg.product_ket(2, 1, 1), psi)
-        lhs_mix = kron(one2, b) @ swap_op @ base
-        rhs_mix = swap_op @ kron(b, one2) @ base
-        yield "virtual mixed relation on |11> x psi", linalg.max_residual(lhs_mix, rhs_mix)
-        yield "left side via (1xB)(Px1)(1xP)", linalg.max_residual(
-            lhs_mix, linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS)))
-        rhs_op = (kron(one2, p) - kron(one2, kron(pauli(2), pauli(2)))) @ kron(b, one2)
-        yield "right side via (1xP - s2s2)(Bx1)", linalg.max_residual(
-            rhs_op @ base, linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS)))
+        base = linalg.kron_vec(_KET11, psi)
+        lhs_mix = mix_lhs @ base
+        yield "virtual mixed relation on |11> x psi", linalg.max_residual(lhs_mix, mix_rhs @ base)
+        target = linalg.kron_vec(psi, phi_plus)
+        yield "left side via (1xB)(Px1)(1xP)", linalg.max_residual(lhs_mix, target)
+        yield "right side via (1xP - s2s2)(Bx1)", linalg.max_residual(rhs_op @ base, target)
 
     return _worst_over_kets("teleport-virtual-form", residuals, samples, seed, tol)
 

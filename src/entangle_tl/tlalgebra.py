@@ -11,6 +11,8 @@ matrices.  The loop parameter is the local dimension d.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import diagram as dg
@@ -178,6 +180,7 @@ def flow_diagram() -> dg.DecoratedDiagram:
     return dg.DecoratedDiagram(5, 5, strands, loops, dg.ScalarFactor(1.0, -16))
 
 
+@functools.cache
 def closed_flow_diagram() -> dg.DecoratedDiagram:
     """flow_diagram() with its four boundary projectors resolved: cups
     decorated by U6 and U8 feed the absorbed arcs on top, caps decorated by
@@ -186,6 +189,7 @@ def closed_flow_diagram() -> dg.DecoratedDiagram:
     The result is the (1, 1) diagram of the closed form: one strand carrying
     U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag, the loops tr(U2^dag U5) and
     tr(U4^dag U7), four unitarity loops tr(U^* U^T) = d and the scalar d^-10.
+    Built once: every diagram type is frozen, so callers share it safely.
     """
     def cup(label):
         return dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration(label, "plain"))

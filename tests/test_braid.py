@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from entangle_tl.braid import (apply_on_strands, braid_teleport_config, check_br
                                relation_residual, strand_product, swap, teleport_swap,
                                teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
+from entangle_tl.maxent import omega_projector, shift
 from entangle_tl.qubit import bell_matrix, permutation_qubit
 
 
@@ -236,7 +239,7 @@ def test_strand_positions_out_of_range_raise():
 
 
 def test_strand_product_size_guard(monkeypatch):
-    # refused before the d^n x d^n identity is allocated
+    # refused before any factor is applied, whatever strands it touches
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 63)
     with pytest.raises(linalg.DimensionError, match="2\\^6 entries exceeds 63"):
         embed(bell_matrix(), 1, 3)
@@ -279,3 +282,66 @@ def test_relation_residual_stays_on_four_strands(monkeypatch):
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8 - 1)
     with pytest.raises(linalg.DimensionError, match="2\\^8 entries exceeds 255"):
         relation_residual([(b, 1), (b, 40)], [(b, 40), (b, 1)])
+
+
+# --- strand products against the chained dense embeddings ----------------------
+
+
+def dense_chain(word, n, d):
+    """The word as the matrix product of its full n-strand kron embeddings."""
+    return functools.reduce(np.matmul, [dense_embed(op, i, n, d) for op, i in word])
+
+
+def decorated_projector(u, d):
+    """(U x 1) omega (U x 1)^dag, the projector onto (U x 1)|Omega>."""
+    m = kron(u, identity(d))
+    return m @ omega_projector(d) @ m.conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_far_commutation_residual_equals_dense_chain(d):
+    # every far-commutation word the suites check (b1 b3, v1 v3, b1 v3,
+    # E_i E_j, E_i v_j) at the placements they use, formed on all n strands;
+    # the shift keeps the decorated projector real, since with complex entries
+    # the chain's BLAS sums may round A x B differently in the last bit
+    ops = [swap(d), omega_projector(d), decorated_projector(shift(d), d)]
+    if d == 2:
+        ops += [bell_matrix(), permutation_qubit()]
+    placements = [(n, i, j) for n, i, j in [(4, 1, 3), (5, 1, 4), (5, 2, 4), (6, 2, 5)]
+                  if n == 4 or d ** n <= 64]
+    for a in ops:
+        for b in ops:
+            for n, i, j in placements:
+                lhs, rhs = [(a, i), (b, j)], [(b, j), (a, i)]
+                want = max_residual(dense_chain(lhs, n, d), dense_chain(rhs, n, d))
+                assert relation_residual(lhs, rhs) == want
+
+
+# positions of words on 5 strands, each joining the running product on the
+# right, on the left, across a gap (i > hi + 1) or by overlapping it
+JOIN_WORDS = [[1, 3], [3, 1], [1, 4], [4, 1], [2, 4, 1], [1, 2, 4], [4, 3, 1],
+              [2, 1, 4, 2], [3], [4, 1, 3, 2, 4]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("positions", JOIN_WORDS)
+def test_strand_product_joins_match_dense_chain(rng, d, positions):
+    # compared on random columns: the 1024 x 1024 chain at d=4 takes seconds
+    word = [(random_op(rng, d), i) for i in positions]
+    x = rng.normal(size=(d ** 5, 6)) + 1j * rng.normal(size=(d ** 5, 6))
+    want = x
+    for op, i in reversed(word):
+        want = dense_embed(op, i, 5, d) @ want
+    got = strand_product(word, 5) @ x
+    assert max_residual(got, want) <= 1e-12 * np.abs(want).max()
+
+
+def test_far_commutation_never_meets_the_identity(monkeypatch):
+    # a disjoint pair joins by one Kronecker product: no local application
+    # and no identity on a whole 4-strand space
+    d, calls, rows = 6, [], []
+    monkeypatch.setattr(braid, "apply_on_strands", lambda *args: calls.append(args))
+    monkeypatch.setattr(braid, "identity", lambda k: rows.append(k) or identity(k))
+    v = swap(d)
+    assert relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)]) == 0
+    assert calls == [] and all(k < d ** 4 for k in rows)

@@ -264,6 +264,15 @@ def test_strand_count_above_limit_exits_2(suite, relations, capsys):
         f"error: {relations} relations need 3 <= n <= {tlalgebra.MAX_STRANDS}, got {n}\n")
 
 
+@pytest.mark.parametrize("suite, n", [("braid", 1000), ("flow", 2)])
+def test_strand_count_of_other_suites_exits_2(suite, n, capsys):
+    # these suites never read --n, so a bad one is refused rather than ignored
+    assert main(["verify", suite, "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: strand count needs 3 <= n <= {tlalgebra.MAX_STRANDS}, got {n}\n")
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     def exhaust(suite, cfg):
         raise MemoryError("Unable to allocate 16.0 GiB")
