@@ -209,11 +209,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        psi = _parse_psi(args.psi, args.d)
-    except (ValueError, linalg.DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    psi = _parse_psi(args.psi, args.d)
     result = teleport.simulate(args.d, psi, trials=args.trials, seed=args.seed)
     if args.format == "json":
         print(result.to_json())

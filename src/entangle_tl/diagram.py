@@ -15,8 +15,10 @@ downward (flow) direction at its position on the strand, with arc decorations
 normalized onto the branch of the strand's canonical start endpoint (top
 endpoints, left to right, precede bottom endpoints).  Walking a strand from
 its start, a decoration encountered while moving upward contributes its
-transpose; composition keeps this normal form by toggling the transpose
-flavor every time a traversal runs against the flow.  Each arc carries a
+transpose.  compose() keeps this normal form in one walk per new strand or
+loop: each decoration is stored as it is met, transpose-toggled exactly when
+it is walked upward on a strand starting on the top row (or a loop), or
+downward on one starting on the bottom row.  Each arc carries a
 d^(-1/2) normalization held as an exact half-integer power of d in the scalar
 until evaluation.
 """
@@ -286,117 +288,63 @@ def is_planar(diag: DecoratedDiagram) -> bool:
 # composition
 
 
-def _segment_maps(diag: DecoratedDiagram):
-    at = {}
-    for s in diag.strands:
-        at[s.start] = (s, True)   # True: this endpoint is the stored start
-        at[s.end] = (s, False)
-    return at
-
-
-def _traverse(segment: Strand, enter_at_start: bool):
-    """Walk one segment from the given end.
-
-    Yields (decoration, moving_upward) pairs and returns the exit endpoint.
-    Stored decorations sit on the start branch before the arc extremum, and
-    denote downward-flow operators, so the walk direction at each decoration
-    is fixed by the entry endpoint's side.
-    """
-    contributions = []
-    if enter_at_start:
-        entry, exit_ = segment.start, segment.end
-        moving_up = entry.side == BOTTOM
-        for deco in segment.decorations:
-            contributions.append((deco, moving_up))
-    else:
-        entry, exit_ = segment.end, segment.start
-        moving_up = entry.side == BOTTOM
-        if segment.is_arc:
-            moving_up = not moving_up  # extremum crossed before the decorations
-        for deco in reversed(segment.decorations):
-            contributions.append((deco, moving_up))
-    return contributions, exit_
-
-
-def _store(contributions, start_is_bottom: bool):
-    """Normalize walked (decoration, moving_upward) pairs to stored flavors."""
-    out = []
-    for deco, moving_up in contributions:
-        if moving_up != start_is_bottom:
-            deco = deco.toggle_transpose()
-        out.append(deco)
-    return tuple(out)
-
-
 def compose(top_diag: DecoratedDiagram, bottom_diag: DecoratedDiagram) -> DecoratedDiagram:
     """Glue top_diag's bottom row to bottom_diag's top row.
 
-    Interface strands are traced through; cycles closed entirely inside the
-    interface are extracted into loops.  evaluate(compose(a, b)) equals
-    evaluate(b) @ evaluate(a): the diagram placed on top consumes the input
-    first.
+    Each new strand is walked from its canonical start (top_diag's top row,
+    then bottom_diag's bottom row) across the interface to the boundary; the
+    segments no strand walks close into loops.  Decorations are stored as
+    they are walked.  evaluate(compose(a, b)) equals evaluate(b) @
+    evaluate(a): the diagram placed on top consumes the input first.
     """
     if top_diag.bottom != bottom_diag.top:
         raise DimensionError(
             f"cannot glue bottom arity {top_diag.bottom} to top arity {bottom_diag.top}")
-    upper, lower = _segment_maps(top_diag), _segment_maps(bottom_diag)
+    at = ({}, {})   # per layer (0: top_diag, 1: bottom_diag): endpoint -> (segment, is its start)
+    for layer, diag in enumerate((top_diag, bottom_diag)):
+        for s in diag.strands:
+            at[layer][s.start], at[layer][s.end] = (s, True), (s, False)
+    walked = set()
 
-    def hop(which: str, e: Endpoint):
-        # crossing the interface: upper's bottom row meets lower's top row
-        if which == "upper" and e.side == BOTTOM:
-            return "lower", Endpoint(TOP, e.index)
-        if which == "lower" and e.side == TOP:
-            return "upper", Endpoint(BOTTOM, e.index)
-        return None
-
-    visited = set()
-
-    def walk(which: str, entry: Endpoint):
-        """Trace from an entry point; returns (contributions, terminal).
-
-        terminal is the boundary endpoint reached, or None when the trace
-        closes into a cycle back at the entry."""
-        start_key = (which, entry)
-        contributions = []
-        first = True
+    def walk(layer: int, entry: Endpoint, start_is_bottom: bool):
+        """The stored decorations met from entry, and the boundary endpoint
+        reached, or None when the walk comes back to entry (a loop)."""
+        first, decos = (layer, entry), []
         while True:
-            if not first and (which, entry) == start_key:
-                return contributions, None
-            first = False
-            seg, at_start = (upper if which == "upper" else lower)[entry]
-            visited.add((which, seg.start))
-            contrib, exit_ = _traverse(seg, at_start)
-            contributions.extend(contrib)
-            nxt = hop(which, exit_)
-            if nxt is None:
-                return contributions, (which, exit_)
-            which, entry = nxt
+            seg, forward = at[layer][entry]
+            walked.add((layer, seg.start))
+            # moving up at the decorations: from the bottom row, or against
+            # that when an arc is entered at its end (extremum crossed first)
+            up = entry.side == BOTTOM
+            if not forward and seg.is_arc:
+                up = not up
+            flip = up != start_is_bottom
+            for deco in (seg.decorations if forward else reversed(seg.decorations)):
+                decos.append(deco.toggle_transpose() if flip else deco)
+            exit_ = seg.end if forward else seg.start
+            if (exit_.side == TOP) == (layer == 0):
+                return decos, exit_
+            # layer 0's bottom point k is layer 1's top point k
+            layer, entry = 1 - layer, Endpoint(TOP if layer == 0 else BOTTOM, exit_.index)
+            if (layer, entry) == first:
+                return decos, None
 
-    new_strands = []
-    for which, side, count in (("upper", TOP, top_diag.top),
-                               ("lower", BOTTOM, bottom_diag.bottom)):
+    strands = []
+    for layer, side, count in ((0, TOP, top_diag.top), (1, BOTTOM, bottom_diag.bottom)):
         for i in range(count):
             start = Endpoint(side, i)
-            seg, _ = (upper if which == "upper" else lower)[start]
-            if (which, seg.start) in visited:
-                continue
-            contributions, terminal = walk(which, start)
-            decos = _store(contributions, start_is_bottom=(side == BOTTOM))
-            new_strands.append(Strand(start, terminal[1], decos))
+            if (layer, at[layer][start][0].start) not in walked:
+                decos, end = walk(layer, start, side == BOTTOM)
+                strands.append(Strand(start, end, decos))
 
-    new_loops = list(top_diag.loops) + list(bottom_diag.loops)
-    for which, diag in (("upper", top_diag), ("lower", bottom_diag)):
+    loops = list(top_diag.loops) + list(bottom_diag.loops)
+    for layer, diag in enumerate((top_diag, bottom_diag)):
         for seg in diag.strands:
-            if (which, seg.start) in visited:
-                continue
-            # unvisited interface segment: part of a closed cycle; stored
-            # flavors normalize every contribution to the downward direction
-            contributions, terminal = walk(which, seg.start)
-            assert terminal is None
-            new_loops.append(_store(contributions, start_is_bottom=False))
+            if (layer, seg.start) not in walked:
+                loops.append(tuple(walk(layer, seg.start, False)[0]))
 
-    return DecoratedDiagram(top_diag.top, bottom_diag.bottom, tuple(new_strands),
-                            tuple(new_loops), top_diag.scalar * bottom_diag.scalar)
+    return DecoratedDiagram(top_diag.top, bottom_diag.bottom, tuple(strands),
+                            tuple(loops), top_diag.scalar * bottom_diag.scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +377,19 @@ def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> com
     return value
 
 
-def _open_subscripts(diag: DecoratedDiagram, d: int, letter: dict):
-    """The output subscript and shape of the open endpoints (bottom, then
-    top), refused up front when the output would be too large."""
-    open_ = [e for side in (BOTTOM, TOP) for e in letter if e.side == side]
-    if d ** len(open_) > MAX_OUTPUT_ENTRIES:
-        raise DimensionError(f"output of {d}^{len(open_)} entries exceeds {MAX_OUTPUT_ENTRIES}")
-    return "".join(letter[e] for e in open_), (d ** diag.bottom, d ** diag.top)
+def _open_subscripts(diag: DecoratedDiagram, d: int):
+    """One einsum letter per endpoint (top row, then bottom row), the output
+    subscript (bottom, then top) and the output shape, refused up front when
+    the diagram or its output would be too large."""
+    count = diag.top + diag.bottom
+    if count > len(string.ascii_letters):
+        raise ValueError("diagram too large to evaluate")
+    if d ** count > MAX_OUTPUT_ENTRIES:
+        raise DimensionError(f"output of {d}^{count} entries exceeds {MAX_OUTPUT_ENTRIES}")
+    top = [Endpoint(TOP, i) for i in range(diag.top)]
+    bottom = [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
+    letter = dict(zip(top + bottom, string.ascii_letters))
+    return letter, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top)
 
 
 def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
@@ -445,15 +399,7 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndar
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     ops = ops or {}
-    letters = string.ascii_letters
-    if diag.top + diag.bottom > len(letters):
-        raise ValueError("diagram too large to evaluate")
-    letter = {}
-    for i in range(diag.top):
-        letter[Endpoint(TOP, i)] = letters[i]
-    for i in range(diag.bottom):
-        letter[Endpoint(BOTTOM, i)] = letters[diag.top + i]
-    out_sub, shape = _open_subscripts(diag, d, letter)
+    letter, out_sub, shape = _open_subscripts(diag, d)
 
     value = scalar_value(diag, d, ops)
     if not diag.strands:
@@ -480,14 +426,8 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     ops = ops or {}
-    letters = string.ascii_letters
-    pool = iter(letters)
-    letter = {}
-    for i in range(diag.top):
-        letter[Endpoint(TOP, i)] = next(pool)
-    for i in range(diag.bottom):
-        letter[Endpoint(BOTTOM, i)] = next(pool)
-    out_sub, shape = _open_subscripts(diag, d, letter)
+    letter, out_sub, shape = _open_subscripts(diag, d)
+    pool = iter(string.ascii_letters[len(letter):])
 
     def fresh():
         try:

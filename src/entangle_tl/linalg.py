@@ -99,7 +99,9 @@ def max_residual(a, b) -> float:
         raise DimensionError(f"cannot compare {a.shape} with {b.shape}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - b)))
+    diff = a - b
+    # |a - b| written over the difference, so no separate float array
+    return float(np.max(np.abs(diff, out=diff).real))
 
 
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -66,12 +66,12 @@ _KET00, _KET01, _KET10, _KET11 = (linalg.product_ket(2, i, j) for i in (0, 1) fo
 _SIGMA_TERMS = tuple(zip((_KET00, _KET01, _KET10, _KET11), sigma_vec_11()))
 
 
-def _vec_sigma_expansion(prefix: np.ndarray, psi: np.ndarray, coeff: complex = 0.5) -> np.ndarray:
-    """coeff * sum_k |v_k> x (prefix sigma_k psi) over the product kets
+def _vec_sigma_expansion(prefix: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(1/2) sum_k |v_k> x (prefix sigma_k psi) over the product kets
     v = (|00>, |01>, |10>, |11>) and the correction vector (s3, s1, i s2, 1)."""
     out = np.zeros(8, dtype=np.complex128)
     for ket, op in _SIGMA_TERMS:
-        out += coeff * linalg.kron_vec(ket, (prefix @ op) @ psi)
+        out += 0.5 * linalg.kron_vec(ket, (prefix @ op) @ psi)
     return out
 
 

@@ -40,16 +40,10 @@ def v_matrix(i: int, n: int, d: int) -> np.ndarray:
 def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
     """e_gen with the local unitary on the emitted pair and its adjoint on
     the absorbed pair: evaluates to omega_n (x) identities."""
-    base = dg.e_gen(i, n)
-    strands = []
-    for s in base.strands:
-        if s.is_arc and s.start.side == dg.TOP:
-            strands.append(dg.Strand(s.start, s.end, (dg.Decoration(op_label, "dagger"),)))
-        elif s.is_arc:
-            strands.append(dg.Strand(s.start, s.end, (dg.Decoration(op_label, "plain"),)))
-        else:
-            strands.append(s)
-    return dg.DecoratedDiagram(base.top, base.bottom, tuple(strands), base.loops, base.scalar)
+    # canonically sorted, the top arc is strand i - 1 (after the through
+    # strands of points 0..i-2) and the bottom arc is the last, strand n - 1
+    base = dg.decorate(dg.e_gen(i, n), i - 1, 0, dg.Decoration(op_label, "dagger"))
+    return dg.decorate(base, n - 1, 0, dg.Decoration(op_label, "plain"))
 
 
 def _check_dense_relations(report: VerificationReport, w: np.ndarray, x: str, suffix: str,

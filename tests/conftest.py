@@ -27,11 +27,30 @@ def random_operator_table(rng, d):
     return {name: random_complex_matrix(rng, d) for name in OP_LABELS}
 
 
-def random_matching_diagram(rng, top, bottom, max_decos=2):
-    """A random perfect matching on top+bottom points with random decorations."""
+def _noncrossing_order(rng, count):
+    """Positions 0..count-1 on a circle, listed so that consecutive pairs
+    form a random matching with no two chords crossing."""
+    order = []
+
+    def match(lo, hi):
+        while lo < hi:
+            k = lo + 1 + 2 * int(rng.integers(0, (hi - lo) // 2))
+            order.extend((lo, k))
+            match(lo + 1, k)
+            lo = k + 1
+
+    match(0, count)
+    return order
+
+
+def random_matching_diagram(rng, top, bottom, max_decos=2, planar=False):
+    """A random perfect matching on top+bottom points with random decorations;
+    planar=True draws a non-crossing (Temperley-Lieb) matching."""
     points = [dg.Endpoint(dg.TOP, i) for i in range(top)]
-    points += [dg.Endpoint(dg.BOTTOM, i) for i in range(bottom)]
-    order = rng.permutation(len(points))
+    bottom_row = [dg.Endpoint(dg.BOTTOM, i) for i in range(bottom)]
+    # is_planar's circle runs along the bottom row from right to left
+    points += bottom_row[::-1] if planar else bottom_row
+    order = _noncrossing_order(rng, len(points)) if planar else rng.permutation(len(points))
     strands = []
     arcs = 0
     for k in range(0, len(points), 2):

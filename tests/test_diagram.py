@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle_tl import diagram as dg
 from entangle_tl import linalg
@@ -201,7 +203,8 @@ def test_adjoint_diagram(rng):
     assert dg.adjoint_diagram(dg.e_gen(1, 3)) == dg.e_gen(1, 3)
 
 
-def test_functoriality_random_pairs(rng):
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+def test_functoriality_random_pairs(rng, evaluator):
     # evaluate(compose(a, b)) = evaluate(b) @ evaluate(a)
     for d in (2, 3):
         ops = random_operator_table(rng, d)
@@ -215,8 +218,8 @@ def test_functoriality_random_pairs(rng):
                 bottom += 1
             a = random_matching_diagram(rng, top, mid)
             b = random_matching_diagram(rng, mid, bottom)
-            lhs = dg.evaluate(dg.compose(a, b), d, ops)
-            rhs = dg.evaluate(b, d, ops) @ dg.evaluate(a, d, ops)
+            lhs = evaluator(dg.compose(a, b), d, ops)
+            rhs = evaluator(b, d, ops) @ evaluator(a, d, ops)
             assert max_residual(lhs, rhs) < 1e-10
 
 
@@ -241,6 +244,76 @@ def test_output_size_guard(evaluator):
     # 4^26 output entries: refused before anything is allocated
     with pytest.raises(linalg.DimensionError, match="exceeds"):
         evaluator(dg.identity_diagram(13), 4)
+
+
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+def test_endpoint_letter_limit(evaluator):
+    # 54 endpoints need more than the 52 einsum letters; at d=1 the output
+    # is one entry, so only the lettering can refuse
+    with pytest.raises(ValueError, match="diagram too large"):
+        evaluator(dg.identity_diagram(27), 1)
+    assert evaluator(dg.identity_diagram(26), 1).shape == (1, 1)
+
+
+# --- diagram laws (Abramsky & Coecke, quant-ph/0402130) --------------------
+
+ROW = st.integers(0, 3)
+SEED = st.integers(0, 2 ** 32 - 1)
+
+
+def _even(*rows):
+    """Row sizes with each adjacent pair raised to an even total, so every
+    diagram between consecutive rows exists."""
+    rows = list(rows)
+    for k in range(1, len(rows)):
+        rows[k] += (rows[k - 1] + rows[k]) % 2
+    return rows
+
+
+def _close(x, y, tol=1e-10):
+    return max_residual(x, y) <= tol * max(1.0, float(np.max(np.abs(y), initial=0.0)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=SEED, left=st.tuples(ROW, ROW, ROW), right=st.tuples(ROW, ROW, ROW))
+def test_interchange_law(seed, left, right):
+    # (a (x) b) ; (c (x) e) = (a ; c) (x) (b ; e)
+    rng = np.random.default_rng(seed)
+    (p, q, r), (s, t, u) = _even(*left), _even(*right)
+    a, c = random_matching_diagram(rng, p, q), random_matching_diagram(rng, q, r)
+    b, e = random_matching_diagram(rng, s, t), random_matching_diagram(rng, t, u)
+    ops = random_operator_table(rng, 2)
+    lhs = dg.compose(dg.tensor(a, b), dg.tensor(c, e))
+    rhs = dg.tensor(dg.compose(a, c), dg.compose(b, e))
+    assert _close(dg.brute_force_evaluate(lhs, 2, ops), dg.brute_force_evaluate(rhs, 2, ops))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=SEED, rows=st.tuples(ROW, ROW, ROW))
+def test_composition_preserves_planarity(seed, rows):
+    rng = np.random.default_rng(seed)
+    top, mid, bottom = _even(*rows)
+    a = random_matching_diagram(rng, top, mid, planar=True)
+    c = random_matching_diagram(rng, mid, bottom, planar=True)
+    assert dg.is_planar(a) and dg.is_planar(c)
+    ac = dg.compose(a, c)
+    assert dg.is_planar(ac)
+    ops = random_operator_table(rng, 2)
+    assert _close(dg.brute_force_evaluate(ac, 2, ops),
+                  dg.brute_force_evaluate(c, 2, ops) @ dg.brute_force_evaluate(a, 2, ops))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=SEED, rows=st.tuples(ROW, ROW, ROW))
+def test_adjoint_reverses_composition(seed, rows):
+    # (a ; c)^dag = c^dag ; a^dag
+    rng = np.random.default_rng(seed)
+    top, mid, bottom = _even(*rows)
+    a, c = random_matching_diagram(rng, top, mid), random_matching_diagram(rng, mid, bottom)
+    ops = random_operator_table(rng, 2)
+    lhs = dg.adjoint_diagram(dg.compose(a, c))
+    rhs = dg.compose(dg.adjoint_diagram(c), dg.adjoint_diagram(a))
+    assert _close(dg.brute_force_evaluate(lhs, 2, ops), dg.brute_force_evaluate(rhs, 2, ops))
 
 
 def test_double_composition_associates(rng):

@@ -41,6 +41,13 @@ def test_transpose_of_bell_matrix_is_its_inverse():
     assert max_residual(b @ b.T, identity(4)) < 1e-12
 
 
+def test_max_residual_leaves_its_operands(rng):
+    a, b = random_complex_matrix(rng, 3), random_complex_matrix(rng, 3)
+    a0, b0 = a.copy(), b.copy()
+    assert max_residual(a, b) == np.max(np.abs(a0 - b0))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
 def test_approx_eq_and_max_residual():
     assert approx_eq(identity(2), identity(2), 1e-12)
     b = bell_matrix()
