@@ -220,16 +220,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_flow(args) -> int:
+def _read_json(path: str):
+    """The JSON document in the file at path, or a ValueError naming the path."""
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: {args.spec}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def cmd_flow(args) -> int:
+    data = _read_json(args.spec)
     try:
         if not isinstance(data, dict):
             raise ValueError("the spec must be a JSON object")
@@ -244,9 +249,8 @@ def cmd_flow(args) -> int:
                if "phi" in data else linalg.basis_ket(d, 0))
         out = tlalgebra.flow_apply(ops, phi, d)
         expected = tlalgebra.flow_closed_form(ops, phi, d)
-    except (KeyError, ValueError, linalg.DimensionError) as exc:
-        print(f"error: {args.spec}: {exc}", file=sys.stderr)
-        return 2
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
     residual = linalg.max_residual(out, expected)
     if args.format == "json":
         print(json.dumps({
@@ -264,23 +268,12 @@ def cmd_flow(args) -> int:
 
 
 def cmd_render(args) -> int:
+    data = _read_json(args.diagram)
     try:
-        with open(args.diagram, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        diag = diagram.loads(text)
-    except OSError as exc:
-        print(f"error: cannot read {args.diagram}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.diagram}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
+        diag = diagram.from_dict(data)
     except ValueError as exc:
-        print(f"error: {args.diagram}: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(diagram.dumps(diag))
-    else:
-        print(render.render(diag))
+        raise ValueError(f"{args.diagram}: {exc}") from None
+    print(diagram.dumps(diag) if args.format == "json" else render.render(diag))
     return 0
 
 
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, linalg.DimensionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

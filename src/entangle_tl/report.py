@@ -34,8 +34,8 @@ class VerificationReport:
     details: list[str] = field(default_factory=list)
 
     def add(self, identity_name: str, max_residual: float, tol: float) -> CheckResult:
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tol < float("inf"):  # nan would fail every check and inf pass every one
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         return self._insert(CheckResult(identity_name, float(max_residual), float(max_residual) <= tol))
 
     def add_bool(self, identity_name: str, ok: bool) -> CheckResult:

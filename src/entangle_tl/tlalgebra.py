@@ -1,12 +1,11 @@
 """Temperley-Lieb / Brauer axiom checks and the eight-projector
 quantum-information-flow evaluation.
 
-The TL idempotents are realized both as decorated diagrams and as dense
-matrices E_i = 1 x ... x omega x ... x 1 built from the maximally entangled
-projector; virtual crossings are swaps on strand pairs.  Every dense
-relation is compared by braid.relation_residual on the minimal strand count
-that exercises it (at most 4), so n only adds relations, never larger
-matrices.  The loop parameter is the local dimension d.
+The TL idempotents are decorated diagrams and dense matrices E_i = 1 x ...
+x omega x ... x 1 built from the maximally entangled projector; virtual
+crossings are swaps on strand pairs.  Both calculi check one list of TL
+relations, each on the <= 4 strands braid.local_strands gives it, so n only
+adds relations, never larger matrices or diagrams.  The loop parameter is d.
 """
 
 from __future__ import annotations
@@ -17,13 +16,13 @@ import numpy as np
 
 from . import diagram as dg
 from . import linalg
-from .braid import embed, relation_residual, swap
+from .braid import embed, local_strands, relation_residual, swap
 from .linalg import DEFAULT_TOL, FLOW_TOL, DimensionError, identity
 from .maxent import WeylBasis, clock, omega_projector, weyl_basis
 from .report import VerificationReport
 
-# Largest n of the TL and Brauer checks: each relation stays on <= 4 strands,
-# but there are O(n^2) of them and each diagram composition walks all n.
+# Largest n of the TL and Brauer checks: each relation stays on <= 4 strands
+# in both calculi, but there are O(n^2) of them.
 MAX_STRANDS = 64
 
 
@@ -46,45 +45,53 @@ def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
     return dg.decorate(base, n - 1, 0, dg.Decoration(op_label, "plain"))
 
 
-def _check_dense_relations(report: VerificationReport, w: np.ndarray, x: str, suffix: str,
-                           n: int, d: int, tol: float) -> None:
-    """With X_i the projector w on strands (i, i+1) of n, named x_i in the
-    report: X_i^2 = X_i, X_i hermitian, X_i X_j X_i = d^-2 X_i for adjacent j
-    and X_i X_j = X_j X_i for far j, each compared on the strands it touches."""
+def _tl_relations(n: int, d: int):
+    """Each TL relation on n strands once as (name, lhs, rhs, scale) for
+    lhs = scale rhs: words list generator positions as written (the rightmost
+    acts first), and the name's {x} is the generator's letter."""
     for i in range(1, n):
-        report.add(f"{x}_{i}^2 = {x}_{i}{suffix}", relation_residual([(w, i), (w, i)], [(w, i)]), tol)
-        report.add(f"{x}_{i} hermitian{suffix}", linalg.max_residual(w, w.conj().T), tol)
+        yield f"{{x}}_{i}^2 = {{x}}_{i}", [i, i], [i], 1
         for j in (i - 1, i + 1):
             if 1 <= j <= n - 1:
-                report.add(f"{x}_{i}{x}_{j}{x}_{i} = d^-2 {x}_{i}{suffix}", relation_residual(
-                    [(w, i), (w, j), (w, i)], [(w, i)], 1 / d ** 2), tol)
+                yield f"{{x}}_{i}{{x}}_{j}{{x}}_{i} = d^-2 {{x}}_{i}", [i, j, i], [i], 1 / d ** 2
         for j in range(i + 2, n):
-            report.add(f"{x}_{i}{x}_{j} = {x}_{j}{x}_{i}{suffix}",
-                       relation_residual([(w, i), (w, j)], [(w, j), (w, i)]), tol)
+            yield f"{{x}}_{i}{{x}}_{j} = {{x}}_{j}{{x}}_{i}", [i, j], [j, i], 1
+
+
+def _check_dense_relations(report: VerificationReport, w: np.ndarray, x: str, suffix: str,
+                           n: int, d: int, tol: float) -> None:
+    """X_i hermitian and each relation of _tl_relations on the strands it
+    touches, for X_i the projector w on strands (i, i+1), named x_i."""
+    for i in range(1, n):
+        report.add(f"{x}_{i} hermitian{suffix}", linalg.max_residual(w, w.conj().T), tol)
+    for name, lhs, rhs, scale in _tl_relations(n, d):
+        report.add(name.format(x=x) + suffix, relation_residual(
+            [(w, i) for i in lhs], [(w, i) for i in rhs], scale), tol)
 
 
 def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """E_i^2 = E_i, E_i^dag = E_i, E_i E_{i+-1} E_i = d^-2 E_i and far
-    commutativity, checked diagrammatically (structure plus exact scalar
-    bookkeeping) and on dense matrices."""
+    commutativity, on dense matrices and as diagrams (structure plus exact
+    scalar bookkeeping), each relation on the strands it touches."""
     if not 3 <= n <= MAX_STRANDS:
         raise ValueError(f"adjacent TL relations need 3 <= n <= {MAX_STRANDS}, got {n}")
     report = VerificationReport(f"tl-axioms n={n} d={d}")
     _check_dense_relations(report, omega_projector(d), "E", " (dense)", n, d, tol)
-    gens = {i: dg.e_gen(i, n) for i in range(1, n)}
-    for i, di in gens.items():
-        ratio = dg.structural_ratio(dg.compose(di, di), di, d)
-        report.add_bool(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)",
-                        ratio is not None and abs(ratio - 1.0) <= tol)
-        report.add_bool(f"E_{i} self-adjoint (diagram)", dg.adjoint_diagram(di) == di)
-        for j in (i - 1, i + 1):
-            if j in gens:
-                ratio = dg.structural_ratio(dg.compose(dg.compose(di, gens[j]), di), di, d)
-                report.add_bool(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)",
-                                ratio is not None and abs(ratio - 1.0 / d ** 2) <= tol)
-        for j in range(i + 2, n):
-            dj = gens[j]
-            report.add_bool(f"E_{i}E_{j} = E_{j}E_{i} (diagram)", dg.compose(di, dj) == dg.compose(dj, di))
+    for i in range(1, n):
+        gen = dg.e_gen(i, n)
+        report.add_bool(f"E_{i} self-adjoint (diagram)", dg.adjoint_diagram(gen) == gen)
+    for name, lhs, rhs, scale in _tl_relations(n, d):
+        where, m = local_strands(lhs + rhs)
+        # the rightmost generator acts first, so it goes on top
+        left, right = (functools.reduce(dg.compose, [dg.e_gen(where[i], m) for i in reversed(word)])
+                       for word in (lhs, rhs))
+        if len(rhs) == 2:  # far commutativity: both sides are one diagram
+            report.add_bool(name.format(x="E") + " (diagram)", left == right)
+            continue
+        ratio = dg.structural_ratio(left, right, d)
+        why = "loop cancels cup/cap powers" if len(lhs) == 2 else "half-power drop -4"
+        report.add_bool(name.format(x="E") + f" (diagram: {why})",
+                        ratio is not None and abs(ratio - scale) <= tol)
     return report
 
 

@@ -8,7 +8,7 @@ from entangle_tl import diagram as dg
 from entangle_tl.braid import (apply_on_strands, braid_teleport_config, check_braid_closed_form,
                                check_braid_relation, check_teleport_swapping,
                                check_virtual_mixed, check_virtual_relations, embed,
-                               relation_residual, strand_product, swap, teleport_swap,
+                               local_strands, relation_residual, strand_product, swap, teleport_swap,
                                teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
 from entangle_tl.maxent import omega_projector, shift
@@ -272,6 +272,14 @@ def test_relation_residual_equals_n_strand_residual(rng, d, lhs, rhs):
     want = max_residual(strand_product(lhs, n), scale * strand_product(rhs, n))
     assert abs(relation_residual(lhs, rhs, scale) - want) <= 1e-12 * want
     assert relation_residual(lhs, lhs) == 0
+
+
+def test_local_strands():
+    # overlapping pairs stay adjacent, disjoint ones sit side by side
+    assert local_strands([7, 7, 7]) == ({7: 1}, 2)
+    assert local_strands([5, 4, 5, 4]) == ({4: 1, 5: 2}, 3)
+    assert local_strands([40, 1, 1, 40]) == ({1: 1, 40: 3}, 4)
+    assert local_strands([3, 5]) == ({3: 1, 5: 3}, 4)
 
 
 def test_relation_residual_stays_on_four_strands(monkeypatch):

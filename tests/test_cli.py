@@ -345,6 +345,22 @@ def test_render_non_integer_count_exits_2(tmp_path, capsys, key, value):
     assert captured.err.startswith(f"error: {f}: {key} must be an integer") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, flag", [("flow", "--spec"), ("render", "--diagram")])
+@pytest.mark.parametrize("content, message", [
+    (None, "error: cannot read {}: "),
+    (b"{not json\n", "error: {}:1:2: Expecting property name"),
+    (b'{"d": "\xe9"}', "error: {}: 'utf-8' codec can't decode byte 0xe9"),
+])
+def test_unreadable_file_exits_2(tmp_path, capsys, command, flag, content, message):
+    f = tmp_path / "input.json"
+    if content is not None:
+        f.write_bytes(content)
+    assert main([command, flag, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(f)) and captured.err.count("\n") == 1
+
+
 def test_render_shows_decorations(capsys):
     diag = dg.decorate(dg.e_gen(1, 2), 0, 0, dg.Decoration("U2", "dagger"))
     art = render(diag)

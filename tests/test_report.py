@@ -34,6 +34,11 @@ def test_tolerance_must_be_positive():
         r.add("a", 0.0, 0.0)
     with pytest.raises(ValueError):
         r.add("a", 0.0, -1e-9)
+    # nan would fail a zero residual and inf pass any residual
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            r.add("a", 0.0, tol)
+    assert r.checks == []
 
 
 def test_to_dict_validates():

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from entangle_tl import diagram as dg
 from entangle_tl import linalg, tlalgebra
-from entangle_tl.braid import swap
+from entangle_tl.braid import local_strands, swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega_projector, phi_of, weyl_basis
 from entangle_tl.tlalgebra import (FLOW_LABELS, check_brauer_mixed, check_flow, check_tl_axioms,
@@ -142,6 +144,69 @@ def test_brauer_mixed_residuals_equal_dense_formula(d):
                                  max_residual(e[i] @ v[j] @ v[i], target)))
         got = [(c.identity_name, c.max_residual) for c in check_brauer_mixed(n, d).checks]
         assert got == ordered_by_name(want), n
+
+
+def tl_word(word, n):
+    """A word of TL generator positions as one n-strand diagram; its
+    rightmost generator acts first, so it goes on top."""
+    return functools.reduce(dg.compose, [dg.e_gen(i, n) for i in reversed(word)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tl_diagram_relations_on_touched_strands_equal_n_strands(d):
+    # interchange law: compose(A x 1, B x 1) = compose(A, B) x 1, so each
+    # relation's ratio (or equality) on its <= 4 strands is the n-strand one
+    for n in range(3, 9):
+        want = []
+        for name, lhs, rhs, scale in tlalgebra._tl_relations(n, d):
+            full = tl_word(lhs, n), tl_word(rhs, n)
+            where, m = local_strands(lhs + rhs)
+            local = tl_word([where[i] for i in lhs], m), tl_word([where[i] for i in rhs], m)
+            assert m <= 4 and local[0].top == m
+            assert dg.structural_ratio(*local, d) == dg.structural_ratio(*full, d), (n, name)
+            assert (local[0] == local[1]) == (full[0] == full[1]), (n, name)
+            assert abs(dg.structural_ratio(*full, d) - scale) < 1e-12, (n, name)
+        # the diagram checks keep the names the n-strand loops gave them
+        for i in range(1, n):
+            want.append(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)")
+            want.append(f"E_{i} self-adjoint (diagram)")
+            want.extend(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)"
+                        for j in (i - 1, i + 1) if 1 <= j <= n - 1)
+            want.extend(f"E_{i}E_{j} = E_{j}E_{i} (diagram)" for j in range(i + 2, n))
+        got = [c.identity_name for c in check_tl_axioms(n, d).checks if "(diagram" in c.identity_name]
+        assert got == sorted(want), n
+
+
+def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
+    widths = []
+    compose = dg.compose
+
+    def recording(top_diag, bottom_diag):
+        widths.append(max(top_diag.top, top_diag.bottom, bottom_diag.bottom))
+        return compose(top_diag, bottom_diag)
+
+    monkeypatch.setattr(dg, "compose", recording)
+    assert check_tl_axioms(64, 2).overall_pass
+    # one composition per square and far pair, two per adjacent triple
+    assert len(widths) == 63 + 2 * 2 * 62 + 62 * 61 // 2 * 2
+    assert max(widths) == 4
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_wrong_generator_scalar_fails_every_diagram_ratio_check(monkeypatch, d):
+    e_gen = dg.e_gen
+
+    def half_normalized(i, n):  # d^(-1/2) per generator instead of d^-1
+        gen = e_gen(i, n)
+        return dg.DecoratedDiagram(gen.top, gen.bottom, gen.strands, gen.loops, dg.ScalarFactor(1.0, -1))
+
+    monkeypatch.setattr(dg, "e_gen", half_normalized)
+    checks = check_tl_axioms(5, d).checks
+    ratio_checks = [c for c in checks if "(diagram: " in c.identity_name]
+    assert len(ratio_checks) == 4 + 2 * 3  # every square and adjacent relation
+    assert not any(c.passed for c in ratio_checks)
+    # the dense checks, self-adjointness and far commutativity cannot see it
+    assert all(c.passed for c in checks if c not in ratio_checks)
 
 
 def test_teleportation_configuration_via_swaps():
