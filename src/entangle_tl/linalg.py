@@ -76,14 +76,6 @@ def norm(v) -> float:
     return float(np.linalg.norm(as_vector(v)))
 
 
-def normalize(v) -> np.ndarray:
-    v = as_vector(v)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
-
-
 def inner(u, v) -> complex:
     """<u|v>."""
     u, v = as_vector(u), as_vector(v)

@@ -5,7 +5,9 @@ The unitary basis is the clock-and-shift family U = X^a Z^b with
 X|j> = |j+1 mod d> and Z|j> = exp(2 pi i j / d)|j>, ordered so (a, b) = (0, 0)
 comes first.  It is trace-orthogonal, tr(U_n^dag U_m) = d delta_nm, for every
 d; any other basis with that property works too and can be passed anywhere a
-WeylBasis is accepted.
+WeylBasis is accepted.  A WeylBasis holds its unitaries as one read-only
+(d^2, d, d) array, and the kets |Omega_n> are the rows of one d^2 x d^2 array
+(omega_kets), so every identity over the basis is one batched contraction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import diagram, linalg
 from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
 
@@ -52,29 +54,31 @@ def shift(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeylBasis:
-    """d^2 unitaries with U_1 = 1 and tr(U_n^dag U_m) = d delta_nm."""
+    """d^2 unitaries with U_1 = 1 and tr(U_n^dag U_m) = d delta_nm, held as
+    one read-only (d^2, d, d) array whose entry n - 1 is U_n."""
 
     d: int
-    unitaries: tuple
+    unitaries: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(linalg.as_matrix(u) for u in self.unitaries)
         d = self.d
         if d < 1:
             raise DimensionError("dimension must be >= 1")
-        if len(mats) != d * d:
-            raise ValueError(f"need {d * d} unitaries, got {len(mats)}")
-        for n, u in enumerate(mats, start=1):
-            if u.shape != (d, d):
-                raise DimensionError(f"U_{n} must be {d}x{d}")
-            if not linalg.is_unitary(u, 1e-9):
-                raise ValueError(f"U_{n} is not unitary")
+        mats = np.array(self.unitaries, dtype=np.complex128)  # a copy, so the caller's stays writable
+        if mats.shape != (d * d, d, d):
+            raise DimensionError(f"need {d * d} unitaries of shape {d}x{d}, got an array of shape {mats.shape}")
+        # max |U_n U_n^dag - 1| for all n at once; nan counts as not unitary
+        off = np.abs(mats @ mats.conj().transpose(0, 2, 1) - identity(d)).max(axis=(1, 2))
+        bad = np.flatnonzero(~(off <= 1e-9))
+        if bad.size:
+            raise ValueError(f"U_{bad[0] + 1} is not unitary")
         if linalg.max_residual(mats[0], identity(d)) > 1e-12:
             raise ValueError("U_1 must be the identity")
-        flat = np.array(mats).reshape(d * d, d * d)
+        flat = mats.reshape(d * d, d * d)
         gram = flat.conj() @ flat.T  # tr(U_n^dag U_m) for all n, m
         if linalg.max_residual(gram, d * np.eye(d * d)) > 1e-9:
             raise ValueError("basis is not trace-orthogonal")
+        mats.setflags(write=False)
         object.__setattr__(self, "unitaries", mats)
 
     def unitary(self, n: int) -> np.ndarray:
@@ -84,7 +88,10 @@ class WeylBasis:
 
 
 def weyl_basis(d: int) -> WeylBasis:
-    """Clock-and-shift basis {X^a Z^b : 0 <= a, b < d}, (0,0) first."""
+    """Clock-and-shift basis {X^a Z^b : 0 <= a, b < d}, (0,0) first; its d^4
+    entries obey the output limit."""
+    if d ** 4 > diagram.MAX_OUTPUT_ENTRIES:
+        raise ValueError(f"Weyl basis of {d}^4 entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
     x, z = shift(d), clock(d)
     mats = []
     xa = identity(d)
@@ -94,7 +101,7 @@ def weyl_basis(d: int) -> WeylBasis:
             mats.append(xa @ zb)
             zb = zb @ z
         xa = xa @ x
-    return WeylBasis(d, tuple(mats))
+    return WeylBasis(d, mats)
 
 
 def pauli_weyl_basis() -> WeylBasis:
@@ -177,17 +184,24 @@ def transfer_composition(u, v, d: int, tol: float = DEFAULT_TOL) -> Verification
     return report
 
 
+def omega_kets(d: int, basis: WeylBasis | None = None) -> np.ndarray:
+    """Every |Omega_n> = (U_n x 1)|Omega> at once: row n - 1 of the d^2 x d^2
+    array K is vec(U_n)/sqrt(d), as phi_of gives it."""
+    basis = basis if basis is not None else weyl_basis(d)
+    if basis.d != d:
+        raise DimensionError("basis dimension mismatch")
+    return basis.unitaries.reshape(d * d, d * d) / math.sqrt(d)
+
+
 def completeness_check(d: int, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """<Omega_n|Omega_m> = delta_nm and sum_n |Omega_n><Omega_n| = identity.
+    """<Omega_n|Omega_m> = delta_nm and sum_n |Omega_n><Omega_n| = identity
+    as K K^dag and K^T K^*, with the ket |Omega_n> as row n of K.
 
     The completeness sum lives on the d^2-dimensional bipartite space (the
     only dimensionally consistent reading of the orthogonality relation).
     """
-    basis = basis if basis is not None else weyl_basis(d)
+    kets = omega_kets(d, basis)
     report = VerificationReport("maxent-completeness")
-    kets = [omega_n(d, n, basis) for n in range(1, d * d + 1)]
-    gram = np.array([[linalg.inner(a, b) for b in kets] for a in kets])
-    report.add("<Omega_n|Omega_m> = delta_nm", linalg.max_residual(gram, np.eye(d * d)), tol)
-    total = sum(np.outer(k, k.conj()) for k in kets)
-    report.add("sum_n omega_n = 1", linalg.max_residual(total, identity(d * d)), tol)
+    report.add("<Omega_n|Omega_m> = delta_nm", linalg.max_residual(kets @ kets.conj().T, np.eye(d * d)), tol)
+    report.add("sum_n omega_n = 1", linalg.max_residual(kets.T @ kets.conj(), identity(d * d)), tol)
     return report

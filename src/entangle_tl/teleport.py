@@ -6,11 +6,13 @@ measurement formulation at general dimension, the qudit resolution summing
 those measurement branches, a Monte Carlo protocol simulation, and the
 characteristic trace equations of the tight schemes.
 
-measurement_form is the one place a measurement branch is computed: it
-returns Bob's branch (<Omega_n| x 1)(|psi> x |Omega>) after checking the
-measurement equation, and the branch weights and the simulator reuse it.
-The rank-one projectors omega and omega_n are contracted as kets; no
-d^3 x d^3 projector is formed.
+measurement_form is the one place the measurement branches are computed: one
+contraction returns Bob's branches (<Omega_n| x 1)(|psi> x |Omega>) for all
+d^2 outcomes as the rows of one array, after checking the measurement
+equation, and the branch weights and the simulator reuse that array.  The
+rank-one projectors omega and omega_n are contracted as kets, and every sum
+over n (the qudit resolution, the tight-scheme terms, the dense-coding
+table) is one product or einsum over the stacked basis.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from . import linalg
 from .braid import braid_teleport_config, teleport_swap
 from .linalg import DEFAULT_TOL, DimensionError, identity, kron
-from .maxent import WeylBasis, omega, omega_n, omega_projector, weyl_basis
+from .maxent import WeylBasis, omega, omega_kets, weyl_basis
+from .maxent import omega_n  # noqa: F401  unused here; perfbench's test_tracer_rebinds_aliases_and_defaults wraps it
 from .qubit import BellKind, bell_matrix, bell_state, pauli, permutation_qubit, sigma_vec_11
 from .report import VerificationReport
 
@@ -154,49 +157,46 @@ def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0
     return _worst_over_kets("teleport-virtual-form", residuals, samples, seed, tol)
 
 
-def measurement_form(d: int, n: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Bob's unnormalized branch (<Omega_n| x 1)(|psi> x |Omega>) for outcome
-    n, after checking (|Omega_n><Omega_n| x 1)(|psi> x |Omega>) =
-    (1/d)|Omega_n> x U_n^dag|psi>; the projector is rank one on CA, so its
-    image is |Omega_n> x branch."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row pair to the bit: a stacked (1 x k) @ (k x 1) runs numpy's dot loop."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def measurement_form(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Bob's unnormalized branches (<Omega_n| x 1)(|psi> x |Omega>), row n - 1
+    for outcome n, after checking (|Omega_n><Omega_n| x 1)(|psi> x |Omega>) =
+    (1/d)|Omega_n> x U_n^dag|psi> for every n.  The projector is rank one on CA,
+    so the residual is max|Omega_n| max|branch_n - U_n^dag psi / d|."""
     basis = basis if basis is not None else weyl_basis(d)
     psi = _require_unit(psi)
     if psi.shape != (d,):
         raise DimensionError(f"psi must have dimension {d}")
-    ket_n = omega_n(d, n, basis)
-    state = np.outer(psi, omega(d)).reshape(d, d, d)  # |psi>_C x |Omega>_AB
-    branch = np.einsum("ca,cab->b", ket_n.conj().reshape(d, d), state)
-    # both sides as d^2 x d arrays, row CA and column B
-    expected = np.outer(ket_n, basis.unitary(n).conj().T @ psi) / d
-    residual = linalg.max_residual(np.outer(ket_n, branch), expected)
+    kets = omega_kets(d, basis)
+    state = np.outer(psi, omega(d)).reshape(d * d, d)  # |psi>_C x |Omega>_AB, row CA and column B
+    branches = np.einsum("nk,kb->nb", kets.conj(), state)  # numpy's loop, not BLAS: keeps simulate's bits
+    expected = psi @ basis.unitaries.conj() / d  # row n - 1 is U_n^dag psi / d
+    residual = float(np.max(np.abs(kets).max(axis=1) * np.abs(branches - expected).max(axis=1)))
     if residual > tol:
         raise ValueError(f"measurement identity violated: residual {residual:.3e}")
-    return branch
+    return branches
 
 
 def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Every measurement outcome n has branch weight 1/d^2."""
-    basis = basis if basis is not None else weyl_basis(d)
     report = VerificationReport("measurement-form")
-    worst = 0.0
-    for n in range(1, d * d + 1):
-        weight = float(np.linalg.norm(measurement_form(d, n, psi, basis, tol)) ** 2)
-        worst = max(worst, abs(weight - 1 / d ** 2))
-    report.add("branch weight 1/d^2 for every outcome", worst, tol)
+    weights = np.linalg.norm(measurement_form(d, psi, basis, tol), axis=1) ** 2
+    report.add("branch weight 1/d^2 for every outcome", float(np.max(np.abs(weights - 1 / d ** 2))), tol)
     return report
 
 
 def qudit_resolution_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """|psi> x |Omega> = (1/d) sum_n |Omega_n> x U_n^dag |psi>."""
+    """|psi> x |Omega> = (1/d) sum_n |Omega_n> x U_n^dag |psi>: K^T times the rows U_n^dag psi / d."""
     basis = basis if basis is not None else weyl_basis(d)
     psi = _require_unit(psi)
     report = VerificationReport("qudit-resolution")
     lhs = linalg.kron_vec(psi, omega(d))
-    rhs = np.zeros(d ** 3, dtype=np.complex128)
-    for n in range(1, d * d + 1):
-        u = basis.unitary(n)
-        rhs += linalg.kron_vec(omega_n(d, n, basis), u.conj().T @ psi) / d
-    report.add("psi x Omega = sum of measurement branches / d", linalg.max_residual(lhs, rhs), tol)
+    rhs = omega_kets(d, basis).T @ (psi @ basis.unitaries.conj() / d)  # row CA, column B
+    report.add("psi x Omega = sum of measurement branches / d", linalg.max_residual(lhs, rhs.reshape(-1)), tol)
     return report
 
 
@@ -224,25 +224,27 @@ class SimulationResult:
 def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, seed: int = 0) -> SimulationResult:
     """Sample measurement outcomes, apply Bob's correction, record fidelity.
 
-    Each outcome's branch comes from measurement_form and its probability
-    is the branch weight (1/d^2 each).  The corrected state depends only on
-    the outcome, so it and its fidelity are formed once per outcome that
-    occurred; every corrected state reproduces psi, so min_fidelity stays at
-    1 up to roundoff.
+    The branches come from one measurement_form call and each outcome's
+    probability is its branch weight (1/d^2 each).  The corrected state
+    depends only on the outcome, so it and its fidelity are formed once per
+    outcome that occurred; every corrected state reproduces psi, so
+    min_fidelity stays at 1 up to roundoff.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis = basis if basis is not None else weyl_basis(d)
     psi = _require_unit(psi)
-    branches = [measurement_form(d, n, psi, basis) for n in range(1, d * d + 1)]
-    probs = np.array([float(np.linalg.norm(branch) ** 2) for branch in branches])
-    probs = probs / probs.sum()
+    branches = measurement_form(d, psi, basis)
+    # np.linalg.norm of each row to the bit: it too sums two real dot products
+    norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
+    probs = norms ** 2 / np.sum(norms ** 2)
     rng = np.random.default_rng(seed)
     counts = np.bincount(rng.choice(d * d, size=trials, p=probs), minlength=d * d)
-    fidelities = [abs(linalg.inner(psi, basis.unitary(idx + 1) @ linalg.normalize(branches[idx]))) ** 2
-                  for idx in np.flatnonzero(counts)]
+    seen = np.flatnonzero(counts)
+    corrected = np.matmul(basis.unitaries[seen], (branches[seen] / norms[seen, None])[..., None])[..., 0]
+    fidelities = np.abs(_row_dots(corrected, psi.conj())) ** 2  # |<psi|U_n branch_n / |branch_n|>|^2
     return SimulationResult(d=d, seed=seed, trials=trials, histogram=counts.tolist(),
-                            min_fidelity=float(min([1.0, *fidelities])))
+                            min_fidelity=float(min(1.0, fidelities.min())))
 
 
 def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -259,19 +261,13 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     report = VerificationReport("tight-teleportation")
     target = np.trace(rho @ obs)
     w = omega(d).reshape(d, d)
-    total = 0.0 + 0.0j
-    worst_term = 0.0
-    for n in range(1, d * d + 1):
-        u = basis.unitary(n)
-        k_n = omega_n(d, n, basis).reshape(d, d)
-        # tr((rho x omega)(omega_n x T_n(O))) with both projectors rank one:
-        # rho on C, omega on AB, omega_n on CA, T_n(O) on B
-        term = np.einsum("cC,ab,AB,CA,ca,Bb->", rho, w, w.conj(), k_n, k_n.conj(),
-                         u.conj().T @ obs @ u, optimize=True)
-        total += term
-        worst_term = max(worst_term, abs(term - target / d ** 2))
-    report.add("per-term value tr(rho O)/d^2", worst_term, tol)
-    report.add("total sum = tr(rho O)", abs(total - target), tol)
+    k = omega_kets(d, basis).reshape(d * d, d, d)
+    t_n = basis.unitaries.conj().transpose(0, 2, 1) @ obs @ basis.unitaries  # T_n(O)
+    # all d^2 terms tr((rho x omega)(omega_n x T_n(O))) with both projectors
+    # rank one: rho on C, omega on AB, omega_n on CA, T_n(O) on B
+    terms = np.einsum("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n, optimize=True)
+    report.add("per-term value tr(rho O)/d^2", float(np.max(np.abs(terms - target / d ** 2))), tol)
+    report.add("total sum = tr(rho O)", abs(terms.sum() - target), tol)
     return report
 
 
@@ -279,16 +275,13 @@ def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
     """The d^2 x d^2 table tr(omega (T_n x 1)(omega_m)) with
     (T_n x 1)(omega_m) = (U_n^dag x 1) omega_m (U_n x 1).
 
-    omega_m = |omega_m><omega_m|, so each entry is <phi|omega|phi> with
-    |phi> = (U_n^dag x 1)|omega_m>; row n takes all d^2 kets at once."""
+    omega and omega_m are rank one, so each entry is the squared modulus of
+    <Omega|(U_n^dag x 1)|Omega_m>; one einsum forms all d^4 amplitudes."""
     basis = basis if basis is not None else weyl_basis(d)
-    w = omega_projector(d)
-    kets = np.stack([omega_n(d, m, basis) for m in range(1, d * d + 1)], axis=1)
-    table = np.zeros((d * d, d * d), dtype=np.complex128)
-    for n in range(d * d):
-        phis = kron(basis.unitary(n + 1).conj().T, identity(d)) @ kets
-        table[n] = np.sum(phis.conj() * (w @ phis), axis=0)
-    return table
+    w = omega(d).reshape(d, d)
+    k = omega_kets(d, basis).reshape(d * d, d, d)
+    amplitudes = np.einsum("ca,nxc,mxa->nm", w.conj(), basis.unitaries.conj(), k, optimize=True)
+    return np.abs(amplitudes) ** 2
 
 
 def dense_coding_check(d: int, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:

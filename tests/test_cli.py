@@ -236,6 +236,25 @@ def test_strand_product_over_size_limit_exits_2(monkeypatch, capsys):
     assert err == "error: strand product of 3^8 entries exceeds 6560\n"
 
 
+def test_weyl_basis_over_size_limit_exits_2(monkeypatch, capsys):
+    # the d=2 basis has 2^4 entries; with the limit set below that the guard
+    # refuses it before allocating
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 15)
+    assert main(["verify", "maxent", "--d", "2"]) == 2
+    assert capsys.readouterr().err == "error: Weyl basis of 2^4 entries exceeds 15\n"
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 16)  # a basis at the limit is built
+    assert main(["verify", "maxent", "--d", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["verify", "maxent"], ["verify", "teleport"], ["verify", "tight"],
+                                  ["verify", "dense"], ["verify", "all"], ["simulate"]])
+def test_basis_commands_beyond_limit_exit_2(argv, capsys):
+    # 65^4 entries exceed the limit of 2^24: one error line, nothing allocated
+    assert main(argv + ["--d", "65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["verify", "braid", "--d", "9"],
                                   ["verify", "tl", "--d", "9", "--n", "4"]])
 def test_strand_products_beyond_limit_exit_2(argv, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from entangle_tl import linalg, maxent
 from entangle_tl.linalg import identity, kron, max_residual
-from entangle_tl.maxent import (WeylBasis, clock, completeness_check, omega, omega_n,
+from entangle_tl.maxent import (WeylBasis, clock, completeness_check, omega, omega_kets, omega_n,
                                 pauli_weyl_basis, partial_inner_ca_ab, phi_of, shift,
                                 slide_identity_check, trace_identities_check,
                                 transfer_composition, weyl_basis)
@@ -67,8 +67,30 @@ def test_weyl_basis_rejects_bad_input():
         WeylBasis(2, (pauli(1), identity(2), 1j * pauli(2), pauli(3)))  # U_1 != 1
     with pytest.raises(ValueError):
         WeylBasis(2, (identity(2), pauli(1)))  # wrong count
+    with pytest.raises(ValueError, match="U_3"):
+        WeylBasis(2, (identity(2), pauli(1), 2 * pauli(2), pauli(3)))  # U_3 not unitary
     with pytest.raises(linalg.DimensionError):
         weyl_basis(0)
+
+
+def test_weyl_basis_is_one_read_only_array():
+    basis = weyl_basis(3)
+    assert basis.unitaries.shape == (9, 3, 3)
+    with pytest.raises(ValueError):
+        basis.unitaries[0, 0, 0] = 2
+    with pytest.raises(ValueError):
+        basis.unitary(2)[0, 0] = 2
+    mats = np.array(basis.unitaries)
+    WeylBasis(3, mats)
+    mats[0, 0, 0] = 1  # the basis holds a copy; the caller's array stays writable
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_omega_kets_rows_are_omega_n(d):
+    kets = omega_kets(d)
+    assert kets.shape == (d * d, d * d)
+    for n in range(1, d * d + 1):
+        assert np.array_equal(kets[n - 1], omega_n(d, n))
 
 
 def test_pauli_weyl_basis_is_valid():

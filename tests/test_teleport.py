@@ -6,7 +6,7 @@ import pytest
 
 from entangle_tl import linalg, teleport
 from entangle_tl.linalg import identity, kron, max_residual
-from entangle_tl.maxent import WeylBasis, omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
+from entangle_tl.maxent import omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
 from entangle_tl.qubit import BellKind, bell_state, pauli
 from entangle_tl.teleport import (bell_matrix_form_check, branch_weights_check,
                                   dense_coding_check, dense_coding_table, measurement_form,
@@ -82,8 +82,9 @@ def test_measurement_form_qubit_displayed_equations():
     state = np.kron(psi, bell_state(BellKind.PHI_PLUS))
     # basis order: U_1=1, U_2=s1, U_3=i s2, U_4=s3
     expected_corrections = [identity(2), pauli(1), -1j * pauli(2), pauli(3)]
-    for n in range(1, 5):
-        branch = measurement_form(2, n, psi, basis)
+    branches = measurement_form(2, psi, basis)
+    assert branches.shape == (4, 2)
+    for n, branch in enumerate(branches, start=1):
         ket_n = omega_n(2, n, basis)
         # raw projector application oracle
         proj = kron(np.outer(ket_n, ket_n.conj()), identity(2))
@@ -96,7 +97,7 @@ def test_measurement_form_qubit_displayed_equations():
 
 def test_measurement_form_n1_returns_psi():
     psi = np.array([0.6, 0.8])
-    branch = measurement_form(2, 1, psi)
+    branch = measurement_form(2, psi)[0]
     assert max_residual(2 * branch, psi) < 1e-12
 
 
@@ -104,8 +105,9 @@ def test_measurement_form_random_d3(rng):
     basis = weyl_basis(3)
     psi = random_ket(rng, 3)
     state = np.kron(psi, omega(3))
+    branches = measurement_form(3, psi, basis, tol=1e-10)
     for n in (2, 5, 9):
-        branch = measurement_form(3, n, psi, basis, tol=1e-10)
+        branch = branches[n - 1]
         ket_n = omega_n(3, n, basis)
         proj = kron(np.outer(ket_n, ket_n.conj()), identity(3))
         got = proj @ state
@@ -119,10 +121,17 @@ def test_measurement_form_returns_bob_branch(rng, d):
     # (<Omega_n| x 1)(|psi> x |Omega>) = U_n^dag |psi> / d for every outcome
     basis = weyl_basis(d)
     psi = random_ket(rng, d)
-    for n in range(1, d * d + 1):
-        branch = measurement_form(d, n, psi, basis)
-        assert branch.shape == (d,)
+    branches = measurement_form(d, psi, basis)
+    assert branches.shape == (d * d, d)
+    for n, branch in enumerate(branches, start=1):
         assert max_residual(branch, basis.unitary(n).conj().T @ psi / d) < 1e-13
+
+
+def test_measurement_form_refuses_a_violated_identity(monkeypatch, rng):
+    # |Omega> scaled by 1 + 1e-6 moves every branch off U_n^dag psi / d
+    monkeypatch.setattr(teleport, "omega", lambda d: omega(d) * (1 + 1e-6))
+    with pytest.raises(ValueError, match="measurement identity violated"):
+        measurement_form(3, random_ket(rng, 3))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -195,18 +204,16 @@ def test_simulate_golden_histogram_d3():
 
 
 def test_simulate_work_per_outcome_not_per_trial(monkeypatch):
-    # the corrected state is formed once per outcome that occurred, so the
-    # number of unitaries looked up does not grow with the trial count
+    # all d^2 branches come from one measurement_form call, however many
+    # trials are drawn
     calls = []
-    unitary = WeylBasis.unitary
-    monkeypatch.setattr(WeylBasis, "unitary", lambda self, n: calls.append(n) or unitary(self, n))
-    counts = []
+    measure = teleport.measurement_form
+    monkeypatch.setattr(teleport, "measurement_form", lambda *args: calls.append(args) or measure(*args))
     for trials in (10, 10_000):
         calls.clear()
         result = simulate(2, np.array([0.6, 0.8]), trials=trials, seed=1)
         assert all(result.histogram)  # every outcome occurs in both runs
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        assert len(calls) == 1
 
 
 # recorded from the per-trial implementation this one replaced
