@@ -5,9 +5,9 @@ A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
 of a d-dimensional system; apply_on_strands() applies it at position i of n
 strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding, and
 strand_product() (embed() with one factor) forms a word of such factors on
-the strands it touches.  relation_residual() compares each relation on the
-strands local_strands() gives it (2 for one pair, 3 for adjacent pairs, 4 for
-far commutativity): on n strands both sides only gain identity strands.
+the strands it touches.  relation_residual() compares a relation written on
+the strands it touches (2 for one pair, 3 for adjacent pairs, 4 for far
+commutativity): on n strands both sides only gain identity strands.
 """
 
 from __future__ import annotations
@@ -92,27 +92,13 @@ def embed(op, i: int, n: int) -> np.ndarray:
     return strand_product([(op, i)], n)
 
 
-def local_strands(positions) -> tuple[dict[int, int], int]:
-    """({position: place}, m): the strand pairs at these positions, in order,
-    on the fewest strands m, overlapping pairs adjacent and disjoint ones side
-    by side (two pairs need at most 4).  On any larger n the words of a
-    relation only gain identity strands: (A x 1)(B x 1) = AB x 1."""
-    positions = sorted(set(positions))
-    places = [1]
-    for a, b in zip(positions, positions[1:]):
-        places.append(places[-1] + min(b - a, 2))
-    return dict(zip(positions, places)), places[-1] + 1
-
-
 def relation_residual(lhs, rhs, scale=1) -> float:
     """max|L - scale R| for the words lhs and rhs of (op, i) factors, formed
-    on local_strands: on n strands L x 1 and R x 1 add only zero entries."""
-    where, n = local_strands(i for _, i in (*lhs, *rhs))
-
-    def product(word):
-        return strand_product([(op, where[i]) for op, i in word], n)
-
-    return linalg.max_residual(product(lhs), product(rhs) if scale == 1 else scale * product(rhs))
+    on strands 1..max i + 1: on more strands L x 1 and R x 1 add only zero
+    entries, so a relation written on the strands it touches holds on any n."""
+    n = max(i for _, i in (*lhs, *rhs)) + 1
+    left, right = strand_product(lhs, n), strand_product(rhs, n)
+    return linalg.max_residual(left, right if scale == 1 else scale * right)
 
 
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -3,9 +3,9 @@ quantum-information-flow evaluation.
 
 The TL idempotents are decorated diagrams and dense matrices E_i = 1 x ...
 x omega x ... x 1 built from the maximally entangled projector; virtual
-crossings are swaps on strand pairs.  Both calculi check one list of TL
-relations, each on the <= 4 strands braid.local_strands gives it, so n only
-adds relations, never larger matrices or diagrams.  The loop parameter is d.
+crossings are swaps on strand pairs.  Each of the 4 TL and 8 mixed Brauer
+relations is formed once per calculus on the <= 4 strands it touches: n adds
+only names, never more or larger matrices or diagrams.  The loop parameter is d.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ import numpy as np
 
 from . import diagram as dg
 from . import linalg
-from .braid import embed, local_strands, relation_residual, swap
+from .braid import embed, relation_residual, swap
 from .linalg import DEFAULT_TOL, FLOW_TOL, DimensionError, identity
 from .maxent import WeylBasis, clock, omega_projector, weyl_basis
 from .report import VerificationReport
 
-# Largest n of the TL and Brauer checks: each relation stays on <= 4 strands
-# in both calculi, but there are O(n^2) of them.
+# Largest n of the TL and Brauer checks: each relation is formed once on <= 4
+# strands in both calculi, but it is reported under O(n^2) names.
 MAX_STRANDS = 64
 
 
@@ -45,34 +45,41 @@ def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
     return dg.decorate(base, n - 1, 0, dg.Decoration(op_label, "plain"))
 
 
-def _tl_relations(n: int, d: int):
-    """Each TL relation on n strands once as (name, lhs, rhs, scale) for
-    lhs = scale rhs: words list generator positions as written (the rightmost
-    acts first), and the name's {x} is the generator's letter."""
-    for i in range(1, n):
-        yield f"{{x}}_{i}^2 = {{x}}_{i}", [i, i], [i], 1
-        for j in (i - 1, i + 1):
-            if 1 <= j <= n - 1:
-                yield f"{{x}}_{i}{{x}}_{j}{{x}}_{i} = d^-2 {{x}}_{i}", [i, j, i], [i], 1 / d ** 2
-        for j in range(i + 2, n):
-            yield f"{{x}}_{i}{{x}}_{j} = {{x}}_{j}{{x}}_{i}", [i, j], [j, i], 1
+def _positions(n: int) -> tuple[list, list]:
+    """The adjacent pairs (i, i+1) and the far pairs (i, j > i+1) of n strands."""
+    return [(i, i + 1) for i in range(1, n - 1)], [(i, j) for i in range(1, n) for j in range(i + 2, n)]
+
+
+def _tl_relations(n: int, d: int) -> list:
+    """Each TL relation lhs = scale rhs with a position on n strands, once, as
+    (lhs, rhs, scale, names): words list places on the strands it touches (the
+    rightmost acts first), names every position's name ({x} the letter)."""
+    up, far = _positions(n)
+    relations = [
+        ([1, 1], [1], 1, [f"{{x}}_{i}^2 = {{x}}_{i}" for i in range(1, n)]),
+        ([1, 2, 1], [1], 1 / d ** 2, [f"{{x}}_{i}{{x}}_{j}{{x}}_{i} = d^-2 {{x}}_{i}" for i, j in up]),
+        ([2, 1, 2], [2], 1 / d ** 2, [f"{{x}}_{j}{{x}}_{i}{{x}}_{j} = d^-2 {{x}}_{j}" for i, j in up]),
+        ([1, 3], [3, 1], 1, [f"{{x}}_{i}{{x}}_{j} = {{x}}_{j}{{x}}_{i}" for i, j in far]),
+    ]
+    return [relation for relation in relations if relation[3]]
 
 
 def _check_dense_relations(report: VerificationReport, w: np.ndarray, x: str, suffix: str,
                            n: int, d: int, tol: float) -> None:
-    """X_i hermitian and each relation of _tl_relations on the strands it
-    touches, for X_i the projector w on strands (i, i+1), named x_i."""
+    """X_i hermitian and each TL relation, for X_i = w on strands (i, i+1)."""
+    hermitian = linalg.max_residual(w, w.conj().T)
     for i in range(1, n):
-        report.add(f"{x}_{i} hermitian{suffix}", linalg.max_residual(w, w.conj().T), tol)
-    for name, lhs, rhs, scale in _tl_relations(n, d):
-        report.add(name.format(x=x) + suffix, relation_residual(
-            [(w, i) for i in lhs], [(w, i) for i in rhs], scale), tol)
+        report.add(f"{x}_{i} hermitian{suffix}", hermitian, tol)
+    for lhs, rhs, scale, names in _tl_relations(n, d):
+        residual = relation_residual([(w, k) for k in lhs], [(w, k) for k in rhs], scale)
+        for name in names:
+            report.add(name.format(x=x) + suffix, residual, tol)
 
 
 def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """E_i^2 = E_i, E_i^dag = E_i, E_i E_{i+-1} E_i = d^-2 E_i and far
     commutativity, on dense matrices and as diagrams (structure plus exact
-    scalar bookkeeping), each relation on the strands it touches."""
+    scalar bookkeeping), each relation once on the strands it touches."""
     if not 3 <= n <= MAX_STRANDS:
         raise ValueError(f"adjacent TL relations need 3 <= n <= {MAX_STRANDS}, got {n}")
     report = VerificationReport(f"tl-axioms n={n} d={d}")
@@ -80,18 +87,19 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
     for i in range(1, n):
         gen = dg.e_gen(i, n)
         report.add_bool(f"E_{i} self-adjoint (diagram)", dg.adjoint_diagram(gen) == gen)
-    for name, lhs, rhs, scale in _tl_relations(n, d):
-        where, m = local_strands(lhs + rhs)
+    for lhs, rhs, scale, names in _tl_relations(n, d):
+        m = max(lhs + rhs) + 1
         # the rightmost generator acts first, so it goes on top
-        left, right = (functools.reduce(dg.compose, [dg.e_gen(where[i], m) for i in reversed(word)])
+        left, right = (functools.reduce(dg.compose, [dg.e_gen(k, m) for k in reversed(word)])
                        for word in (lhs, rhs))
         if len(rhs) == 2:  # far commutativity: both sides are one diagram
-            report.add_bool(name.format(x="E") + " (diagram)", left == right)
-            continue
-        ratio = dg.structural_ratio(left, right, d)
-        why = "loop cancels cup/cap powers" if len(lhs) == 2 else "half-power drop -4"
-        report.add_bool(name.format(x="E") + f" (diagram: {why})",
-                        ratio is not None and abs(ratio - scale) <= tol)
+            ok, why = left == right, ""
+        else:
+            ratio = dg.structural_ratio(left, right, d)
+            ok = ratio is not None and abs(ratio - scale) <= tol
+            why = ": loop cancels cup/cap powers" if len(lhs) == 2 else ": half-power drop -4"
+        for name in names:
+            report.add_bool(name.format(x="E") + f" (diagram{why})", ok)
     return report
 
 
@@ -122,19 +130,23 @@ def check_brauer_mixed(n: int, d: int, tol: float = DEFAULT_TOL) -> Verification
         raise ValueError(f"mixed adjacent relations need 3 <= n <= {MAX_STRANDS}, got {n}")
     report = VerificationReport(f"brauer-mixed n={n} d={d}")
     w, p = omega_projector(d), swap(d)
-    for i in range(1, n):
-        report.add(f"E_{i} v_{i} = E_{i}", relation_residual([(w, i), (p, i)], [(w, i)]), tol)
-        report.add(f"v_{i} E_{i} = E_{i}", relation_residual([(p, i), (w, i)], [(w, i)]), tol)
-        for j in range(1, n):
-            if abs(i - j) > 1:
-                report.add(f"E_{i} v_{j} = v_{j} E_{i}",
-                           relation_residual([(w, i), (p, j)], [(p, j), (w, i)]), tol)
-        for j in (i - 1, i + 1):
-            if 1 <= j <= n - 1:
-                report.add(f"v_{j} v_{i} E_{j} = d E_{i} E_{j}", relation_residual(
-                    [(p, j), (p, i), (w, j)], [(w, i), (w, j)], d), tol)
-                report.add(f"E_{i} v_{j} v_{i} = d E_{i} E_{j}", relation_residual(
-                    [(w, i), (p, j), (p, i)], [(w, i), (w, j)], d), tol)
+    E1, E2, E3, v1, v2, v3 = (w, 1), (w, 2), (w, 3), (p, 1), (p, 2), (p, 3)
+    up, far = _positions(n)
+    relations = [  # each once on the strands it touches
+        ([E1, v1], [E1], 1, [f"E_{i} v_{i} = E_{i}" for i in range(1, n)]),
+        ([v1, E1], [E1], 1, [f"v_{i} E_{i} = E_{i}" for i in range(1, n)]),
+        ([E1, v3], [v3, E1], 1, [f"E_{i} v_{j} = v_{j} E_{i}" for i, j in far]),
+        ([E3, v1], [v1, E3], 1, [f"E_{j} v_{i} = v_{i} E_{j}" for i, j in far]),
+        ([v2, v1, E2], [E1, E2], d, [f"v_{j} v_{i} E_{j} = d E_{i} E_{j}" for i, j in up]),
+        ([E1, v2, v1], [E1, E2], d, [f"E_{i} v_{j} v_{i} = d E_{i} E_{j}" for i, j in up]),
+        ([v1, v2, E1], [E2, E1], d, [f"v_{i} v_{j} E_{i} = d E_{j} E_{i}" for i, j in up]),
+        ([E2, v1, v2], [E2, E1], d, [f"E_{j} v_{i} v_{j} = d E_{j} E_{i}" for i, j in up]),
+    ]
+    for lhs, rhs, scale, names in relations:
+        if names:  # no far pair on 3 strands
+            residual = relation_residual(lhs, rhs, scale)
+            for name in names:
+                report.add(name, residual, tol)
     return report
 
 

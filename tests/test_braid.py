@@ -8,7 +8,7 @@ from entangle_tl import diagram as dg
 from entangle_tl.braid import (apply_on_strands, braid_teleport_config, check_braid_closed_form,
                                check_braid_relation, check_teleport_swapping,
                                check_virtual_mixed, check_virtual_relations, embed,
-                               local_strands, relation_residual, strand_product, swap, teleport_swap,
+                               relation_residual, strand_product, swap, teleport_swap,
                                teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
 from entangle_tl.maxent import omega_projector, shift
@@ -274,22 +274,17 @@ def test_relation_residual_equals_n_strand_residual(rng, d, lhs, rhs):
     assert relation_residual(lhs, lhs) == 0
 
 
-def test_local_strands():
-    # overlapping pairs stay adjacent, disjoint ones sit side by side
-    assert local_strands([7, 7, 7]) == ({7: 1}, 2)
-    assert local_strands([5, 4, 5, 4]) == ({4: 1, 5: 2}, 3)
-    assert local_strands([40, 1, 1, 40]) == ({1: 1, 40: 3}, 4)
-    assert local_strands([3, 5]) == ({3: 1, 5: 3}, 4)
-
-
 def test_relation_residual_stays_on_four_strands(monkeypatch):
-    # far commutativity at position 40 needs 4 strands, not 41
+    # far commutativity written on the strands it touches needs 4 strands, and
+    # so do the braid and virtual checkers, whose words sit on strands 1-4
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8)
     b = bell_matrix()
-    assert relation_residual([(b, 1), (b, 40)], [(b, 40), (b, 1)]) < 1e-15
+    assert relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)]) < 1e-15
+    assert check_braid_relation(b).overall_pass
+    assert check_virtual_relations(swap(2)).overall_pass
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8 - 1)
     with pytest.raises(linalg.DimensionError, match="2\\^8 entries exceeds 255"):
-        relation_residual([(b, 1), (b, 40)], [(b, 40), (b, 1)])
+        relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)])
 
 
 # --- strand products against the chained dense embeddings ----------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from entangle_tl import diagram as dg
-from entangle_tl import linalg, tlalgebra
-from entangle_tl.braid import local_strands, swap
+from entangle_tl import braid, linalg, tlalgebra
+from entangle_tl.braid import swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega_projector, phi_of, weyl_basis
 from entangle_tl.tlalgebra import (FLOW_LABELS, check_brauer_mixed, check_flow, check_tl_axioms,
@@ -154,42 +154,96 @@ def tl_word(word, n):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_tl_diagram_relations_on_touched_strands_equal_n_strands(d):
-    # interchange law: compose(A x 1, B x 1) = compose(A, B) x 1, so each
-    # relation's ratio (or equality) on its <= 4 strands is the n-strand one
+    # each named relation formed on all n strands from this test's own loops:
+    # the check, which forms it once on the strands it touches, passes exactly
+    # the names whose n-strand words satisfy it
     for n in range(3, 9):
         want = []
-        for name, lhs, rhs, scale in tlalgebra._tl_relations(n, d):
-            full = tl_word(lhs, n), tl_word(rhs, n)
-            where, m = local_strands(lhs + rhs)
-            local = tl_word([where[i] for i in lhs], m), tl_word([where[i] for i in rhs], m)
-            assert m <= 4 and local[0].top == m
-            assert dg.structural_ratio(*local, d) == dg.structural_ratio(*full, d), (n, name)
-            assert (local[0] == local[1]) == (full[0] == full[1]), (n, name)
-            assert abs(dg.structural_ratio(*full, d) - scale) < 1e-12, (n, name)
-        # the diagram checks keep the names the n-strand loops gave them
         for i in range(1, n):
-            want.append(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)")
+            gen = dg.e_gen(i, n)
+            assert dg.adjoint_diagram(gen) == gen
             want.append(f"E_{i} self-adjoint (diagram)")
-            want.extend(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)"
-                        for j in (i - 1, i + 1) if 1 <= j <= n - 1)
-            want.extend(f"E_{i}E_{j} = E_{j}E_{i} (diagram)" for j in range(i + 2, n))
-        got = [c.identity_name for c in check_tl_axioms(n, d).checks if "(diagram" in c.identity_name]
-        assert got == sorted(want), n
+            assert abs(dg.structural_ratio(tl_word([i, i], n), gen, d) - 1) < 1e-12, (n, i)
+            want.append(f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)")
+            for j in (i - 1, i + 1):
+                if 1 <= j <= n - 1:
+                    ratio = dg.structural_ratio(tl_word([i, j, i], n), gen, d)
+                    assert abs(ratio - 1 / d ** 2) < 1e-12, (n, i, j)
+                    want.append(f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)")
+            for j in range(i + 2, n):
+                assert tl_word([i, j], n) == tl_word([j, i], n), (n, i, j)
+                want.append(f"E_{i}E_{j} = E_{j}E_{i} (diagram)")
+        checks = [c for c in check_tl_axioms(n, d).checks if "(diagram" in c.identity_name]
+        assert [c.identity_name for c in checks] == sorted(want), n
+        assert all(c.passed for c in checks), n
 
 
 def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
-    widths = []
-    compose = dg.compose
+    # each distinct relation is formed once whatever n is: n adds names only
+    widths, residuals, strands = [], [], []
+    compose, residual, product = dg.compose, tlalgebra.relation_residual, braid.strand_product
 
     def recording(top_diag, bottom_diag):
         widths.append(max(top_diag.top, top_diag.bottom, bottom_diag.bottom))
         return compose(top_diag, bottom_diag)
 
     monkeypatch.setattr(dg, "compose", recording)
-    assert check_tl_axioms(64, 2).overall_pass
-    # one composition per square and far pair, two per adjacent triple
-    assert len(widths) == 63 + 2 * 2 * 62 + 62 * 61 // 2 * 2
-    assert max(widths) == 4
+    monkeypatch.setattr(tlalgebra, "relation_residual", lambda *args: residuals.append(args) or residual(*args))
+    monkeypatch.setattr(braid, "strand_product", lambda factors, n: strands.append(n) or product(factors, n))
+    for n in (4, 64):
+        widths.clear()
+        residuals.clear()
+        assert check_tl_axioms(n, 2).overall_pass
+        # one composition for the square, two per adjacent triple, one per far side
+        assert (len(widths), len(residuals)) == (7, 4), n
+        assert max(widths) == 4
+        residuals.clear()
+        assert check_brauer_mixed(n, 2).overall_pass
+        assert len(residuals) == 8, n
+    assert strands and max(strands) <= 4
+
+
+def test_relations_without_a_position_are_not_formed(monkeypatch):
+    # at n = 3 there is no far pair: forming one would need 4 strands
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 6)  # 3 strands at d = 2, not 4
+    for report in (check_tl_axioms(3, 2), check_tl_decorated(3, 2, 2), check_brauer_mixed(3, 2)):
+        assert report.overall_pass, report.suite_name
+
+
+def tl_check_names(n):
+    """Every check name of check_tl_axioms on n strands, enumerated here."""
+    names = []
+    for i in range(1, n):
+        names += [f"E_{i} hermitian (dense)", f"E_{i} self-adjoint (diagram)", f"E_{i}^2 = E_{i} (dense)",
+                  f"E_{i}^2 = E_{i} (diagram: loop cancels cup/cap powers)"]
+        for j in (i - 1, i + 1):
+            if 1 <= j <= n - 1:
+                names += [f"E_{i}E_{j}E_{i} = d^-2 E_{i} (dense)",
+                          f"E_{i}E_{j}E_{i} = d^-2 E_{i} (diagram: half-power drop -4)"]
+        for j in range(i + 2, n):
+            names += [f"E_{i}E_{j} = E_{j}E_{i} (dense)", f"E_{i}E_{j} = E_{j}E_{i} (diagram)"]
+    return sorted(names)
+
+
+def brauer_check_names(n):
+    """Every check name of check_brauer_mixed on n strands, enumerated here."""
+    names = []
+    for i in range(1, n):
+        names += [f"E_{i} v_{i} = E_{i}", f"v_{i} E_{i} = E_{i}"]
+        names.extend(f"E_{i} v_{j} = v_{j} E_{i}" for j in range(1, n) if abs(i - j) > 1)
+        for j in (i - 1, i + 1):
+            if 1 <= j <= n - 1:
+                names += [f"v_{j} v_{i} E_{j} = d E_{i} E_{j}", f"E_{i} v_{j} v_{i} = d E_{i} E_{j}"]
+    return sorted(names)
+
+
+@pytest.mark.parametrize("n", [9, 40, 64])
+def test_check_names_at_large_n(n):
+    # names are generated apart from the words: each position still gets its own
+    for report, want in ((check_tl_axioms(n, 2), tl_check_names(n)),
+                         (check_brauer_mixed(n, 2), brauer_check_names(n))):
+        assert [c.identity_name for c in report.checks] == want, report.suite_name
+        assert report.overall_pass, report.suite_name
 
 
 @pytest.mark.parametrize("d", [2, 3])
