@@ -7,11 +7,12 @@ strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding, and
 strand_product() (embed() with one factor) forms a word of such factors on
 the strands it touches.  relation_residual() compares a relation written on
 the strands it touches (2 for one pair, 3 for adjacent pairs, 4 for far
-commutativity): on n strands both sides only gain identity strands.
+commutativity, on basis kets): on n strands both sides only gain identity strands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ import numpy as np
 from . import diagram, linalg
 from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
+
+PROBES, PROBE_SEED = 8, 0  # the basis kets a far relation is compared on, and their seed
 
 
 def swap(d: int) -> np.ndarray:
@@ -62,10 +65,9 @@ def _pad(x, d: int, left: int, right: int) -> np.ndarray:
 
 def strand_product(factors, n: int) -> np.ndarray:
     """The d^n x d^n product of (op, i) factors, written left to right and
-    applied right to left on the strands lo..hi touched so far: a disjoint
-    factor joins by one Kronecker product (A x 1)(1 x B) = A x B across any gap
-    of identity strands, an overlapping one widens lo..hi and is applied by
-    apply_on_strands, and identity strands pad the two ends only on return."""
+    applied right to left on the strands lo..hi touched so far: each factor
+    widens lo..hi to cover it and is applied by apply_on_strands, and identity
+    strands pad the two ends only on return."""
     d, _ = _local_dimension(factors[0][0])
     if d ** (2 * n) > diagram.MAX_OUTPUT_ENTRIES:
         raise DimensionError(
@@ -76,10 +78,6 @@ def strand_product(factors, n: int) -> np.ndarray:
             raise DimensionError(f"factor at {i} (d={d_op}) does not fit {n} strands of d={d}")
         if k == 0:  # the rightmost factor starts the product as itself
             out, lo, hi = op.copy(), i, i + 1
-        elif i > hi:
-            out, hi = np.kron(_pad(out, d, 0, i - hi - 1), op), i + 1
-        elif i + 1 < lo:
-            out, lo = np.kron(op, _pad(out, d, lo - i - 2, 0)), i
         else:
             out = _pad(out, d, lo - min(lo, i), max(hi, i + 1) - hi)
             lo, hi = min(lo, i), max(hi, i + 1)
@@ -93,11 +91,23 @@ def embed(op, i: int, n: int) -> np.ndarray:
 
 
 def relation_residual(lhs, rhs, scale=1) -> float:
-    """max|L - scale R| for the words lhs and rhs of (op, i) factors, formed
-    on strands 1..max i + 1: on more strands L x 1 and R x 1 add only zero
-    entries, so a relation written on the strands it touches holds on any n."""
+    """max|L - scale R| for the words lhs and rhs of (op, i) factors on strands
+    1..max i + 1: on more strands L x 1 and R x 1 add only zero entries.  Words
+    on 4 or more strands (far commutativity) are compared on PROBES basis kets,
+    each applied factor by factor (Freivalds, IFIP 1977), so a misplaced factor
+    fails and no d^8 product is formed."""
     n = max(i for _, i in (*lhs, *rhs)) + 1
-    left, right = strand_product(lhs, n), strand_product(rhs, n)
+    if n <= 3:
+        left, right = strand_product(lhs, n), strand_product(rhs, n)
+    else:
+        d, _ = _local_dimension(lhs[0][0])
+        k = min(PROBES, d ** n)
+        if d ** n * k > diagram.MAX_OUTPUT_ENTRIES:
+            raise DimensionError(f"probe block of {d}^{n} x {k} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+        kets = np.zeros((d ** n, k))  # a generator of its own: the CLI's rng draws as before
+        kets[np.random.default_rng(PROBE_SEED).choice(d ** n, k, replace=False), range(k)] = 1
+        left, right = (functools.reduce(lambda x, f: apply_on_strands(*f, n, x), reversed(w), kets)
+                       for w in (lhs, rhs))
     return linalg.max_residual(left, right if scale == 1 else scale * right)
 
 

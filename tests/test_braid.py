@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,29 +262,47 @@ RELATION_WORDS = [
 ]
 
 
+def probe_block(d, m):
+    """The basis kets relation_residual compares a word on m >= 4 strands on."""
+    k = min(braid.PROBES, d ** m)
+    kets = np.zeros((d ** m, k))
+    kets[np.random.default_rng(braid.PROBE_SEED).choice(d ** m, k, replace=False), range(k)] = 1
+    return kets
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("lhs,rhs", RELATION_WORDS)
 def test_relation_residual_equals_n_strand_residual(rng, d, lhs, rhs):
+    # words on <= 3 strands are compared entrywise on all n strands; wider
+    # ones on the probe block, against the chained products applied to it
     ops = [random_op(rng, d) for _ in range(2)]
     n = 6
     scale = complex(rng.normal(), rng.normal())
     lhs = [(ops[k], i) for k, i in lhs]
     rhs = [(ops[k], i) for k, i in rhs]
-    want = max_residual(strand_product(lhs, n), scale * strand_product(rhs, n))
+    m = max(i for _, i in lhs + rhs) + 1
+    if m <= 3:
+        want = max_residual(strand_product(lhs, n), scale * strand_product(rhs, n))
+    else:
+        kets = probe_block(d, m)
+        want = max_residual(dense_chain(lhs, m, d) @ kets, scale * dense_chain(rhs, m, d) @ kets)
+        assert want <= max_residual(strand_product(lhs, n), scale * strand_product(rhs, n)) * (1 + 1e-12)
     assert abs(relation_residual(lhs, rhs, scale) - want) <= 1e-12 * want
     assert relation_residual(lhs, lhs) == 0
 
 
 def test_relation_residual_stays_on_four_strands(monkeypatch):
-    # far commutativity written on the strands it touches needs 4 strands, and
-    # so do the braid and virtual checkers, whose words sit on strands 1-4
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8)
+    # far commutativity written on the strands it touches is compared on
+    # d^4 x PROBES probe entries, and the braid and virtual checkers' other
+    # words sit on at most 3 strands
+    entries = 2 ** 4 * braid.PROBES
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", entries)
     b = bell_matrix()
     assert relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)]) < 1e-15
     assert check_braid_relation(b).overall_pass
     assert check_virtual_relations(swap(2)).overall_pass
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 8 - 1)
-    with pytest.raises(linalg.DimensionError, match="2\\^8 entries exceeds 255"):
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", entries - 1)
+    with pytest.raises(linalg.DimensionError, match=f"2\\^4 x 8 entries exceeds {entries - 1}"):
         relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)])
 
 
@@ -340,11 +359,22 @@ def test_strand_product_joins_match_dense_chain(rng, d, positions):
 
 
 def test_far_commutation_never_meets_the_identity(monkeypatch):
-    # a disjoint pair joins by one Kronecker product: no local application
-    # and no identity on a whole 4-strand space
+    # both words are applied factor by factor to the probe block: no strand
+    # product, no identity on a whole 4-strand space, and no allocation past
+    # a few probe blocks, a tenth of one complex d^8 product
     d, calls, rows = 6, [], []
-    monkeypatch.setattr(braid, "apply_on_strands", lambda *args: calls.append(args))
+    v, block = swap(d), d ** 4 * braid.PROBES
+    relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)])  # first-call allocations are not traced
+    apply = braid.apply_on_strands
+    monkeypatch.setattr(braid, "apply_on_strands", lambda *args: calls.append(args) or apply(*args))
+    monkeypatch.setattr(braid, "strand_product", lambda *args: pytest.fail("strand product formed"))
     monkeypatch.setattr(braid, "identity", lambda k: rows.append(k) or identity(k))
-    v = swap(d)
-    assert relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)]) == 0
-    assert calls == [] and all(k < d ** 4 for k in rows)
+    tracemalloc.start()
+    try:
+        assert relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 4 and all(x.size == block for *_, x in calls)
+    assert all(k < d ** 4 for k in rows)
+    assert peak < 8 * 16 * block < 16 * d ** 8 / 10, peak

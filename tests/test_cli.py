@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from entangle_tl import cli, tlalgebra
+from entangle_tl import braid, cli, tlalgebra
 from entangle_tl import diagram as dg
 from entangle_tl.cli import main
 from entangle_tl.render import render
@@ -228,12 +228,15 @@ def test_output_over_size_limit_exits_2(monkeypatch, capsys):
 
 
 def test_strand_product_over_size_limit_exits_2(monkeypatch, capsys):
-    # the 4-strand braid products at d=3 have 3^8 entries; with the limit
-    # set below that the guard refuses them before allocating
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 8 - 1)
+    # the 3-strand braid products at d=3 have 3^6 entries, the largest array
+    # of the suite; with the limit set below that the guard refuses them
+    # before allocating
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6 - 1)
     assert main(["verify", "braid", "--d", "3"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: strand product of 3^8 entries exceeds 6560\n"
+    assert err == "error: strand product of 3^6 entries exceeds 728\n"
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6)  # products at the limit are formed
+    assert main(["verify", "braid", "--d", "3"]) == 0
 
 
 def test_weyl_basis_over_size_limit_exits_2(monkeypatch, capsys):
@@ -255,14 +258,50 @@ def test_basis_commands_beyond_limit_exit_2(argv, capsys):
     assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["verify", "braid", "--d", "9"],
-                                  ["verify", "tl", "--d", "9", "--n", "4"]])
+@pytest.mark.parametrize("argv", [["verify", "braid", "--d", "17"],
+                                  ["verify", "tl", "--d", "17", "--n", "4"]])
 def test_strand_products_beyond_limit_exit_2(argv, capsys):
-    # far commutativity needs 4 strands whatever n is: 9^8 entries are refused
-    # before anything that size exists
+    # the 3-strand relations need 17^6 entries, over the limit of 2^24: they
+    # are refused before anything that size exists
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: strand product of 9^8 entries exceeds 16777216\n"
+    assert err == "error: strand product of 17^6 entries exceeds 16777216\n"
+
+
+@pytest.mark.parametrize("suite", ["braid", "virtual"])
+def test_far_commutation_past_the_old_strand_guard_passes(suite, capsys):
+    # far commutativity on 9^4 x 8 probe entries, refused while both words were
+    # formed as 9^8-entry products
+    assert main(["verify", suite, "--d", "9"]) == 0
+    assert capsys.readouterr().out.endswith("checks)\n")
+
+
+# far-commutation checks at n = 4, where (1, 3) is the only far pair
+FAR_CHECKS = {"b1 b3 = b3 b1", "v1 v3 = v3 v1", "b1 v3 = v3 b1", "E_1E_3 = E_3E_1 (dense)",
+              "Et_1Et_3 = Et_3Et_1", "E_1 v_3 = v_3 E_1", "E_3 v_1 = v_1 E_3"}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_far_commutation_fails_a_misplaced_factor(monkeypatch, capsys, d):
+    # a factor at i >= 2 lands one strand to the left: each far word then
+    # meets an overlapping pair, which does not commute
+    apply = braid.apply_on_strands
+    monkeypatch.setattr(braid, "apply_on_strands",
+                        lambda op, i, n, x: apply(op, i - 1 if i >= 2 else i, n, x))
+    seen = set()
+    for suite in ("braid", "virtual", "tl", "brauer"):
+        assert main(["verify", suite, "--d", str(d), "--n", "4", "--format", "json"]) == 1
+        for check in json.loads(capsys.readouterr().out)["checks"]:
+            name = check["identity_name"].split(": ", 1)[1]
+            if name in FAR_CHECKS:
+                assert not check["pass"], (suite, check)
+                seen.add(name)
+    decorated = tlalgebra.check_tl_decorated(4, d, 2)
+    for check in decorated.checks:
+        if check.identity_name in FAR_CHECKS:
+            assert not check.passed, check
+            seen.add(check.identity_name)
+    assert seen == FAR_CHECKS
 
 
 @pytest.mark.parametrize("suite", ["tl", "brauer"])
