@@ -3,11 +3,12 @@ pairs, plus the braid teleportation configuration and teleportation swapping.
 
 A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
 of a d-dimensional system; apply_on_strands() applies it at position i of n
-strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding, and
-strand_product() (embed() with one factor) forms a word of such factors on
-the strands it touches.  relation_residual() compares a relation written on
-the strands it touches (2 for one pair, 3 for adjacent pairs, 4 for far
-commutativity, on basis kets): on n strands both sides only gain identity strands.
+strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding.
+embed() forms that embedding, and strand_product() forms a word of such
+factors as the embedding of its rightmost factor with the others applied.
+relation_residual() compares a relation written on the strands it touches
+(2 for one pair, 3 for adjacent pairs, 4 for far commutativity, on basis
+kets): on n strands both sides only gain identity strands.
 """
 
 from __future__ import annotations
@@ -57,37 +58,28 @@ def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     return np.matmul(op, blocks).reshape(x.shape)
 
 
-def _pad(x, d: int, left: int, right: int) -> np.ndarray:
-    """x with `left` identity strands before it and `right` after it."""
-    x = np.kron(identity(d ** left), x) if left else x
-    return np.kron(x, identity(d ** right)) if right else x
-
-
-def strand_product(factors, n: int) -> np.ndarray:
-    """The d^n x d^n product of (op, i) factors, written left to right and
-    applied right to left on the strands lo..hi touched so far: each factor
-    widens lo..hi to cover it and is applied by apply_on_strands, and identity
-    strands pad the two ends only on return."""
-    d, _ = _local_dimension(factors[0][0])
+def embed(op, i: int, n: int) -> np.ndarray:
+    """1 x ... x op x ... x 1 with op on strands (i, i+1) of n, 1-based i."""
+    d, op = _local_dimension(op)
     if d ** (2 * n) > diagram.MAX_OUTPUT_ENTRIES:
         raise DimensionError(
             f"strand product of {d}^{2 * n} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
-    for k, (op, i) in enumerate(reversed(factors)):
-        d_op, op = _local_dimension(op)
-        if d_op != d or not 1 <= i <= n - 1:
-            raise DimensionError(f"factor at {i} (d={d_op}) does not fit {n} strands of d={d}")
-        if k == 0:  # the rightmost factor starts the product as itself
-            out, lo, hi = op.copy(), i, i + 1
-        else:
-            out = _pad(out, d, lo - min(lo, i), max(hi, i + 1) - hi)
-            lo, hi = min(lo, i), max(hi, i + 1)
-            out = apply_on_strands(op, i - lo + 1, hi - lo + 1, out)
-    return _pad(out, d, lo - 1, n - hi)
+    if not 1 <= i <= n - 1:
+        raise DimensionError(f"factor at {i} (d={d}) does not fit {n} strands of d={d}")
+    # a kron with the 1 x 1 identity would only copy the whole embedding
+    out = np.kron(identity(d ** (i - 1)), op) if i > 1 else op.copy()
+    return np.kron(out, identity(d ** (n - i - 1))) if i < n - 1 else out
 
 
-def embed(op, i: int, n: int) -> np.ndarray:
-    """1 x ... x op x ... x 1 with op on strands (i, i+1) of n, 1-based i."""
-    return strand_product([(op, i)], n)
+def strand_product(factors, n: int) -> np.ndarray:
+    """The d^n x d^n product of (op, i) factors, written left to right: the
+    rightmost factor is embedded and the others are applied to it, right to
+    left, by apply_on_strands."""
+    (op, i), *rest = reversed(factors)
+    out = embed(op, i, n)
+    for factor in rest:  # a loop, not reduce: reduce would keep the embedding alive
+        out = apply_on_strands(*factor, n, out)
+    return out
 
 
 def relation_residual(lhs, rhs, scale=1) -> float:
@@ -176,13 +168,16 @@ def teleport_swap_reverse(d: int) -> np.ndarray:
 def check_teleport_swapping(d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """(P x 1)(1 x P)|ij>|k> = |k>|ij> on every basis ket, and back: each
     operator is compared once with the routing permutation (or its
-    transpose), whose column c is the image of the basis ket c."""
+    transpose), whose column c is the image of the basis ket c.  Reverse
+    after forward is the word (1xP)(Px1)(Px1)(1xP), compared with 1."""
     report = VerificationReport("teleport-swapping")
+    p = swap(d)
     ts, rev = teleport_swap(d), teleport_swap_reverse(d)
     c = np.arange(d ** 3)
     routing = np.zeros((d ** 3, d ** 3))
     routing[(c % d) * d * d + c // d, c] = 1.0  # |ij>|k> to |k>|ij>
     worst = max(linalg.max_residual(ts, routing), linalg.max_residual(rev, routing.T))
     report.add("|k>|ij> = (Px1)(1xP)|ij>|k> and back", worst, tol)
-    report.add("reverse undoes forward", linalg.max_residual(rev @ ts, identity(d ** 3)), tol)
+    report.add("reverse undoes forward", relation_residual([(p, 2), (p, 1), (p, 1), (p, 2)],
+                                                           [(identity(d * d), 1)]), tol)
     return report

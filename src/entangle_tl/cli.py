@@ -99,8 +99,8 @@ def _teleport(cfg, rng):
     psi = _random_ket(rng, d)
     basis = maxent.weyl_basis(d)
     return [teleport.teleport_equation_qubit_check(a, b, tol),
-            teleport.bell_matrix_form_check(tol, seed=cfg.seed),
-            teleport.virtual_form_check(tol, seed=cfg.seed),
+            teleport.bell_matrix_form_check(tol),
+            teleport.virtual_form_check(tol),
             teleport.qudit_resolution_check(d, psi, basis, tol),
             teleport.branch_weights_check(d, psi, basis, tol)]
 

@@ -25,6 +25,35 @@ def _deco_text(decorations) -> str:
     return " ".join(marks)
 
 
+def _write(row: list[str], c: int, text: str) -> None:
+    """Write text into row from column c, clipped to the row."""
+    for k, ch in enumerate(text):
+        if 0 <= c + k < len(row):
+            row[c + k] = ch
+
+
+def _label_row(letter: str, count: int, width: int) -> str:
+    """The T0.. or B0.. row naming the boundary points."""
+    row = [" "] * width
+    for i in range(count):
+        _write(row, _col(i), f"{letter}{i}")
+    return "".join(row).rstrip()
+
+
+def _arc_row(s, glyphs: str, verticals, width: int) -> str:
+    """One arc as its (left end, fill, right end) glyphs with its label
+    centred on it, keeping a | at each free column in verticals."""
+    row = [" "] * width
+    a, b = _col(s.start.index), _col(s.end.index)
+    row[a], row[a + 1:b], row[b] = glyphs[0], glyphs[1] * (b - a - 1), glyphs[2]
+    label = _deco_text(s.decorations)
+    _write(row, (a + b) // 2 - len(label) // 2, label)
+    for c in verticals:
+        if row[c] == " ":
+            row[c] = "|"
+    return "".join(row).rstrip()
+
+
 class _Canvas:
     def __init__(self, width: int):
         self.width = width
@@ -58,33 +87,11 @@ def render(diag: DecoratedDiagram) -> str:
         else:
             throughs.append(s)
 
-    lines: list[str] = []
-    header = [" "] * width
-    for i in range(n):
-        text = f"T{i}"
-        for k, ch in enumerate(text):
-            if _col(i) + k < width:
-                header[_col(i) + k] = ch
-    lines.append("".join(header).rstrip())
-
-    # top arcs, innermost (narrowest) first so nesting reads naturally
+    lines = [_label_row("T", n, width)]
+    # top arcs, innermost (narrowest) first so nesting reads naturally; keep
+    # verticals for arcs further out and for through strands
     for s in sorted(top_arcs, key=lambda s: s.end.index - s.start.index):
-        row = [" "] * width
-        a, b = _col(s.start.index), _col(s.end.index)
-        row[a] = "\\"
-        row[b] = "/"
-        for c in range(a + 1, b):
-            row[c] = "_"
-        label = _deco_text(s.decorations)
-        if label:
-            mid = (a + b) // 2 - len(label) // 2
-            for k, ch in enumerate(label):
-                if 0 <= mid + k < width:
-                    row[mid + k] = ch
-        # keep verticals for arcs further out and for through strands
-        for t in throughs:
-            row[_col(t.start.index)] = "|" if row[_col(t.start.index)] == " " else row[_col(t.start.index)]
-        lines.append("".join(row).rstrip())
+        lines.append(_arc_row(s, "\\_/", [_col(t.start.index) for t in throughs], width))
 
     # crossing band for through strands
     band = _Canvas(width)
@@ -116,30 +123,9 @@ def render(diag: DecoratedDiagram) -> str:
         lines.append(band.text())
 
     for s in sorted(bottom_arcs, key=lambda s: s.end.index - s.start.index, reverse=True):
-        row = [" "] * width
-        a, b = _col(s.start.index), _col(s.end.index)
-        row[a] = "/"
-        row[b] = "\\"
-        for c in range(a + 1, b):
-            row[c] = "\u203e"  # overline
-        label = _deco_text(s.decorations)
-        if label:
-            mid = (a + b) // 2 - len(label) // 2
-            for k, ch in enumerate(label):
-                if 0 <= mid + k < width:
-                    row[mid + k] = ch
-        for t in throughs:
-            c = _col(t.end.index)
-            row[c] = "|" if row[c] == " " else row[c]
-        lines.append("".join(row).rstrip())
-
-    footer = [" "] * width
-    for i in range(m):
-        text = f"B{i}"
-        for k, ch in enumerate(text):
-            if _col(i) + k < width:
-                footer[_col(i) + k] = ch
-    lines.append("".join(footer).rstrip())
+        # \u203e is the overline
+        lines.append(_arc_row(s, "/\u203e\\", [_col(t.end.index) for t in throughs], width))
+    lines.append(_label_row("B", m, width))
 
     for loop in diag.loops:
         label = _deco_text(loop) or "(plain circle)"
@@ -147,4 +133,4 @@ def render(diag: DecoratedDiagram) -> str:
     k = diag.scalar.half_power_of_d
     coeff = complex(diag.scalar.coeff)
     lines.append(f"scalar: {coeff.real:g}{coeff.imag:+g}i * d^({k}/2)")
-    return "\n".join(line for line in lines if line is not None)
+    return "\n".join(lines)

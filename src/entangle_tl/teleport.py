@@ -6,6 +6,11 @@ measurement formulation at general dimension, the qudit resolution summing
 those measurement branches, a Monte Carlo protocol simulation, and the
 characteristic trace equations of the tight schemes.
 
+The B-matrix and virtual-crossing forms are identities of linear maps of
+Charlie's qubit, and each is compared as one: the 8 x 2 matrix psi -> output,
+formed with the 2 x 2 identity in place of |psi>.  Both sides are linear in
+psi, so maps that agree agree on every |psi>, and no ket is sampled.
+
 measurement_form is the one place the measurement branches are computed: one
 contraction returns Bob's branches (<Omega_n| x 1)(|psi> x |Omega>) for all
 d^2 outcomes as the rows of one array, after checking the measurement
@@ -64,97 +69,80 @@ def teleport_equation_qubit_check(a: complex, b: complex, tol: float = DEFAULT_T
     return report
 
 
-# |00>, |01>, |10>, |11>, each paired with its entry of sigma_vec_11()
-_KET00, _KET01, _KET10, _KET11 = (linalg.product_ket(2, i, j) for i in (0, 1) for j in (0, 1))
+# |00>, |01>, |10>, |11> as 4 x 1 columns, each paired with its entry of sigma_vec_11()
+_KET00, _KET01, _KET10, _KET11 = (linalg.product_ket(2, i, j)[:, None] for i in (0, 1) for j in (0, 1))
 _SIGMA_TERMS = tuple(zip((_KET00, _KET01, _KET10, _KET11), sigma_vec_11()))
+_ONE2 = identity(2)
 
 
-def _vec_sigma_expansion(prefix: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(1/2) sum_k |v_k> x (prefix sigma_k psi) over the product kets
-    v = (|00>, |01>, |10>, |11>) and the correction vector (s3, s1, i s2, 1)."""
-    out = np.zeros(8, dtype=np.complex128)
-    for ket, op in _SIGMA_TERMS:
-        out += 0.5 * linalg.kron_vec(ket, (prefix @ op) @ psi)
-    return out
+def _vec_sigma_expansion(prefix: np.ndarray) -> np.ndarray:
+    """The 8 x 2 map psi -> (1/2) sum_k |v_k> x (prefix sigma_k psi) over the
+    product kets v = (|00>, |01>, |10>, |11>) and the correction vector
+    (s3, s1, i s2, 1)."""
+    return sum(0.5 * kron(ket, prefix @ op) for ket, op in _SIGMA_TERMS)
 
 
-def _worst_over_kets(name: str, residuals, samples: int, seed: int, tol: float) -> VerificationReport:
-    """Report each identity at its largest residual over |0>, |1> and
-    `samples` random qubit kets; residuals(psi) yields (identity, residual)."""
-    rng = np.random.default_rng(seed)
-    psis = [linalg.basis_ket(2, 0), linalg.basis_ket(2, 1)]
-    for _ in range(samples):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psis.append(v / np.linalg.norm(v))
-    worst: dict[str, float] = {}
-    for psi in psis:
-        for identity_name, value in residuals(psi):
-            worst[identity_name] = max(worst.get(identity_name, 0.0), value)
+def _report(name: str, identities, tol: float) -> VerificationReport:
+    """One check per (identity, L, R) of 8 x 2 maps, at max|L - R|."""
     report = VerificationReport(name)
-    for identity_name, residual in worst.items():
-        report.add(identity_name, residual, tol)
+    for identity_name, lhs, rhs in identities:
+        report.add(identity_name, linalg.max_residual(lhs, rhs), tol)
     return report
 
 
-def bell_matrix_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0) -> VerificationReport:
+def bell_matrix_form_check(tol: float = DEFAULT_TOL) -> VerificationReport:
     """The B-form of the teleportation equation and its three resource-state
-    variants, including the (B^-1 x 1)(1 x B) configuration forms."""
+    variants, including the (B^-1 x 1)(1 x B) configuration forms.
+
+    Each identity is compared as the 8 x 2 map psi -> output, formed from the
+    2 x 2 identity in place of |psi> (column j is the output for |j>).  Both
+    sides are linear in psi, so equal maps give equal outputs for every psi,
+    and the residual max|L - R| is the worst over |0> and |1>."""
     b = bell_matrix()
-    one2 = identity(2)
     config = braid_teleport_config(b)
-    one_b, b_one = kron(one2, b), kron(b, one2)
-    phi_minus = bell_state(BellKind.PHI_MINUS)
-
-    def residuals(psi):
-        start = linalg.kron_vec(psi, _KET11)
-        expansion = _vec_sigma_expansion(one2, psi)
-        yield ("phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)",
-               linalg.max_residual(one_b @ start, b_one @ expansion))
-        yield ("phi+ resource: configuration form", linalg.max_residual(config @ start, expansion))
-        lhs_m = one_b @ linalg.kron_vec(psi, _KET00)
-        yield ("phi- resource: (1xB)(psi x |00>) = psi x phi-",
-               linalg.max_residual(lhs_m, linalg.kron_vec(psi, phi_minus)))
-        yield ("phi- resource: (Bx1) form with s3 corrections",
-               linalg.max_residual(lhs_m, b_one @ _vec_sigma_expansion(pauli(3), psi)))
-        yield ("psi+ resource: configuration form with s1 corrections", linalg.max_residual(
-            config @ linalg.kron_vec(psi, _KET01), _vec_sigma_expansion(pauli(1), psi)))
-        yield ("psi- resource: configuration form with -i s2 corrections", linalg.max_residual(
-            config @ linalg.kron_vec(psi, -_KET10), _vec_sigma_expansion(-1j * pauli(2), psi)))
-
-    return _worst_over_kets("teleport-bell-matrix-form", residuals, samples, seed, tol)
+    one_b, b_one = kron(_ONE2, b), kron(b, _ONE2)
+    start, expansion = kron(_ONE2, _KET11), _vec_sigma_expansion(_ONE2)  # psi x |11>, v x sigma/2 psi
+    lhs_m = one_b @ kron(_ONE2, _KET00)
+    return _report("teleport-bell-matrix-form", [
+        ("phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)", one_b @ start, b_one @ expansion),
+        ("phi+ resource: configuration form", config @ start, expansion),
+        ("phi- resource: (1xB)(psi x |00>) = psi x phi-",
+         lhs_m, kron(_ONE2, bell_state(BellKind.PHI_MINUS)[:, None])),
+        ("phi- resource: (Bx1) form with s3 corrections", lhs_m, b_one @ _vec_sigma_expansion(pauli(3))),
+        ("psi+ resource: configuration form with s1 corrections",
+         config @ kron(_ONE2, _KET01), _vec_sigma_expansion(pauli(1))),
+        ("psi- resource: configuration form with -i s2 corrections",
+         config @ kron(_ONE2, -_KET10), _vec_sigma_expansion(-1j * pauli(2))),
+    ], tol)
 
 
-def virtual_form_check(tol: float = DEFAULT_TOL, samples: int = 8, seed: int = 0) -> VerificationReport:
+def virtual_form_check(tol: float = DEFAULT_TOL) -> VerificationReport:
     """The swap/virtual-crossing form of the teleportation equation and its
-    variants, plus the teleportation-swapping equivalence."""
+    variants, plus the teleportation-swapping equivalence, each compared as
+    the 8 x 2 map psi -> output as in bell_matrix_form_check."""
     b = bell_matrix()
-    one2 = identity(2)
-    one_p, b_one = kron(one2, permutation_qubit()), kron(b, one2)
+    one_p, b_one = kron(_ONE2, permutation_qubit()), kron(b, _ONE2)
     swap_op = teleport_swap(2)  # (P x 1)(1 x P)
-    forms = [(kind.value, bell_state(kind), one_p - sub) for kind, sub in (
-        (BellKind.PHI_PLUS, kron(one2, kron(pauli(2), pauli(2)))),
-        (BellKind.PHI_MINUS, kron(one2, kron(pauli(1), pauli(1)))),
-        (BellKind.PSI_PLUS, kron(one2, kron(pauli(3), pauli(3)))),
-        (BellKind.PSI_MINUS, identity(8)))]
-    _, phi_plus, phi_plus_op = forms[0]  # phi+ and 1xP - s2s2
-    mix_lhs, mix_rhs, rhs_op = kron(one2, b) @ swap_op, swap_op @ b_one, phi_plus_op @ b_one
-
-    def residuals(psi):
-        for kind, bell, op in forms:
-            start = linalg.kron_vec(bell, psi)
-            rhs = op @ start
-            yield (f"{kind} resource: (1xP - subtraction) form",
-                   linalg.max_residual(linalg.kron_vec(psi, bell), rhs))
-            yield f"{kind} resource: teleport-swap equivalence", linalg.max_residual(rhs, swap_op @ start)
-
-        base = linalg.kron_vec(_KET11, psi)
-        lhs_mix = mix_lhs @ base
-        yield "virtual mixed relation on |11> x psi", linalg.max_residual(lhs_mix, mix_rhs @ base)
-        target = linalg.kron_vec(psi, phi_plus)
-        yield "left side via (1xB)(Px1)(1xP)", linalg.max_residual(lhs_mix, target)
-        yield "right side via (1xP - s2s2)(Bx1)", linalg.max_residual(rhs_op @ base, target)
-
-    return _worst_over_kets("teleport-virtual-form", residuals, samples, seed, tol)
+    ops = {kind: one_p - sub for kind, sub in (  # 1xP minus the subtraction term
+        (BellKind.PHI_PLUS, kron(_ONE2, kron(pauli(2), pauli(2)))),
+        (BellKind.PHI_MINUS, kron(_ONE2, kron(pauli(1), pauli(1)))),
+        (BellKind.PSI_PLUS, kron(_ONE2, kron(pauli(3), pauli(3)))),
+        (BellKind.PSI_MINUS, identity(8)))}
+    identities = []
+    for kind, op in ops.items():
+        bell = bell_state(kind)[:, None]
+        start = kron(bell, _ONE2)  # bell x psi
+        rhs = op @ start
+        identities += [(f"{kind.value} resource: (1xP - subtraction) form", kron(_ONE2, bell), rhs),
+                       (f"{kind.value} resource: teleport-swap equivalence", rhs, swap_op @ start)]
+    base = kron(_KET11, _ONE2)  # |11> x psi
+    lhs_mix = kron(_ONE2, b) @ swap_op @ base
+    target = kron(_ONE2, bell_state(BellKind.PHI_PLUS)[:, None])  # psi x phi+
+    return _report("teleport-virtual-form", identities + [
+        ("virtual mixed relation on |11> x psi", lhs_mix, swap_op @ b_one @ base),
+        ("left side via (1xB)(Px1)(1xP)", lhs_mix, target),
+        ("right side via (1xP - s2s2)(Bx1)", ops[BellKind.PHI_PLUS] @ b_one @ base, target),
+    ], tol)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

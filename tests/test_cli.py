@@ -423,3 +423,14 @@ def test_render_shows_decorations(capsys):
     diag = dg.decorate(dg.e_gen(1, 2), 0, 0, dg.Decoration("U2", "dagger"))
     art = render(diag)
     assert "•U2" in art
+
+
+def test_teleport_form_lines_do_not_depend_on_the_seed(capsys):
+    # the B-matrix and virtual forms are compared as maps of Charlie's qubit,
+    # so no ket is drawn and their figures are the same at every seed
+    forms = []
+    for seed in ("0", "7"):
+        assert main(["verify", "teleport", "--d", "2", "--seed", seed]) == 0
+        forms.append([line for line in capsys.readouterr().out.splitlines()
+                      if "teleport-bell-matrix-form:" in line or "teleport-virtual-form:" in line])
+    assert len(forms[0]) == 17 and forms[0] == forms[1]

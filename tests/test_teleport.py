@@ -58,6 +58,45 @@ def test_virtual_form():
     assert report.overall_pass, [c for c in report.checks if not c.passed]
 
 
+# Operator mutants of the two form checks and the check names each must fail
+_NEG_LAST = ["teleport-bell-matrix-form: " + name for name in (
+    "phi+ resource: (1xB)(psi x |11>) = (Bx1)(v x sigma/2 psi)",
+    "phi+ resource: configuration form",
+    "phi- resource: (Bx1) form with s3 corrections",
+    "psi+ resource: configuration form with s1 corrections",
+    "psi- resource: configuration form with -i s2 corrections")] + [
+    "teleport-virtual-form: left side via (1xB)(Px1)(1xP)",
+    "teleport-virtual-form: right side via (1xP - s2s2)(Bx1)"]
+_PHASE = ["teleport-bell-matrix-form: phi- resource: (1xB)(psi x |00>) = psi x phi-",
+          "teleport-virtual-form: left side via (1xB)(Px1)(1xP)",
+          "teleport-virtual-form: right side via (1xP - s2s2)(Bx1)"]
+_P_IS_ONE = [f"teleport-virtual-form: {kind} resource: {form}"
+             for kind in ("phi+", "phi-", "psi+", "psi-")
+             for form in ("(1xP - subtraction) form", "teleport-swap equivalence")] + [
+    "teleport-virtual-form: right side via (1xP - s2s2)(Bx1)"]
+
+
+def _negate_last_column(b):
+    b = b.copy()
+    b[:, -1] *= -1
+    return b
+
+
+@pytest.mark.parametrize("attr, mutate, failing", [
+    ("bell_matrix", _negate_last_column, _NEG_LAST),
+    ("bell_matrix", lambda b: b * np.exp(1e-6j), _PHASE),
+    ("permutation_qubit", lambda p: identity(4), _P_IS_ONE),
+], ids=["B-last-column-negated", "B-phase-1e-6", "P-is-identity"])
+def test_form_checks_fail_operator_mutants(monkeypatch, attr, mutate, failing):
+    # the two map comparisons fail exactly the checks the per-ket comparison
+    # on |0>, |1> and eight random kets failed
+    original = getattr(teleport, attr)
+    monkeypatch.setattr(teleport, attr, lambda: mutate(original()))
+    failed = [f"{r.suite_name}: {c.identity_name}" for r in (bell_matrix_form_check(), virtual_form_check())
+              for c in r.checks if not c.passed]
+    assert sorted(failed) == sorted(failing)
+
+
 def test_bell_matrix_form_psi0_explicit_vector():
     # psi = |0>: both sides of the B-form expand to (|000> + |011>)/sqrt(2),
     # frozen from the 8-vector oracle
