@@ -5,7 +5,7 @@ characteristic equations of tight teleportation and dense-coding schemes,
 all checkable numerically at any finite dimension."""
 
 from . import braid, diagram, linalg, maxent, qubit, render, report, teleport, tlalgebra
-from .linalg import DEFAULT_TOL, FLOW_TOL, approx_eq, is_unitary, kron, max_residual
+from .linalg import DEFAULT_TOL, approx_eq, is_unitary, kron, max_residual
 from .report import CheckResult, VerificationReport
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "teleport",
     "tlalgebra",
     "DEFAULT_TOL",
-    "FLOW_TOL",
     "approx_eq",
     "is_unitary",
     "kron",

@@ -120,7 +120,7 @@ def _tl(cfg, rng):
     n, d, tol = cfg.strands, cfg.dimension, cfg.tolerance
     basis = maxent.weyl_basis(d)
     return [tlalgebra.check_tl_axioms(n, d, tol)] + [
-        tlalgebra.check_tl_decorated(min(n, 3), d, idx, basis, tol) for idx in range(1, d * d + 1)]
+        tlalgebra.check_tl_decorated(3, d, idx, basis, tol) for idx in range(1, d * d + 1)]
 
 
 def _brauer(cfg, rng):
@@ -128,8 +128,7 @@ def _brauer(cfg, rng):
 
 
 def _flow(cfg, rng):
-    return [tlalgebra.check_flow(cfg.dimension, samples=10, seed=cfg.seed,
-                                 tol=max(cfg.tolerance, linalg.FLOW_TOL))]
+    return [tlalgebra.check_flow(cfg.dimension, seed=cfg.seed, tol=cfg.tolerance)]
 
 
 REGISTRY = {"bell": _bell, "braid": _braid, "virtual": _virtual, "maxent": _maxent,

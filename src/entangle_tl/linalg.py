@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Identities built from products of <= 12 small matrices resolve to this
-# accuracy in double precision; the long flow products get a looser bound.
+# The default --tol, the bound of every reported check: each identity resolves
+# far below it in double precision, the flow's (near 1e-15 up to d = 64) too.
 DEFAULT_TOL = 1e-10
-FLOW_TOL = 1e-9
 
 
 class DimensionError(ValueError):

@@ -76,7 +76,7 @@ class _Canvas:
 def render(diag: DecoratedDiagram) -> str:
     n, m = diag.top, diag.bottom
     longest_label = max((len(_deco_text(s.decorations)) for s in diag.strands), default=0)
-    width = max(_col(max(n, m, 1)) + 2, 20, _col(0) + longest_label + 4)
+    width = _col(max(n, m, 1)) + 2 + longest_label  # a label fits right of any column
 
     top_arcs, bottom_arcs, throughs = [], [], []
     for s in diag.strands:
@@ -96,29 +96,19 @@ def render(diag: DecoratedDiagram) -> str:
     # crossing band for through strands
     band = _Canvas(width)
     depth = max((abs(s.start.index - s.end.index) for s in throughs), default=0)
-    band_rows = max(2 * depth, 1) if throughs else 0
+    # the longest diagonal arrives on the last row, 2 * depth
+    band_rows = 2 * depth + 1 if throughs else 0
     for s in throughs:
         a, b = s.start.index, s.end.index
+        # a diagonal char per half column of travel, then | down to the last row
+        steps = 2 * abs(b - a)
+        for r in range(steps):
+            band.put(r, _col(a) + r * (_col(b) - _col(a)) // steps, "\\" if b > a else "/")
+        for r in range(steps, band_rows):
+            band.put(r, _col(b), "|")
         label = _deco_text(s.decorations)
-        if a == b:
-            for r in range(band_rows):
-                band.put(r, _col(a), "|")
-            if label:
-                band.put(band_rows // 2, _col(a) + 1, label)
-        else:
-            step = 1 if b > a else -1
-            # one diagonal char per half column of horizontal travel
-            r, c = 0, _col(a)
-            target = _col(b)
-            glyph = "\\" if step > 0 else "/"
-            while (c < target if step > 0 else c > target) and r < band_rows:
-                band.put(r, c, glyph)
-                c += step * (COL_WIDTH // 2)
-                r += 1
-            for rr in range(r, band_rows):
-                band.put(rr, target, "|")
-            if label:
-                band.put(max(r - 1, 0), min(_col(a), target) + 1, label)
+        if label:  # right of the bottom column, mid-band or on the row a diagonal arrives
+            band.put(steps or band_rows // 2, _col(b) + 1, label)
     if throughs:
         lines.append(band.text())
 

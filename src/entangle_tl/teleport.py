@@ -150,11 +150,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def measurement_form(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def measurement_form(d: int, psi, basis: WeylBasis | None = None) -> np.ndarray:
     """Bob's unnormalized branches (<Omega_n| x 1)(|psi> x |Omega>), row n - 1
     for outcome n, after checking (|Omega_n><Omega_n| x 1)(|psi> x |Omega>) =
     (1/d)|Omega_n> x U_n^dag|psi> for every n.  The projector is rank one on CA,
-    so the residual is max|Omega_n| max|branch_n - U_n^dag psi / d|."""
+    so the residual is max|Omega_n| max|branch_n - U_n^dag psi / d|, a guard
+    held to DEFAULT_TOL (ValueError above it), not a check held to --tol."""
     basis = basis if basis is not None else weyl_basis(d)
     psi = _require_unit(psi)
     if psi.shape != (d,):
@@ -164,7 +165,7 @@ def measurement_form(d: int, psi, basis: WeylBasis | None = None, tol: float = D
     branches = np.einsum("nk,kb->nb", kets.conj(), state)  # numpy's loop, not BLAS: keeps simulate's bits
     expected = psi @ basis.unitaries.conj() / d  # row n - 1 is U_n^dag psi / d
     residual = float(np.max(np.abs(kets).max(axis=1) * np.abs(branches - expected).max(axis=1)))
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise ValueError(f"measurement identity violated: residual {residual:.3e}")
     return branches
 
@@ -172,7 +173,7 @@ def measurement_form(d: int, psi, basis: WeylBasis | None = None, tol: float = D
 def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Every measurement outcome n has branch weight 1/d^2."""
     report = VerificationReport("measurement-form")
-    weights = np.linalg.norm(measurement_form(d, psi, basis, tol), axis=1) ** 2
+    weights = np.linalg.norm(measurement_form(d, psi, basis), axis=1) ** 2
     report.add("branch weight 1/d^2 for every outcome", float(np.max(np.abs(weights - 1 / d ** 2))), tol)
     return report
 

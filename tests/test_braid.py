@@ -63,6 +63,14 @@ def test_check_teleport_swapping_fails_on_reverse_routing(monkeypatch, d):
     assert not routing.passed and routing.max_residual == 1
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_teleport_swapping_fails_on_forward_routing_back(monkeypatch, d):
+    monkeypatch.setattr(braid, "teleport_swap_reverse", teleport_swap)
+    report = check_teleport_swapping(d)
+    routing = {c.identity_name: c for c in report.checks}["|k>|ij> = (Px1)(1xP)|ij>|k> and back"]
+    assert not routing.passed and routing.max_residual == 1
+
+
 def test_teleport_swap_d1_is_scalar_one():
     assert teleport_swap(1).shape == (1, 1)
     assert teleport_swap(1)[0, 0] == 1

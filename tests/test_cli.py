@@ -434,3 +434,43 @@ def test_teleport_form_lines_do_not_depend_on_the_seed(capsys):
         forms.append([line for line in capsys.readouterr().out.splitlines()
                       if "teleport-bell-matrix-form:" in line or "teleport-virtual-form:" in line])
     assert len(forms[0]) == 17 and forms[0] == forms[1]
+
+
+@pytest.mark.parametrize("argv", [["verify", "teleport", "--d", "3"], ["verify", "all", "--d", "2"]])
+def test_tol_below_roundoff_fails_checks_and_exits_1(argv, capsys):
+    # --tol bounds the reported checks only: the measurement guard keeps its
+    # own bound, so no input is refused
+    assert main(argv + ["--tol", "1e-20"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL]" in out and "error:" not in out + err
+
+
+OCTUPLE_CHECKS = ("random octuples: evaluate vs closed form",
+                  "random octuples: brute-force contraction vs closed form")
+
+
+def _octuple_verdicts(out, d):
+    verdicts = {c["identity_name"]: c["pass"] for c in json.loads(out)["checks"]}
+    return [verdicts[f"flow d={d}: {name}"] for name in OCTUPLE_CHECKS]
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_verify_flow_fails_a_zero_output(monkeypatch, capsys, d):
+    # the closed-form output is about 7e-10 at d = 32: the default bound
+    # sees a zero flow, where a 1e-9 floor did not
+    apply = tlalgebra.flow_apply
+    monkeypatch.setattr(tlalgebra, "flow_apply", lambda ops, phi, d, evaluator=dg.evaluate: apply(
+        ops, phi, d, evaluator=lambda diag, d, table: np.zeros((d, d))))
+    assert main(["verify", "flow", "--d", str(d), "--format", "json"]) == 1
+    assert _octuple_verdicts(capsys.readouterr().out, d) == [False, False]
+
+
+def test_verify_flow_takes_tol_as_flow_spec_does(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    ops = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(8)]
+    spec = tmp_path / "flow.json"
+    spec.write_text(json.dumps({"d": 2, "operators": [np.stack([u.real, u.imag], -1).tolist() for u in ops]}))
+    assert main(["flow", "--spec", str(spec), "--tol", "1e-20"]) == 1
+    capsys.readouterr()
+    assert main(["verify", "flow", "--d", "2", "--tol", "1e-20", "--format", "json"]) == 1
+    assert _octuple_verdicts(capsys.readouterr().out, 2) == [False, False]

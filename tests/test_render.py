@@ -3,7 +3,7 @@
 import pytest
 
 from entangle_tl import diagram as dg, tlalgebra
-from entangle_tl.render import render
+from entangle_tl.render import _col, render
 
 DIAGRAMS = {
     "flow_diagram": tlalgebra.flow_diagram,
@@ -24,7 +24,8 @@ GOLDEN = {
               \\
                  \\
                     \\
-   •u1^+ •u2^T •u3^+ •u4 •u5^* •u6^T •u7^+ •u8^T
+                       \\
+                          |•u1^+ •u2^T •u3^+ •u4 •u5^* •u6^T •u7^+ •u8^T
   /‾•u1‾\\                 |
               /‾•u3‾\\     |
   B0    B1    B2    B3    B4
@@ -42,6 +43,7 @@ scalar: 1+0i * d^(-2/2)""",
   T0    T1    T2
   \\     /     |
      ×        |
+  |     |     |
   B0    B1    B2
 scalar: 1+0i * d^(0/2)""",
     "decorated_e_gen_1_3": """\
@@ -57,3 +59,23 @@ scalar: 1+0i * d^(-2/2)""",
 @pytest.mark.parametrize("name", DIAGRAMS)
 def test_render_matches_golden(name):
     assert render(DIAGRAMS[name]()) == GOLDEN[name]
+
+
+
+THREE_CYCLES = {
+    "v1_v2": lambda: dg.compose(dg.v_gen(1, 3), dg.v_gen(2, 3)),
+    "v2_v1": lambda: dg.compose(dg.v_gen(2, 3), dg.v_gen(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", [*DIAGRAMS, *THREE_CYCLES])
+def test_every_through_strand_ends_in_its_bottom_column(name):
+    diag = {**DIAGRAMS, **THREE_CYCLES}[name]()
+    throughs = [s for s in diag.strands if not s.is_arc]
+    assert throughs
+    # below the band: the bottom arcs, the B row, the loops and the scalar line
+    below = sum(s.is_arc and s.start.side == dg.BOTTOM for s in diag.strands) + len(diag.loops) + 2
+    last_band_row = render(diag).split("\n")[-below - 1]
+    for s in throughs:
+        c = _col(s.end.index)
+        assert last_band_row[c:c + 1] == "|", (s, last_band_row)

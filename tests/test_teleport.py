@@ -144,7 +144,7 @@ def test_measurement_form_random_d3(rng):
     basis = weyl_basis(3)
     psi = random_ket(rng, 3)
     state = np.kron(psi, omega(3))
-    branches = measurement_form(3, psi, basis, tol=1e-10)
+    branches = measurement_form(3, psi, basis)
     for n in (2, 5, 9):
         branch = branches[n - 1]
         ket_n = omega_n(3, n, basis)
