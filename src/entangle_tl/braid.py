@@ -4,16 +4,16 @@ pairs, plus the braid teleportation configuration and teleportation swapping.
 A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
 of a d-dimensional system; apply_on_strands() applies it at position i of n
 strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding.
-embed() forms that embedding, and strand_product() forms a word of such
-factors as the embedding of its rightmost factor with the others applied.
-relation_residual() compares a relation written on the strands it touches
-(2 for one pair, 3 for adjacent pairs, 4 for far commutativity, on basis
-kets): on n strands both sides only gain identity strands.
+embed() forms columns of that embedding by scattering, and apply_word() the
+same columns of a word of such factors: its rightmost factor embedded, the
+others applied.  relation_residual() compares a relation written on the
+strands it touches (2 for one pair, 3 for adjacent pairs, 4 for far
+commutativity, on basis-ket probes) one block of basis-ket columns at a time:
+on n strands both sides only gain identity strands.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -23,6 +23,7 @@ from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
 
 PROBES, PROBE_SEED = 8, 0  # the basis kets a far relation is compared on, and their seed
+BLOCK = 64  # basis-ket columns a relation's words are applied to at a time
 
 
 def swap(d: int) -> np.ndarray:
@@ -58,25 +59,30 @@ def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     return np.matmul(op, blocks).reshape(x.shape)
 
 
-def embed(op, i: int, n: int) -> np.ndarray:
-    """1 x ... x op x ... x 1 with op on strands (i, i+1) of n, 1-based i."""
+def embed(op, i: int, n: int, cols=None) -> np.ndarray:
+    """Columns cols (all by default) of 1 x ... x op x ... x 1 with op on
+    strands (i, i+1) of n, 1-based i: op's columns scattered into zeros."""
     d, op = _local_dimension(op)
-    if d ** (2 * n) > diagram.MAX_OUTPUT_ENTRIES:
-        raise DimensionError(
-            f"strand product of {d}^{2 * n} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+    cols = np.arange(d ** n) if cols is None else np.asarray(cols)
+    if d ** n * len(cols) > diagram.MAX_OUTPUT_ENTRIES:
+        raise DimensionError(f"embedding of {d}^{n} x {len(cols)} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
     if not 1 <= i <= n - 1:
         raise DimensionError(f"factor at {i} (d={d}) does not fit {n} strands of d={d}")
-    # a kron with the 1 x 1 identity would only copy the whole embedding
-    out = np.kron(identity(d ** (i - 1)), op) if i > 1 else op.copy()
-    return np.kron(out, identity(d ** (n - i - 1))) if i < n - 1 else out
+    if len(cols) and not 0 <= cols.min() <= cols.max() < d ** n:
+        raise DimensionError(f"columns {cols.min()}..{cols.max()} out of range for {d}^{n}")
+    shape = (d ** (i - 1), d * d, d ** (n - i - 1))
+    hi, mid, lo = np.unravel_index(cols, shape)
+    out = np.zeros((*shape, len(cols)), dtype=op.dtype)
+    out[hi, :, lo, np.arange(len(cols))] = op[:, mid].T
+    return out.reshape(d ** n, len(cols))
 
 
-def strand_product(factors, n: int) -> np.ndarray:
-    """The d^n x d^n product of (op, i) factors, written left to right: the
-    rightmost factor is embedded and the others are applied to it, right to
-    left, by apply_on_strands."""
-    (op, i), *rest = reversed(factors)
-    out = embed(op, i, n)
+def apply_word(word, n: int, cols=None) -> np.ndarray:
+    """Columns cols (all by default) of the d^n x d^n product of the (op, i)
+    factors of word, written left to right: the rightmost factor's columns are
+    embedded and the others applied to them, right to left, by apply_on_strands."""
+    (op, i), *rest = reversed(word)
+    out = embed(op, i, n, cols)
     for factor in rest:  # a loop, not reduce: reduce would keep the embedding alive
         out = apply_on_strands(*factor, n, out)
     return out
@@ -84,23 +90,18 @@ def strand_product(factors, n: int) -> np.ndarray:
 
 def relation_residual(lhs, rhs, scale=1) -> float:
     """max|L - scale R| for the words lhs and rhs of (op, i) factors on strands
-    1..max i + 1: on more strands L x 1 and R x 1 add only zero entries.  Words
-    on 4 or more strands (far commutativity) are compared on PROBES basis kets,
-    each applied factor by factor (Freivalds, IFIP 1977), so a misplaced factor
-    fails and no d^8 product is formed."""
+    1..max i + 1: on more strands L x 1 and R x 1 add only zero entries.  Both
+    words are applied to BLOCK basis-ket columns at a time: every column on at
+    most 3 strands, PROBES of them on 4 or more (far commutativity, Freivalds,
+    IFIP 1977), so a misplaced factor fails and no d^2n product is formed."""
     n = max(i for _, i in (*lhs, *rhs)) + 1
-    if n <= 3:
-        left, right = strand_product(lhs, n), strand_product(rhs, n)
-    else:
-        d, _ = _local_dimension(lhs[0][0])
-        k = min(PROBES, d ** n)
-        if d ** n * k > diagram.MAX_OUTPUT_ENTRIES:
-            raise DimensionError(f"probe block of {d}^{n} x {k} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
-        kets = np.zeros((d ** n, k))  # a generator of its own: the CLI's rng draws as before
-        kets[np.random.default_rng(PROBE_SEED).choice(d ** n, k, replace=False), range(k)] = 1
-        left, right = (functools.reduce(lambda x, f: apply_on_strands(*f, n, x), reversed(w), kets)
-                       for w in (lhs, rhs))
-    return linalg.max_residual(left, right if scale == 1 else scale * right)
+    d, _ = _local_dimension(lhs[-1][0])
+    cols = (np.arange(d ** n) if n <= 3 else  # probes from a generator of its own: the CLI's rng draws as before
+            np.random.default_rng(PROBE_SEED).choice(d ** n, min(PROBES, d ** n), replace=False))
+    if d ** n * len(cols) > diagram.MAX_OUTPUT_ENTRIES:
+        raise DimensionError(f"relation on {d}^{n} x {len(cols)} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+    return max(linalg.max_residual(apply_word(lhs, n, block), scale * apply_word(rhs, n, block))
+               for block in np.split(cols, range(BLOCK, len(cols), BLOCK)))
 
 
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -120,9 +121,9 @@ def check_braid_closed_form(b, tol: float = DEFAULT_TOL) -> VerificationReport:
     square = b @ b
     closed = (embed(square, 2, 3) + embed(square, 1, 3)) / np.sqrt(2)
     report.add("b1 b2 b1 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-               linalg.max_residual(strand_product([(b, 1), (b, 2), (b, 1)], 3), closed), tol)
+               linalg.max_residual(apply_word([(b, 1), (b, 2), (b, 1)], 3), closed), tol)
     report.add("b2 b1 b2 equals (1 x B^2 + B^2 x 1)/sqrt(2)",
-               linalg.max_residual(strand_product([(b, 2), (b, 1), (b, 2)], 3), closed), tol)
+               linalg.max_residual(apply_word([(b, 2), (b, 1), (b, 2)], 3), closed), tol)
     return report
 
 
@@ -150,38 +151,36 @@ def braid_teleport_config(b) -> np.ndarray:
     explicit inverse otherwise (LinAlgError when b is singular)."""
     b = linalg.as_matrix(b)
     inverse = b.conj().T if linalg.is_unitary(b) else np.linalg.inv(b)
-    return strand_product([(inverse, 1), (b, 2)], 3)
+    return apply_word([(inverse, 1), (b, 2)], 3)
 
 
-def teleport_swap(d: int) -> np.ndarray:
-    """(P x 1)(1 x P): routes |ij> x |k> to |k> x |ij> cyclically."""
-    p = swap(d)
-    return strand_product([(p, 1), (p, 2)], 3)
+def teleport_swap(d: int, cols=None) -> np.ndarray:
+    """Columns cols (all by default) of (P x 1)(1 x P): routes |ij> x |k> to
+    |k> x |ij> cyclically."""
+    return apply_word([(swap(d), 1), (swap(d), 2)], 3, cols)
 
 
-def teleport_swap_reverse(d: int) -> np.ndarray:
-    """(1 x P)(P x 1): the inverse cyclic routing |k> x |ij> to |ij> x |k>."""
-    p = swap(d)
-    return strand_product([(p, 2), (p, 1)], 3)
-
-
-def _permutation_residual(op: np.ndarray, rows, cols) -> float:
-    """max|op - Q| for the permutation Q with ones at (rows, cols), formed in op."""
-    op[rows, cols] -= 1
-    return float(np.abs(op, out=op).real.max())
+def teleport_swap_reverse(d: int, cols=None) -> np.ndarray:
+    """Columns cols (all by default) of (1 x P)(P x 1): the inverse cyclic
+    routing |k> x |ij> to |ij> x |k>."""
+    return apply_word([(swap(d), 2), (swap(d), 1)], 3, cols)
 
 
 def check_teleport_swapping(d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """(P x 1)(1 x P)|ij>|k> = |k>|ij> on every basis ket, and back: each
-    operator is compared once with the routing permutation (or its
-    transpose), whose column c is the image of the basis ket c, one operator
-    at a time.  Reverse after forward is (1xP)(Px1)(Px1)(1xP), compared with 1."""
+    """(P x 1)(1 x P)|ij>|k> = |k>|ij> on every basis ket, and back: BLOCK
+    columns of each operator at a time, each less its routed basis ket (column
+    c of the forward routing has its 1 at row routed[c], of the reverse at
+    back[c]).  Reverse after forward is (1xP)(Px1)(Px1)(1xP), compared with 1."""
     report = VerificationReport("teleport-swapping")
     p = swap(d)
     c = np.arange(d ** 3)
     routed = (c % d) * d * d + c // d  # |ij>|k> to |k>|ij>
-    worst = max(_permutation_residual(teleport_swap(d), routed, c),
-                _permutation_residual(teleport_swap_reverse(d), c, routed))
+    back = (c % (d * d)) * d + c // (d * d)  # |k>|ij> to |ij>|k>
+    worst = 0.0
+    for block in np.split(c, range(BLOCK, d ** 3, BLOCK)):
+        for op, rows in ((teleport_swap(d, block), routed[block]), (teleport_swap_reverse(d, block), back[block])):
+            op[rows, range(len(block))] -= 1
+            worst = max(worst, float(np.abs(op).max()))
     report.add("|k>|ij> = (Px1)(1xP)|ij>|k> and back", worst, tol)
     report.add("reverse undoes forward", relation_residual([(p, 2), (p, 1), (p, 1), (p, 2)],
                                                            [(identity(d * d), 1)]), tol)

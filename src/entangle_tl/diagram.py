@@ -52,8 +52,8 @@ _DAGGER_TOGGLE = {
 TOP = "T"
 BOTTOM = "B"
 
-# Largest output, in entries, an evaluation or a braid.strand_product may
-# allocate: 256 MiB of complex128.
+# Largest output, in entries, an evaluation or a braid.embed may allocate
+# (256 MiB of complex128), and most entries a braid.relation_residual walks.
 MAX_OUTPUT_ENTRIES = 2 ** 24
 
 

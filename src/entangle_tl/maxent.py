@@ -67,16 +67,20 @@ class WeylBasis:
         mats = np.array(self.unitaries, dtype=np.complex128)  # a copy, so the caller's stays writable
         if mats.shape != (d * d, d, d):
             raise DimensionError(f"need {d * d} unitaries of shape {d}x{d}, got an array of shape {mats.shape}")
-        # max |U_n U_n^dag - 1| for all n at once; nan counts as not unitary
-        off = np.abs(mats @ mats.conj().transpose(0, 2, 1) - identity(d)).max(axis=(1, 2))
-        bad = np.flatnonzero(~(off <= 1e-9))
+        # max |U_n U_n^dag - 1| for all n at once, formed in the product; nan
+        # counts as not unitary
+        off = mats @ mats.conj().transpose(0, 2, 1)
+        off -= identity(d)
+        bad = np.flatnonzero(~(np.abs(off, out=off).real.max(axis=(1, 2)) <= 1e-9))
+        del off  # freed before the Gram is formed
         if bad.size:
             raise ValueError(f"U_{bad[0] + 1} is not unitary")
         if linalg.max_residual(mats[0], identity(d)) > 1e-12:
             raise ValueError("U_1 must be the identity")
         flat = mats.reshape(d * d, d * d)
-        gram = flat.conj() @ flat.T  # tr(U_n^dag U_m) for all n, m
-        if linalg.max_residual(gram, d * np.eye(d * d)) > 1e-9:
+        gram = flat.conj() @ flat.T  # tr(U_n^dag U_m) for all n, m, less d 1 in place
+        gram[np.diag_indices(d * d)] -= d
+        if not np.abs(gram, out=gram).real.max() <= 1e-9:
             raise ValueError("basis is not trace-orthogonal")
         mats.setflags(write=False)
         object.__setattr__(self, "unitaries", mats)

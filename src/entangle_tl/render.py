@@ -54,25 +54,6 @@ def _arc_row(s, glyphs: str, verticals, width: int) -> str:
     return "".join(row).rstrip()
 
 
-class _Canvas:
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[str]] = []
-
-    def put(self, r: int, c: int, text: str):
-        while len(self.rows) <= r:
-            self.rows.append([" "] * self.width)
-        row = self.rows[r]
-        for k, ch in enumerate(text):
-            pos = c + k
-            if 0 <= pos < self.width:
-                if ch != " ":
-                    row[pos] = "×" if (row[pos] not in (" ", ch) and ch in "\\/") else ch
-
-    def text(self) -> str:
-        return "\n".join("".join(r).rstrip() for r in self.rows)
-
-
 def render(diag: DecoratedDiagram) -> str:
     n, m = diag.top, diag.bottom
     longest_label = max((len(_deco_text(s.decorations)) for s in diag.strands), default=0)
@@ -94,23 +75,26 @@ def render(diag: DecoratedDiagram) -> str:
         lines.append(_arc_row(s, "\\_/", [_col(t.start.index) for t in throughs], width))
 
     # crossing band for through strands
-    band = _Canvas(width)
     depth = max((abs(s.start.index - s.end.index) for s in throughs), default=0)
     # the longest diagonal arrives on the last row, 2 * depth
-    band_rows = 2 * depth + 1 if throughs else 0
+    band = [[" "] * width for _ in range(2 * depth + 1 if throughs else 0)]
     for s in throughs:
         a, b = s.start.index, s.end.index
         # a diagonal char per half column of travel, then | down to the last row
         steps = 2 * abs(b - a)
-        for r in range(steps):
-            band.put(r, _col(a) + r * (_col(b) - _col(a)) // steps, "\\" if b > a else "/")
-        for r in range(steps, band_rows):
-            band.put(r, _col(b), "|")
-        label = _deco_text(s.decorations)
-        if label:  # right of the bottom column, mid-band or on the row a diagonal arrives
-            band.put(steps or band_rows // 2, _col(b) + 1, label)
-    if throughs:
-        lines.append(band.text())
+        glyphs = [(r, _col(a) + r * (_col(b) - _col(a)) // steps, "\\" if b > a else "/") for r in range(steps)]
+        for r, c, glyph in glyphs + [(r, _col(b), "|") for r in range(steps, len(band))]:
+            band[r][c] = glyph if band[r][c] in (" ", glyph) else "×"  # a crossing over another strand
+    labels = []  # a label that would cover a glyph goes on its own line under the band
+    for s in throughs:
+        label, c = _deco_text(s.decorations), _col(s.end.index)
+        # right of the bottom column, mid-band or on the row a diagonal arrives
+        row = band[2 * abs(s.end.index - s.start.index) or len(band) // 2]
+        if label and set(row[c + 1:c + 1 + len(label)]) == {" "}:
+            _write(row, c + 1, label)
+        elif label:
+            labels.append(" " * c + label)
+    lines += ["".join(row).rstrip() for row in band] + labels
 
     for s in sorted(bottom_arcs, key=lambda s: s.end.index - s.start.index, reverse=True):
         # \u203e is the overline

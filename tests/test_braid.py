@@ -6,11 +6,11 @@ import pytest
 
 from entangle_tl import braid, linalg
 from entangle_tl import diagram as dg
-from entangle_tl.braid import (apply_on_strands, braid_teleport_config, check_braid_closed_form,
-                               check_braid_relation, check_teleport_swapping,
-                               check_virtual_mixed, check_virtual_relations, embed,
-                               relation_residual, strand_product, swap, teleport_swap,
-                               teleport_swap_reverse)
+from entangle_tl.braid import (apply_on_strands, apply_word, braid_teleport_config,
+                               check_braid_closed_form, check_braid_relation,
+                               check_teleport_swapping, check_virtual_mixed,
+                               check_virtual_relations, embed, relation_residual, swap,
+                               teleport_swap, teleport_swap_reverse)
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
 from entangle_tl.maxent import omega_projector, shift
 from entangle_tl.qubit import bell_matrix, permutation_qubit
@@ -187,12 +187,12 @@ def test_strand_operator_validation():
     with pytest.raises(linalg.DimensionError):
         apply_on_strands(np.eye(3), 1, 2, x)  # 3 is not a perfect square
     with pytest.raises(linalg.DimensionError):
-        strand_product([(np.eye(3), 1)], 2)
+        apply_word([(np.eye(3), 1)], 2)
     with pytest.raises(linalg.DimensionError):
         apply_on_strands(np.eye(9)[:, :3], 1, 2, x)  # not square
     with pytest.raises(ValueError, match="finite"):
         apply_on_strands(np.full((9, 9), np.nan), 1, 2, x)
-    assert strand_product([(np.eye(9), 1)], 2).shape == (9, 9)  # d = 3 derived from 9 x 9
+    assert apply_word([(np.eye(9), 1)], 2).shape == (9, 9)  # d = 3 derived from 9 x 9
 
 
 # --- local strand kernel ------------------------------------------------------
@@ -221,16 +221,20 @@ def test_apply_on_strands_matches_kron(rng, d, n, i):
 @pytest.mark.parametrize("d,n,i", STRAND_CASES)
 def test_embed_bit_identical_to_kron(rng, d, n, i):
     op = random_op(rng, d)
-    assert max_residual(embed(op, i, n), dense_embed(op, i, n, d)) == 0
+    dense = dense_embed(op, i, n, d)
+    assert max_residual(embed(op, i, n), dense) == 0
+    cols = rng.permutation(d ** n)[:5]  # any columns, in any order
+    assert max_residual(embed(op, i, n, cols), dense[:, cols]) == 0
 
 
 @pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3) for n in range(2, 6)])
 def test_strand_product_matches_chained_embeds(rng, d, n):
+    # every column of the word's product, with no cols given
     factors = [(random_op(rng, d), int(rng.integers(1, n))) for _ in range(4)]
     dense = np.eye(d ** n)
     for op, i in factors:
         dense = dense @ dense_embed(op, i, n, d)
-    assert max_residual(strand_product(factors, n), dense) < 1e-12 * max(1.0, np.abs(dense).max())
+    assert max_residual(apply_word(factors, n), dense) < 1e-12 * max(1.0, np.abs(dense).max())
 
 
 def test_strand_positions_out_of_range_raise():
@@ -240,19 +244,29 @@ def test_strand_positions_out_of_range_raise():
         with pytest.raises(linalg.DimensionError):
             apply_on_strands(b, i, 3, x)
         with pytest.raises(linalg.DimensionError):
-            strand_product([(b, 1), (b, i)], 3)
+            apply_word([(b, 1), (b, i)], 3)
     with pytest.raises(linalg.DimensionError):
         apply_on_strands(b, 1, 3, np.eye(4))  # 4 rows, not 2^3
     with pytest.raises(linalg.DimensionError):
-        strand_product([(b, 1), (swap(3), 2)], 3)  # mixed local dimensions
+        apply_word([(b, 1), (swap(3), 2)], 3)  # mixed local dimensions
+    for cols in ([8], [-1]):
+        with pytest.raises(linalg.DimensionError):
+            embed(b, 1, 3, cols)
+    with pytest.raises(linalg.DimensionError):  # the rhs embeds columns of 27 on 8 rows
+        relation_residual([(swap(3), 1), (swap(3), 2)], [(b, 1)])
 
 
 def test_strand_product_size_guard(monkeypatch):
-    # refused before any factor is applied, whatever strands it touches
+    # the embedding's d^n x len(cols) entries are counted before anything is
+    # scattered, whatever strands op touches
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 63)
-    with pytest.raises(linalg.DimensionError, match="2\\^6 entries exceeds 63"):
+    with pytest.raises(linalg.DimensionError, match="2\\^3 x 8 entries exceeds 63"):
         embed(bell_matrix(), 1, 3)
+    with pytest.raises(linalg.DimensionError, match="2\\^6 x 1 entries exceeds 63"):
+        embed(bell_matrix(), 5, 6, [0])
     assert embed(bell_matrix(), 1, 2).shape == (4, 4)
+    assert embed(bell_matrix(), 2, 3, range(7)).shape == (8, 7)  # 56 entries
+    assert embed(bell_matrix(), 4, 5, [0]).shape == (32, 1)
 
 
 # --- relations on the strands they touch --------------------------------------
@@ -281,28 +295,31 @@ def probe_block(d, m):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("lhs,rhs", RELATION_WORDS)
 def test_relation_residual_equals_n_strand_residual(rng, d, lhs, rhs):
-    # words on <= 3 strands are compared entrywise on all n strands; wider
-    # ones on the probe block, against the chained products applied to it
+    # words on <= 3 strands are compared entrywise with the chained dense
+    # products on all n strands; wider ones on the probe block, against the
+    # chained products applied to it
     ops = [random_op(rng, d) for _ in range(2)]
     n = 6
     scale = complex(rng.normal(), rng.normal())
     lhs = [(ops[k], i) for k, i in lhs]
     rhs = [(ops[k], i) for k, i in rhs]
     m = max(i for _, i in lhs + rhs) + 1
+    whole = max_residual(dense_chain(lhs, n, d), scale * dense_chain(rhs, n, d))
     if m <= 3:
-        want = max_residual(strand_product(lhs, n), scale * strand_product(rhs, n))
+        want = whole
     else:
         kets = probe_block(d, m)
         want = max_residual(dense_chain(lhs, m, d) @ kets, scale * dense_chain(rhs, m, d) @ kets)
-        assert want <= max_residual(strand_product(lhs, n), scale * strand_product(rhs, n)) * (1 + 1e-12)
+        assert want <= whole * (1 + 1e-12)
     assert abs(relation_residual(lhs, rhs, scale) - want) <= 1e-12 * want
     assert relation_residual(lhs, lhs) == 0
 
 
 def test_relation_residual_stays_on_four_strands(monkeypatch):
-    # far commutativity written on the strands it touches is compared on
-    # d^4 x PROBES probe entries, and the braid and virtual checkers' other
-    # words sit on at most 3 strands
+    # far commutativity written on the strands it touches walks d^4 x PROBES
+    # probe entries, and the braid and virtual checkers' other words sit on at
+    # most 3 strands, where they walk d^3 x d^3: each passes at its count of
+    # walked entries and is refused one below it
     entries = 2 ** 4 * braid.PROBES
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", entries)
     b = bell_matrix()
@@ -312,6 +329,21 @@ def test_relation_residual_stays_on_four_strands(monkeypatch):
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", entries - 1)
     with pytest.raises(linalg.DimensionError, match=f"2\\^4 x 8 entries exceeds {entries - 1}"):
         relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)])
+    adjacent = [(b, 1), (b, 2), (b, 1)], [(b, 2), (b, 1), (b, 2)]
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 6)
+    assert relation_residual(*adjacent) < 1e-15
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 6 - 1)
+    with pytest.raises(linalg.DimensionError, match="2\\^3 x 8 entries exceeds 63"):
+        relation_residual(*adjacent)
+
+
+def test_relation_residual_reads_every_block():
+    # at d = 5 the 125 columns of 3 strands make blocks of 64 and 61; m x 1
+    # differs from the identity only in columns 120..124, all in the last one
+    m = identity(25)
+    m[24, 24] = 2
+    assert relation_residual([(identity(25), 1), (identity(25), 2)], [(m, 1), (identity(25), 2)]) == 1
+    assert relation_residual([(m, 1), (identity(25), 2)], [(m, 1)]) == 0
 
 
 # --- strand products against the chained dense embeddings ----------------------
@@ -356,26 +388,28 @@ JOIN_WORDS = [[1, 3], [3, 1], [1, 4], [4, 1], [2, 4, 1], [1, 2, 4], [4, 3, 1],
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("positions", JOIN_WORDS)
 def test_strand_product_joins_match_dense_chain(rng, d, positions):
-    # compared on random columns: the 1024 x 1024 chain at d=4 takes seconds
+    # the word's product on chosen columns, compared with the dense chain
+    # applied to those basis kets: the 1024 x 1024 chain at d=4 takes seconds
     word = [(random_op(rng, d), i) for i in positions]
-    x = rng.normal(size=(d ** 5, 6)) + 1j * rng.normal(size=(d ** 5, 6))
-    want = x
+    cols = rng.choice(d ** 5, min(6, d ** 5), replace=False)
+    want = np.eye(d ** 5)[:, cols]
     for op, i in reversed(word):
         want = dense_embed(op, i, 5, d) @ want
-    got = strand_product(word, 5) @ x
-    assert max_residual(got, want) <= 1e-12 * np.abs(want).max()
+    assert max_residual(apply_word(word, 5, cols), want) <= 1e-12 * np.abs(want).max()
 
 
 def test_far_commutation_never_meets_the_identity(monkeypatch):
-    # both words are applied factor by factor to the probe block: no strand
-    # product, no identity on a whole 4-strand space, and no allocation past
-    # a few probe blocks, a tenth of one complex d^8 product
+    # each word's rightmost factor is embedded on the probe columns and the
+    # other applied to them: no whole embedding, no identity on a whole
+    # 4-strand space, and no allocation past a few probe blocks, a tenth of
+    # one complex d^8 product
     d, calls, rows = 6, [], []
     v, block = swap(d), d ** 4 * braid.PROBES
     relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)])  # first-call allocations are not traced
-    apply = braid.apply_on_strands
+    apply, scatter = braid.apply_on_strands, braid.embed
     monkeypatch.setattr(braid, "apply_on_strands", lambda *args: calls.append(args) or apply(*args))
-    monkeypatch.setattr(braid, "strand_product", lambda *args: pytest.fail("strand product formed"))
+    monkeypatch.setattr(braid, "embed", lambda op, i, n, cols=None: scatter(op, i, n, cols) if cols is not None
+                        else pytest.fail("whole embedding formed"))
     monkeypatch.setattr(braid, "identity", lambda k: rows.append(k) or identity(k))
     tracemalloc.start()
     try:
@@ -383,6 +417,23 @@ def test_far_commutation_never_meets_the_identity(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == 4 and all(x.size == block for *_, x in calls)
+    assert len(calls) == 2 and all(x.size == block for *_, x in calls)
     assert all(k < d ** 4 for k in rows)
     assert peak < 8 * 16 * block < 16 * d ** 8 / 10, peak
+
+
+@pytest.mark.parametrize("check", ["b1 b2 b1 = b2 b1 b2", "teleport swapping"])
+def test_three_strand_checks_hold_no_d6_array(check):
+    # both walk BLOCK basis-ket columns at a time: at d = 12 the peak stays
+    # below a quarter of one complex d^6 array (47.8 MB)
+    d = 12
+    b = swap(d)
+    run = {"b1 b2 b1 = b2 b1 b2": lambda: relation_residual([(b, 1), (b, 2), (b, 1)], [(b, 2), (b, 1), (b, 2)]),
+           "teleport swapping": lambda: check_teleport_swapping(d).max_residual}[check]
+    tracemalloc.start()
+    try:
+        assert run() == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d ** 6 / 4, peak

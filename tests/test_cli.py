@@ -228,14 +228,14 @@ def test_output_over_size_limit_exits_2(monkeypatch, capsys):
 
 
 def test_strand_product_over_size_limit_exits_2(monkeypatch, capsys):
-    # the 3-strand braid products at d=3 have 3^6 entries, the largest array
-    # of the suite; with the limit set below that the guard refuses them
-    # before allocating
+    # the 3-strand braid relations at d=3 walk 3^3 x 27 entries, the most of
+    # the suite; with the limit set below that the guard refuses them before
+    # applying a factor
     monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6 - 1)
     assert main(["verify", "braid", "--d", "3"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: strand product of 3^6 entries exceeds 728\n"
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6)  # products at the limit are formed
+    assert err == "error: relation on 3^3 x 27 entries exceeds 728\n"
+    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6)  # relations at the limit are compared
     assert main(["verify", "braid", "--d", "3"]) == 0
 
 
@@ -261,11 +261,11 @@ def test_basis_commands_beyond_limit_exit_2(argv, capsys):
 @pytest.mark.parametrize("argv", [["verify", "braid", "--d", "17"],
                                   ["verify", "tl", "--d", "17", "--n", "4"]])
 def test_strand_products_beyond_limit_exit_2(argv, capsys):
-    # the 3-strand relations need 17^6 entries, over the limit of 2^24: they
-    # are refused before anything that size exists
+    # the 3-strand relations walk 17^3 x 17^3 entries, over the limit of 2^24:
+    # they are refused before a factor is applied
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: strand product of 17^6 entries exceeds 16777216\n"
+    assert err == "error: relation on 17^3 x 4913 entries exceeds 16777216\n"
 
 
 @pytest.mark.parametrize("suite", ["braid", "virtual"])

@@ -181,7 +181,7 @@ def test_tl_diagram_relations_on_touched_strands_equal_n_strands(d):
 def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
     # each distinct relation is formed once whatever n is: n adds names only
     widths, residuals, strands = [], [], []
-    compose, residual, product = dg.compose, tlalgebra.relation_residual, braid.strand_product
+    compose, residual, word = dg.compose, tlalgebra.relation_residual, braid.apply_word
 
     def recording(top_diag, bottom_diag):
         widths.append(max(top_diag.top, top_diag.bottom, bottom_diag.bottom))
@@ -189,7 +189,7 @@ def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
 
     monkeypatch.setattr(dg, "compose", recording)
     monkeypatch.setattr(tlalgebra, "relation_residual", lambda *args: residuals.append(args) or residual(*args))
-    monkeypatch.setattr(braid, "strand_product", lambda factors, n: strands.append(n) or product(factors, n))
+    monkeypatch.setattr(braid, "apply_word", lambda factors, n, cols=None: strands.append(n) or word(factors, n, cols))
     for n in (4, 64):
         widths.clear()
         residuals.clear()
