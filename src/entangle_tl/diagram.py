@@ -20,7 +20,8 @@ loop: each decoration is stored as it is met, transpose-toggled exactly when
 it is walked upward on a strand starting on the top row (or a loop), or
 downward on one starting on the bottom row.  Each arc carries a
 d^(-1/2) normalization held as an exact half-integer power of d in the scalar
-until evaluation.
+until evaluation.  A flavor is two bits, its index in FLAVORS: bit 0
+transposes and bit 1 conjugates, so a toggle is an XOR (dagger is both bits).
 """
 
 from __future__ import annotations
@@ -34,20 +35,7 @@ import numpy as np
 from . import linalg
 from .linalg import DimensionError
 
-FLAVORS = ("plain", "transpose", "dagger", "conjugate")
-
-_TRANSPOSE_TOGGLE = {
-    "plain": "transpose",
-    "transpose": "plain",
-    "dagger": "conjugate",
-    "conjugate": "dagger",
-}
-_DAGGER_TOGGLE = {
-    "plain": "dagger",
-    "dagger": "plain",
-    "transpose": "conjugate",
-    "conjugate": "transpose",
-}
+FLAVORS = ("plain", "transpose", "conjugate", "dagger")
 
 TOP = "T"
 BOTTOM = "B"
@@ -92,10 +80,10 @@ class Decoration:
             raise ValueError(f"flavor must be one of {FLAVORS}, got {self.flavor!r}")
 
     def toggle_transpose(self) -> "Decoration":
-        return Decoration(self.op, _TRANSPOSE_TOGGLE[self.flavor])
+        return Decoration(self.op, FLAVORS[FLAVORS.index(self.flavor) ^ 1])
 
     def toggle_dagger(self) -> "Decoration":
-        return Decoration(self.op, _DAGGER_TOGGLE[self.flavor])
+        return Decoration(self.op, FLAVORS[FLAVORS.index(self.flavor) ^ 3])
 
     def matrix(self, ops: dict, d: int) -> np.ndarray:
         """ops[op] with this flavor applied; it must be d x d."""
@@ -104,13 +92,9 @@ class Decoration:
         m = linalg.as_matrix(ops[self.op])
         if m.shape != (d, d):
             raise DimensionError(f"operator {self.op!r} must be {d}x{d}, got {m.shape}")
-        if self.flavor == "plain":
-            return m
-        if self.flavor == "transpose":
-            return m.T
-        if self.flavor == "dagger":
-            return m.conj().T
-        return m.conj()
+        bits = FLAVORS.index(self.flavor)
+        m = m.T if bits & 1 else m
+        return m.conj() if bits & 2 else m
 
     def to_dict(self) -> dict:
         return {"op": self.op, "flavor": self.flavor}

@@ -236,12 +236,16 @@ def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, se
                             min_fidelity=float(min(1.0, fidelities.min())))
 
 
+# Most T_n(O) entries per tight-scheme block; d <= 16 is one block (one einsum path search).
+TIGHT_BLOCK_ENTRIES = 2 ** 16
+
+
 def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """sum_n tr((rho x omega)(omega_n x T_n(O))) = tr(rho O) with
     T_n(O) = U_n^dag O U_n, and each term equal to tr(rho O)/d^2.
 
     rho and O may be any d x d matrices (rank-one non-hermitian forms
-    included); no positivity is assumed.
+    included); no positivity is assumed.  The terms form TIGHT_BLOCK_ENTRIES // d^2 at a time.
     """
     basis = basis if basis is not None else weyl_basis(d)
     rho, obs = linalg.as_matrix(rho), linalg.as_matrix(obs)
@@ -250,11 +254,15 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     report = VerificationReport("tight-teleportation")
     target = np.trace(rho @ obs)
     w = omega(d).reshape(d, d)
-    k = omega_kets(d, basis).reshape(d * d, d, d)
-    t_n = basis.unitaries.conj().transpose(0, 2, 1) @ obs @ basis.unitaries  # T_n(O)
-    # all d^2 terms tr((rho x omega)(omega_n x T_n(O))) with both projectors
-    # rank one: rho on C, omega on AB, omega_n on CA, T_n(O) on B
-    terms = np.einsum("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n, optimize=True)
+    kets = omega_kets(d, basis).reshape(d * d, d, d)
+    step = max(1, TIGHT_BLOCK_ENTRIES // d ** 2)
+    blocks = []
+    for lo in range(0, d * d, step):  # a block of terms, both projectors rank one:
+        # rho on C, omega on AB, omega_n on CA, T_n(O) = U_n^dag O U_n on B
+        u, k = basis.unitaries[lo:lo + step], kets[lo:lo + step]
+        t_n = u.conj().transpose(0, 2, 1) @ obs @ u
+        blocks.append(np.einsum("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n, optimize=True))
+    terms = np.concatenate(blocks)
     report.add("per-term value tr(rho O)/d^2", float(np.max(np.abs(terms - target / d ** 2))), tol)
     report.add("total sum = tr(rho O)", abs(terms.sum() - target), tol)
     return report

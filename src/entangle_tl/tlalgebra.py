@@ -110,6 +110,8 @@ def check_tl_decorated(n: int, d: int, basis_index: int,
     if n < 3:
         raise ValueError("adjacent TL relations need n >= 3")
     basis = basis if basis is not None else weyl_basis(d)
+    if basis.d != d:
+        raise DimensionError("basis dimension mismatch")
     u = basis.unitary(basis_index)
     report = VerificationReport(f"tl-decorated n={n} d={d} basis={basis_index}")
     w = omega_projector(d)

@@ -474,3 +474,15 @@ def test_verify_flow_takes_tol_as_flow_spec_does(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "flow", "--d", "2", "--tol", "1e-20", "--format", "json"]) == 1
     assert _octuple_verdicts(capsys.readouterr().out, 2) == [False, False]
+
+
+@pytest.mark.parametrize("suite", ["flow", "tl"])
+def test_flavors_in_the_old_order_fail(monkeypatch, capsys, suite):
+    # this order read as index bits turns every dagger into a conjugate
+    tlalgebra.closed_flow_diagram.cache_clear()
+    monkeypatch.setattr(dg, "FLAVORS", ("plain", "transpose", "dagger", "conjugate"))
+    try:
+        assert main(["verify", suite, "--d", "3"]) == 1
+    finally:
+        tlalgebra.closed_flow_diagram.cache_clear()
+    assert "FAIL" in capsys.readouterr().out

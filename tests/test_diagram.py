@@ -203,6 +203,22 @@ def test_adjoint_diagram(rng):
     assert dg.adjoint_diagram(dg.e_gen(1, 3)) == dg.e_gen(1, 3)
 
 
+@pytest.mark.parametrize("flavor,apply", [("plain", lambda m: m), ("transpose", lambda m: m.T),
+                                          ("conjugate", lambda m: m.conj()),
+                                          ("dagger", lambda m: m.conj().T)])
+def test_flavor_table(rng, flavor, apply):
+    # a flavor is bit 0 (transpose) and bit 1 (conjugate) of its index
+    m = random_complex_matrix(rng, 3)
+    deco = dg.Decoration("m", flavor)
+    assert np.array_equal(deco.matrix({"m": m}, 3), apply(m))
+    for toggle in (dg.Decoration.toggle_transpose, dg.Decoration.toggle_dagger):
+        assert toggle(deco) != deco and toggle(toggle(deco)) == deco
+    assert deco.toggle_transpose().toggle_dagger() == dg.Decoration("m", {
+        "plain": "conjugate", "transpose": "dagger", "conjugate": "plain", "dagger": "transpose"}[flavor])
+    assert np.array_equal(deco.toggle_transpose().matrix({"m": m}, 3), apply(m).T)
+    assert np.array_equal(deco.toggle_dagger().matrix({"m": m}, 3), apply(m).conj().T)
+
+
 @pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
 def test_functoriality_random_pairs(rng, evaluator):
     # evaluate(compose(a, b)) = evaluate(b) @ evaluate(a)

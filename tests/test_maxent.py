@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,3 +241,24 @@ def test_completeness_d2_is_bell_projector_sum():
     total = sum(np.outer(bell_state(k), bell_state(k).conj()) for k in BellKind)
     assert max_residual(total, identity(4)) < 1e-15
     assert completeness_check(2, basis=pauli_weyl_basis()).overall_pass
+
+
+def test_completeness_holds_no_identity_or_difference():
+    # K K^dag and K^T K^* less 1 in place: at d = 24 the peak is the kets,
+    # their conjugate and one product, about three basis sizes
+    basis = weyl_basis(24)
+    tracemalloc.start()
+    try:
+        assert completeness_check(24, basis).overall_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * basis.unitaries.nbytes, peak / basis.unitaries.nbytes
+
+
+def test_completeness_fails_a_nan(monkeypatch):
+    kets = omega_kets(2)
+    kets[1, 1] = np.nan
+    monkeypatch.setattr(maxent, "omega_kets", lambda d, basis=None: kets)
+    report = completeness_check(2)
+    assert not any(c.passed for c in report.checks) and not report.overall_pass

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,35 @@ def test_tight_teleportation_matches_explicit_trace_form(rng, d):
     got = {c.identity_name: c.max_residual for c in tight_teleportation_check(d, rho, obs, basis).checks}
     assert got.keys() == want.keys()
     assert all(abs(got[k] - want[k]) < 1e-13 for k in want)
+
+
+def test_tight_teleportation_blocks_agree_with_one_block(rng, monkeypatch):
+    # blocks of 4, 4 and 1 basis elements at d = 3 give the one-block residuals
+    d = 3
+    rho = np.outer(random_ket(rng, d), random_ket(rng, d).conj())
+    obs = random_unitary(rng, d)
+    whole = tight_teleportation_check(d, rho, obs).checks
+    monkeypatch.setattr(teleport, "TIGHT_BLOCK_ENTRIES", 4 * d * d)
+    blocked = tight_teleportation_check(d, rho, obs).checks
+    assert [c.identity_name for c in blocked] == [c.identity_name for c in whole]
+    assert all(abs(a.max_residual - b.max_residual) < 1e-15 for a, b in zip(blocked, whole))
+    with pytest.raises(linalg.DimensionError, match="basis dimension mismatch"):
+        tight_teleportation_check(3, identity(3), identity(3), pauli_weyl_basis())
+
+
+def test_tight_teleportation_holds_no_d4_product(rng):
+    # at d = 32 the terms form 64 basis elements at a time: the peak is about
+    # the kets and one block, below two basis sizes
+    d = 32
+    basis = weyl_basis(d)
+    rho, obs = random_unitary(rng, d) / d, random_unitary(rng, d)
+    tracemalloc.start()
+    try:
+        assert tight_teleportation_check(d, rho, obs, basis).overall_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * basis.unitaries.nbytes, peak / basis.unitaries.nbytes
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

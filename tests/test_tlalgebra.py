@@ -7,7 +7,7 @@ from entangle_tl import diagram as dg
 from entangle_tl import braid, linalg, tlalgebra
 from entangle_tl.braid import swap
 from entangle_tl.linalg import identity, kron, max_residual
-from entangle_tl.maxent import omega_projector, phi_of, weyl_basis
+from entangle_tl.maxent import omega_projector, pauli_weyl_basis, phi_of, weyl_basis
 from entangle_tl.tlalgebra import (FLOW_LABELS, check_brauer_mixed, check_flow, check_tl_axioms,
                                    check_tl_decorated, closed_flow_diagram, e_matrix, flow_apply,
                                    flow_closed_form, flow_diagram, v_matrix)
@@ -50,6 +50,11 @@ def test_tl_decorated_identity_reduces_to_plain():
     plain = check_tl_axioms(3, 2, tol=1e-10)
     decorated = check_tl_decorated(3, 2, 1, tol=1e-10)
     assert plain.overall_pass and decorated.overall_pass
+
+
+def test_tl_decorated_refuses_a_basis_of_another_dimension():
+    with pytest.raises(linalg.DimensionError, match="basis dimension mismatch"):
+        check_tl_decorated(3, 3, 1, pauli_weyl_basis())
 
 
 def test_tl_decorated_sigma1_direct_products():
