@@ -200,8 +200,9 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    # tl and brauer (so also all) bound --n themselves; no other suite reads it
-    if args.suite not in ("tl", "brauer", "all") and not 3 <= args.n <= tlalgebra.MAX_STRANDS:
+    # one check for every suite, before any runs: `all` refuses a bad --n at once,
+    # and the suites that never read it do not ignore it
+    if not 3 <= args.n <= tlalgebra.MAX_STRANDS:
         raise ValueError(f"strand count needs 3 <= n <= {tlalgebra.MAX_STRANDS}, got {args.n}")
     cfg = RunConfig(dimension=args.d, strands=args.n, tolerance=args.tol, seed=args.seed)
     return _emit(run_suite(args.suite, cfg), args.format)

@@ -26,6 +26,7 @@ transposes and bit 1 conjugates, so a toggle is an XOR (dagger is both bits).
 
 from __future__ import annotations
 
+import functools
 import json
 import string
 from dataclasses import dataclass, field
@@ -186,29 +187,25 @@ def identity_diagram(n: int) -> DecoratedDiagram:
     return DecoratedDiagram(n, n, strands)
 
 
-def e_gen(i: int, n: int) -> DecoratedDiagram:
-    """TL idempotent generator: top and bottom arcs joining points i-1, i
-    (1-based i), carrying one cup and one cap normalization each."""
+def place(diag: DecoratedDiagram, i: int, n: int) -> DecoratedDiagram:
+    """A two-strand diagram on strands i, i+1 (1-based i) of n, beside identity strands."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator position {i} out of range for n={n}")
-    strands = [Strand(Endpoint(TOP, i - 1), Endpoint(TOP, i)),
-               Strand(Endpoint(BOTTOM, i - 1), Endpoint(BOTTOM, i))]
-    for j in range(n):
-        if j not in (i - 1, i):
-            strands.append(Strand(Endpoint(TOP, j), Endpoint(BOTTOM, j)))
-    return DecoratedDiagram(n, n, tuple(strands), scalar=ScalarFactor(1.0, -2))
+    return tensor(tensor(identity_diagram(i - 1), diag), identity_diagram(n - i - 1))
+
+
+@functools.cache
+def e_gen(i: int, n: int) -> DecoratedDiagram:
+    """TL idempotent generator: a cap over a cup on strands i, i+1 (1-based
+    i), whose two arcs give the scalar d^-1."""
+    return place(tensor(cap_diagram(), cup_diagram()), i, n)
 
 
 def v_gen(i: int, n: int) -> DecoratedDiagram:
-    """Virtual crossing generator: strands i-1 and i cross (1-based i)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator position {i} out of range for n={n}")
-    strands = [Strand(Endpoint(TOP, i - 1), Endpoint(BOTTOM, i)),
-               Strand(Endpoint(TOP, i), Endpoint(BOTTOM, i - 1))]
-    for j in range(n):
-        if j not in (i - 1, i):
-            strands.append(Strand(Endpoint(TOP, j), Endpoint(BOTTOM, j)))
-    return DecoratedDiagram(n, n, tuple(strands))
+    """Virtual crossing generator: strands i and i+1 cross (1-based i)."""
+    crossing = DecoratedDiagram(2, 2, (Strand(Endpoint(TOP, 0), Endpoint(BOTTOM, 1)),
+                                       Strand(Endpoint(TOP, 1), Endpoint(BOTTOM, 0))))
+    return place(crossing, i, n)
 
 
 def cup_diagram() -> DecoratedDiagram:

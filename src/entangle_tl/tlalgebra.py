@@ -4,8 +4,10 @@ quantum-information-flow evaluation.
 The TL idempotents are decorated diagrams and dense matrices E_i = 1 x ...
 x omega x ... x 1 built from the maximally entangled projector; virtual
 crossings are swaps on strand pairs.  Each of the 4 TL and 8 mixed Brauer
-relations is formed once per calculus on the <= 4 strands it touches: n adds
-only names, never more or larger matrices or diagrams.  The loop parameter is d.
+relations is formed once per calculus on the <= 4 strands it touches: there n
+adds only names, never more or larger matrices or diagrams.  check_tl_decorated
+still evaluates one d^n x d^n decorated diagram per position.  The loop
+parameter is d.  The flow diagram is its eight decorated projectors composed.
 """
 
 from __future__ import annotations
@@ -36,13 +38,19 @@ def v_matrix(i: int, n: int, d: int) -> np.ndarray:
     return embed(swap(d), i, n)
 
 
+def _cup(label: str) -> dg.DecoratedDiagram:
+    return dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration(label, "plain"))
+
+
+def _cap(label: str) -> dg.DecoratedDiagram:
+    return dg.decorate(dg.cap_diagram(), 0, 0, dg.Decoration(label, "dagger"))
+
+
+@functools.cache
 def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
     """e_gen with the local unitary on the emitted pair and its adjoint on
     the absorbed pair: evaluates to omega_n (x) identities."""
-    # canonically sorted, the top arc is strand i - 1 (after the through
-    # strands of points 0..i-2) and the bottom arc is the last, strand n - 1
-    base = dg.decorate(dg.e_gen(i, n), i - 1, 0, dg.Decoration(op_label, "dagger"))
-    return dg.decorate(base, n - 1, 0, dg.Decoration(op_label, "plain"))
+    return dg.place(dg.tensor(_cap(op_label), _cup(op_label)), i, n)
 
 
 def _positions(n: int) -> tuple[list, list]:
@@ -158,41 +166,23 @@ def check_brauer_mixed(n: int, d: int, tol: float = DEFAULT_TOL) -> Verification
 
 FLOW_LABELS = tuple(f"u{i}" for i in range(1, 9))
 
+# The flow's projectors top to bottom, each as (label, 1-based strand i of its pair).
+FLOW_LAYERS = (("u8", 4), ("u6", 2), ("u7", 3), ("u4", 3), ("u5", 2), ("u2", 2), ("u3", 3), ("u1", 1))
+
 
 def flow_diagram() -> dg.DecoratedDiagram:
-    """The five-strand eight-projector flow diagram, frozen.
+    """The five-strand eight-projector flow diagram: the decorated projectors
+    of FLOW_LAYERS composed, each on top of the ones below it.
 
-    The wiring is pinned by the closed form: the input zigzags through one
-    arc of each projector in label order, entering on the leg the flavor
-    pattern dictates (dagger = absorbed with the flow, transpose /conjugate =
-    traversed against it); the leftover arcs of projectors 2 and 5, and of 4
-    and 7, glue into the two trace loops, and the remaining four arcs reach
-    the boundary.  Each of the sixteen arcs carries d^(-1/2).
+    Each projector is a cap decorated by U^dag over a cup decorated by U.
+    The input zigzags through one arc of each in label order; the leftover
+    arcs of projectors 2 and 5, and of 4 and 7, close into the loops (U5^T,
+    U2^*) and (U7^T, U4^*), of traces tr(U2^dag U5) and tr(U4^dag U7); the
+    remaining four arcs reach the boundary.  Each of the sixteen arcs carries
+    d^(-1/2).  Building from the bottom up keeps tr(U2^dag U5) the first loop.
     """
-    T, B = dg.TOP, dg.BOTTOM
-    E, D, S = dg.Endpoint, dg.Decoration, dg.Strand
-    path = S(E(T, 0), E(B, 4), (
-        D("u1", "dagger"),
-        D("u2", "transpose"),
-        D("u3", "dagger"),
-        D("u4", "plain"),
-        D("u5", "conjugate"),
-        D("u6", "transpose"),
-        D("u7", "dagger"),
-        D("u8", "transpose"),
-    ))
-    strands = (
-        path,
-        S(E(T, 1), E(T, 2), (D("u6", "dagger"),)),
-        S(E(T, 3), E(T, 4), (D("u8", "dagger"),)),
-        S(E(B, 0), E(B, 1), (D("u1", "plain"),)),
-        S(E(B, 2), E(B, 3), (D("u3", "plain"),)),
-    )
-    loops = (
-        (D("u2", "dagger"), D("u5", "plain")),
-        (D("u4", "dagger"), D("u7", "plain")),
-    )
-    return dg.DecoratedDiagram(5, 5, strands, loops, dg.ScalarFactor(1.0, -16))
+    layers = [decorated_e_gen(i, 5, label) for label, i in FLOW_LAYERS]
+    return functools.reduce(lambda below, above: dg.compose(above, below), reversed(layers))
 
 
 @functools.cache
@@ -202,19 +192,14 @@ def closed_flow_diagram() -> dg.DecoratedDiagram:
     U1^dag and U3^dag close the emitted arcs below.
 
     The result is the (1, 1) diagram of the closed form: one strand carrying
-    U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag, the loops tr(U2^dag U5) and
-    tr(U4^dag U7), four unitarity loops tr(U^* U^T) = d and the scalar d^-10.
+    U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag, flow_diagram()'s loops of
+    traces tr(U2^dag U5) and tr(U4^dag U7), four unitarity loops
+    tr(U^* U^T) = d and the scalar d^-10.
     Built once: every diagram type is frozen, so callers share it safely.
     """
-    def cup(label):
-        return dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration(label, "plain"))
-
-    def cap(label):
-        return dg.decorate(dg.cap_diagram(), 0, 0, dg.Decoration(label, "dagger"))
-
     one = dg.identity_diagram(1)
-    feed = dg.tensor(dg.tensor(one, cup("u6")), cup("u8"))
-    close = dg.tensor(dg.tensor(cap("u1"), cap("u3")), one)
+    feed = dg.tensor(dg.tensor(one, _cup("u6")), _cup("u8"))
+    close = dg.tensor(dg.tensor(_cap("u1"), _cap("u3")), one)
     return dg.compose(dg.compose(feed, flow_diagram()), close)
 
 

@@ -311,21 +311,14 @@ def test_relations_past_the_old_strand_guard_pass(suite, capsys):
     assert capsys.readouterr().out.endswith("checks)\n")
 
 
-@pytest.mark.parametrize("suite, relations", [("tl", "adjacent TL"), ("brauer", "mixed adjacent"),
-                                              ("all", "adjacent TL")])
-def test_strand_count_above_limit_exits_2(suite, relations, capsys):
-    n = tlalgebra.MAX_STRANDS + 1
+@pytest.mark.parametrize("suite, n", [("tl", tlalgebra.MAX_STRANDS + 1),
+                                      ("brauer", tlalgebra.MAX_STRANDS + 1),
+                                      ("all", tlalgebra.MAX_STRANDS + 1), ("braid", 1000), ("flow", 2)])
+def test_strand_count_out_of_range_exits_2(suite, n, capsys):
+    # refused before any suite runs, also by the suites that never read --n
     t0 = time.perf_counter()
     assert main(["verify", suite, "--n", str(n)]) == 2
     assert time.perf_counter() - t0 < 5
-    assert capsys.readouterr().err == (
-        f"error: {relations} relations need 3 <= n <= {tlalgebra.MAX_STRANDS}, got {n}\n")
-
-
-@pytest.mark.parametrize("suite, n", [("braid", 1000), ("flow", 2)])
-def test_strand_count_of_other_suites_exits_2(suite, n, capsys):
-    # these suites never read --n, so a bad one is refused rather than ignored
-    assert main(["verify", suite, "--n", str(n)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == (
         f"error: strand count needs 3 <= n <= {tlalgebra.MAX_STRANDS}, got {n}\n")
@@ -486,3 +479,33 @@ def test_flavors_in_the_old_order_fail(monkeypatch, capsys, suite):
     finally:
         tlalgebra.closed_flow_diagram.cache_clear()
     assert "FAIL" in capsys.readouterr().out
+
+
+def _swap_layers(layers, a, b):
+    """FLOW_LAYERS with the layers labelled a and b exchanged."""
+    at = {label: k for k, (label, _) in enumerate(layers)}
+    out = list(layers)
+    out[at[a]], out[at[b]] = layers[at[b]], layers[at[a]]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("mutate, fails", [
+    pytest.param(lambda layers: _swap_layers(layers, "u2", "u5"), 2, id="u2-u5-exchanged"),
+    pytest.param(lambda layers: tuple(("u8", 3) if label == "u8" else (label, i) for label, i in layers),
+                 3, id="u8-on-strand-3"),
+])
+def test_flow_layout_mutants_fail(monkeypatch, capsys, mutate, fails):
+    tlalgebra.closed_flow_diagram.cache_clear()
+    monkeypatch.setattr(tlalgebra, "FLOW_LAYERS", mutate(tlalgebra.FLOW_LAYERS))
+    try:
+        assert main(["verify", "flow", "--d", "3"]) == 1
+    finally:
+        tlalgebra.closed_flow_diagram.cache_clear()
+    assert capsys.readouterr().out.count("[FAIL]") == fails
+
+
+def test_flow_layers_on_disjoint_strands_commute(monkeypatch):
+    # u1 on strands (1, 2) and u3 on (3, 4): their order does not change the diagram
+    flow = tlalgebra.flow_diagram()
+    monkeypatch.setattr(tlalgebra, "FLOW_LAYERS", _swap_layers(tlalgebra.FLOW_LAYERS, "u1", "u3"))
+    assert tlalgebra.flow_diagram() == flow

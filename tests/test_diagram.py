@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from entangle_tl import diagram as dg
 from entangle_tl import linalg
+from entangle_tl.braid import embed, swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_projector
 from entangle_tl.qubit import permutation_qubit
+from entangle_tl.tlalgebra import decorated_e_gen
 
 from conftest import (random_complex_matrix, random_composed_diagram,
-                      random_matching_diagram, random_operator_table)
+                      random_matching_diagram, random_operator_table, random_unitary)
 
 
 def test_identity_diagram():
@@ -26,6 +28,18 @@ def test_e_gen_structure_and_value():
     for d in (2, 3):
         expected = kron(omega_projector(d), identity(d))
         assert max_residual(dg.evaluate(e, d), expected) < 1e-12
+    # every placed generator is its two-strand matrix on strands (i, i+1)
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        u = random_unitary(rng, d)
+        lift = kron(u, identity(d))
+        wn = lift @ omega_projector(d) @ lift.conj().T
+        for n in (3, 4):
+            for i in range(1, n):
+                for diag, local in ((dg.e_gen(i, n), omega_projector(d)), (dg.v_gen(i, n), swap(d)),
+                                    (decorated_e_gen(i, n, "u"), wn)):
+                    got = dg.evaluate(diag, d, {"u": u})
+                    assert max_residual(got, embed(local, i, n)) < 1e-12, (i, n, d)
 
 
 def test_e_gen_is_omega_projector():

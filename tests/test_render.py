@@ -29,8 +29,8 @@ GOLDEN = {
   /‾•u1‾\\                 |
               /‾•u3‾\\     |
   B0    B1    B2    B3    B4
-loop: •u2^+ •u5
-loop: •u4^+ •u7
+loop: •u5^T •u2^*
+loop: •u7^T •u4^*
 scalar: 1+0i * d^(-16/2)""",
     "e_gen_2_4": """\
   T0    T1    T2    T3

@@ -301,6 +301,14 @@ def test_closed_flow_matches_dense_flow_with_boundary_kets(rng, d, evaluator):
     assert max_residual(evaluator(closed_flow_diagram(), d, ops), expected) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_flow_loops_are_the_closed_form_traces(rng, d):
+    u = [random_unitary(rng, d) for _ in range(8)]
+    diag = flow_diagram()
+    expected = (np.trace(u[1].conj().T @ u[4]) * np.trace(u[3].conj().T @ u[6])) / d ** 8
+    assert abs(dg.scalar_value(diag, d, dict(zip(FLOW_LABELS, u))) - expected) < 1e-12
+
+
 def test_closed_flow_diagram_structure(monkeypatch):
     def refuse(*args):
         raise AssertionError("closed_flow_diagram must not evaluate")
@@ -315,10 +323,11 @@ def test_closed_flow_diagram_structure(monkeypatch):
     assert strand.decorations == (D("u1", "dagger"), D("u2", "transpose"), D("u3", "dagger"),
                                   D("u4", "plain"), D("u5", "conjugate"), D("u6", "transpose"),
                                   D("u7", "dagger"), D("u8", "transpose"))
-    # tr(U2^dag U5), tr(U4^dag U7) and four loops tr(U^* U^T) = d
+    # tr(U2^* U5^T) = tr(U2^dag U5), tr(U4^* U7^T) = tr(U4^dag U7) and four
+    # loops tr(U^* U^T) = d
     unitarity = tuple((D(u, "transpose"), D(u, "conjugate")) for u in ("u6", "u8", "u1", "u3"))
-    assert diag.loops == ((D("u2", "dagger"), D("u5", "plain")),
-                          (D("u4", "dagger"), D("u7", "plain"))) + unitarity
+    assert diag.loops == ((D("u5", "transpose"), D("u2", "conjugate")),
+                          (D("u7", "transpose"), D("u4", "conjugate"))) + unitarity
     assert diag.scalar == dg.ScalarFactor(1.0, -20)
 
 
