@@ -289,14 +289,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """--d: a zero or negative dimension has no states to check."""
+def _positive_int(text: str, least: int = 1, kind: str = "positive") -> int:
+    """--d: a zero or negative dimension has no states to check; --seed takes
+    least 0, as numpy's generators take no negative seed."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
 
 
@@ -309,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         default_seed = int(env_seed)
     except ValueError:
         raise ValueError(f"ENTANGLE_TL_SEED must be an integer, got {env_seed!r}") from None
+    if default_seed < 0:
+        raise ValueError(f"ENTANGLE_TL_SEED must be a non-negative integer, got {env_seed!r}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=False, with_tol=True):
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"strand count, 3..{tlalgebra.MAX_STRANDS} (default 3)")
         if with_tol:
             p.add_argument("--tol", type=_positive_float, default=linalg.DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=lambda text: _positive_int(text, 0, "non-negative"), default=default_seed)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -8,7 +8,9 @@ Temperley-Lieb sub-case.
 
 Orientation: diagrams consume input at the top and emit at the bottom, so
 evaluate() returns a d^bottom x d^top matrix and composing a over b gives
-evaluate(b) @ evaluate(a).
+evaluate(b) @ evaluate(a).  Each evaluation validates every operator label
+it uses once, and each network's contraction order is planned once per
+(subscripts, shapes) and reused.
 
 Decoration semantics: every stored decoration is the operator applied in the
 downward (flow) direction at its position on the strand, with arc decorations
@@ -86,13 +88,9 @@ class Decoration:
     def toggle_dagger(self) -> "Decoration":
         return Decoration(self.op, FLAVORS[FLAVORS.index(self.flavor) ^ 3])
 
-    def matrix(self, ops: dict, d: int) -> np.ndarray:
-        """ops[op] with this flavor applied; it must be d x d."""
-        if self.op not in ops:
-            raise ValueError(f"unresolvable operator label {self.op!r}")
-        m = linalg.as_matrix(ops[self.op])
-        if m.shape != (d, d):
-            raise DimensionError(f"operator {self.op!r} must be {d}x{d}, got {m.shape}")
+    def matrix(self, table: dict) -> np.ndarray:
+        """table[op], already validated by _operator_table, with this flavor applied."""
+        m = table[self.op]
         bits = FLAVORS.index(self.flavor)
         m = m.T if bits & 1 else m
         return m.conj() if bits & 2 else m
@@ -332,36 +330,61 @@ def compose(top_diag: DecoratedDiagram, bottom_diag: DecoratedDiagram) -> Decora
 # evaluation
 
 
-def _strand_tensor(s: Strand, d: int, ops: dict) -> np.ndarray:
+def _operator_table(decoration_lists, d: int, ops: dict | None) -> dict:
+    """Each label the decorations use, looked up in ops and validated once
+    as a finite d x d matrix; labels no decoration uses stay unchecked."""
+    table = {}
+    for label in dict.fromkeys(deco.op for decos in decoration_lists for deco in decos):
+        if label not in (ops or {}):
+            raise ValueError(f"unresolvable operator label {label!r}")
+        table[label] = m = linalg.as_matrix(ops[label])
+        if m.shape != (d, d):
+            raise DimensionError(f"operator {label!r} must be {d}x{d}, got {m.shape}")
+    return table
+
+
+@functools.lru_cache(maxsize=128)
+def _einsum_path(spec: str, shapes: tuple) -> tuple:
+    """numpy's greedy contraction order, the one optimize=True searches for."""
+    return tuple(np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0])
+
+
+def _contract(spec: str, operands: list) -> np.ndarray:
+    """The one contraction of both evaluators, along its cached path."""
+    return np.einsum(spec, *operands, optimize=_einsum_path(spec, tuple(op.shape for op in operands)))
+
+
+def _strand_tensor(s: Strand, d: int, table: dict) -> np.ndarray:
     """S[x_end, x_start]: the walked operator product along the strand."""
     out = np.eye(d, dtype=np.complex128)
     start_is_bottom = s.start.side == BOTTOM
     for deco in s.decorations:
-        m = deco.matrix(ops, d)
+        m = deco.matrix(table)
         out = (m.T if start_is_bottom else m) @ out
     return out
 
 
-def _loop_value(loop, d: int, ops: dict) -> complex:
-    prod = np.eye(d, dtype=np.complex128)
-    for deco in loop:
-        prod = deco.matrix(ops, d) @ prod
-    return complex(np.trace(prod))
+def _scalar_value(diag: DecoratedDiagram, d: int, table: dict) -> complex:
+    value = diag.scalar.numeric(d)
+    for loop in diag.loops:
+        prod = np.eye(d, dtype=np.complex128)
+        for deco in loop:
+            prod = deco.matrix(table) @ prod
+        value *= complex(np.trace(prod))
+    return value
 
 
 def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> complex:
     """coeff * d^(k/2) * product of loop traces."""
-    ops = ops or {}
-    value = diag.scalar.numeric(d)
-    for loop in diag.loops:
-        value *= _loop_value(loop, d, ops)
-    return value
+    return _scalar_value(diag, d, _operator_table(diag.loops, d, ops))
 
 
-def _open_subscripts(diag: DecoratedDiagram, d: int):
-    """One einsum letter per endpoint (top row, then bottom row), the output
-    subscript (bottom, then top) and the output shape, refused up front when
-    the diagram or its output would be too large."""
+def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None):
+    """Both evaluators' start, refused up front when the diagram or its output is too
+    large: one einsum letter per endpoint (top row, then bottom row), the output
+    subscript (bottom, then top), the output shape and the operator table."""
+    if d < 1:
+        raise DimensionError("dimension must be >= 1")
     count = diag.top + diag.bottom
     if count > len(string.ascii_letters):
         raise ValueError("diagram too large to evaluate")
@@ -370,29 +393,21 @@ def _open_subscripts(diag: DecoratedDiagram, d: int):
     top = [Endpoint(TOP, i) for i in range(diag.top)]
     bottom = [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
     letter = dict(zip(top + bottom, string.ascii_letters))
-    return letter, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top)
+    table = _operator_table(diag.loops + tuple(s.decorations for s in diag.strands), d, ops)
+    return letter, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top), table
 
 
 def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Dense d^bottom x d^top matrix of the diagram (input at top), from one
     einsum over its strand tensors.  States and effects enter as cups and
     caps composed onto the diagram, as in tlalgebra.closed_flow_diagram."""
-    if d < 1:
-        raise DimensionError("dimension must be >= 1")
-    ops = ops or {}
-    letter, out_sub, shape = _open_subscripts(diag, d)
-
-    value = scalar_value(diag, d, ops)
+    letter, out_sub, shape, table = _prepare(diag, d, ops)
+    value = _scalar_value(diag, d, table)
     if not diag.strands:
         return np.array([[value]], dtype=np.complex128)
 
-    operands, subs = [], []
-    for s in diag.strands:
-        operands.append(_strand_tensor(s, d, ops))
-        subs.append(letter[s.end] + letter[s.start])
-    spec = ",".join(subs) + "->" + out_sub
-    tensor_out = np.einsum(spec, *operands, optimize=True)
-    return value * tensor_out.reshape(shape)
+    spec = ",".join(letter[s.end] + letter[s.start] for s in diag.strands) + "->" + out_sub
+    return value * _contract(spec, [_strand_tensor(s, d, table) for s in diag.strands]).reshape(shape)
 
 
 def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
@@ -401,13 +416,10 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     every internal index in one einsum.
 
     Shares no strand-level matrix-product or flavor-toggling logic with
-    evaluate(); agreement between the two is the correctness test for the
-    normal-form bookkeeping.
+    evaluate(), only the operator table and the contraction; agreement
+    between the two is the correctness test for the normal-form bookkeeping.
     """
-    if d < 1:
-        raise DimensionError("dimension must be >= 1")
-    ops = ops or {}
-    letter, out_sub, shape = _open_subscripts(diag, d)
+    letter, out_sub, shape, table = _prepare(diag, d, ops)
     pool = iter(string.ascii_letters[len(letter):])
 
     def fresh():
@@ -425,17 +437,13 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
         prev = letter[s.start]
         for deco in s.decorations:
             nxt = fresh()
-            operands.append(deco.matrix(ops, d))
+            operands.append(deco.matrix(table))
             # wire runs start -> nxt; orient the matrix along physical flow
             subs.append((nxt + prev) if start_down else (prev + nxt))
             prev = nxt
-        if s.is_arc:
-            arc_count += 1
-            operands.append(np.eye(d, dtype=np.complex128) / np.sqrt(d))
-            subs.append(prev + letter[s.end])
-        else:
-            operands.append(np.eye(d, dtype=np.complex128))
-            subs.append(prev + letter[s.end])
+        arc_count += s.is_arc
+        operands.append(np.eye(d, dtype=np.complex128) / (np.sqrt(d) if s.is_arc else 1.0))
+        subs.append(prev + letter[s.end])
 
     loop_factor = 1.0 + 0.0j
     for loop in diag.loops:
@@ -444,15 +452,13 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
             continue
         wires = [fresh() for _ in loop]
         for i, deco in enumerate(loop):
-            operands.append(deco.matrix(ops, d))
+            operands.append(deco.matrix(table))
             subs.append(wires[(i + 1) % len(wires)] + wires[i])
 
     prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
     if not operands:
         return np.array([[prefactor]], dtype=np.complex128)
-    spec = ",".join(subs) + "->" + out_sub
-    tensor_out = np.einsum(spec, *operands, optimize=True)
-    return prefactor * tensor_out.reshape(shape)
+    return prefactor * _contract(",".join(subs) + "->" + out_sub, operands).reshape(shape)
 
 
 def adjoint_diagram(diag: DecoratedDiagram) -> DecoratedDiagram:

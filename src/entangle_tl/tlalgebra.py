@@ -204,16 +204,27 @@ def closed_flow_diagram() -> dg.DecoratedDiagram:
 
 
 def _check_flow_ops(ops, d: int) -> list[np.ndarray]:
+    """The eight operators as d x d matrices, all checked unitary by one stacked
+    U U^dag; a non-unitary one is named before a later malformed one."""
     if len(ops) != 8:
         raise ValueError("the flow takes exactly eight operators")
-    mats = []
+    mats, malformed = [], None
     for k, u in enumerate(ops, start=1):
-        m = linalg.as_matrix(u)
-        if m.shape != (d, d):
-            raise DimensionError(f"operator {k} must be {d}x{d}")
-        if not linalg.is_unitary(m, 1e-9):
-            raise ValueError(f"operator {k} is not unitary")
+        try:
+            m = linalg.as_matrix(u)
+            if m.shape != (d, d):
+                raise DimensionError(f"operator {k} must be {d}x{d}")
+        except ValueError as exc:
+            malformed = exc
+            break
         mats.append(m)
+    if mats:
+        stack = np.stack(mats)
+        off = np.abs(stack @ stack.conj().transpose(0, 2, 1) - identity(d)).max(axis=(1, 2))
+        for k in np.flatnonzero(off > 1e-9)[:1]:
+            raise ValueError(f"operator {k + 1} is not unitary")
+    if malformed:
+        raise malformed
     return mats
 
 

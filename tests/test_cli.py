@@ -218,6 +218,25 @@ def test_bad_seed_env_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: ENTANGLE_TL_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("argv", [["verify", "flow"], ["simulate"], ["flow", "--spec", "unread.json"]])
+def test_negative_seed_exits_2(capsys, argv):
+    # refused by the parser, naming the option, before numpy sees it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: expected a non-negative integer, got '-5'" in err
+    assert err.count("error:") == 1
+
+
+def test_negative_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ENTANGLE_TL_SEED", "-5")
+    assert main(["verify", "flow"]) == 2
+    assert capsys.readouterr().err == "error: ENTANGLE_TL_SEED must be a non-negative integer, got '-5'\n"
+    monkeypatch.setenv("ENTANGLE_TL_SEED", "0")
+    assert main(["verify", "flow", "--seed", "5"]) == 0
+
+
 def test_output_over_size_limit_exits_2(monkeypatch, capsys):
     # the d=2, n=3 decorated idempotents evaluate to 64 entries; with the
     # limit set below that the guard refuses them before allocating

@@ -9,7 +9,7 @@ from entangle_tl.braid import embed, swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_projector
 from entangle_tl.qubit import permutation_qubit
-from entangle_tl.tlalgebra import decorated_e_gen
+from entangle_tl.tlalgebra import check_flow, check_tl_decorated, decorated_e_gen
 
 from conftest import (random_complex_matrix, random_composed_diagram,
                       random_matching_diagram, random_operator_table, random_unitary)
@@ -172,12 +172,72 @@ def test_evaluate_errors():
 
 @pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
 def test_decoration_of_wrong_size_raises(evaluator):
-    # strand and loop decorations are both resolved by Decoration.matrix
+    # strand and loop decorations are both resolved by the operator table
     strand = dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration("m"))
     loop = dg.DecoratedDiagram(0, 0, (), ((dg.Decoration("m"),),))
     for diag in (strand, loop):
         with pytest.raises(linalg.DimensionError, match="'m' must be 2x2"):
             evaluator(diag, 2, {"m": np.eye(3)})
+
+
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+def test_operator_labels_resolved_once_per_evaluation(evaluator):
+    # only the labels a diagram uses are looked up: an unused bad entry is
+    # ignored, a missing one refused, and no table is needed without any
+    diag = dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration("m"))
+    plain = evaluator(diag, 2, {"m": np.eye(2)})
+    unused = {"m": np.eye(2), "junk": np.full((3, 3), np.nan), "text": "not a matrix"}
+    assert np.array_equal(evaluator(diag, 2, unused), plain)
+    with pytest.raises(ValueError, match="unresolvable operator label 'm'"):
+        evaluator(diag, 2, {"n": np.eye(2)})
+    with pytest.raises(ValueError, match="unresolvable operator label 'm'"):
+        evaluator(diag, 2)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        evaluator(diag, 2, {"m": np.full((2, 2), np.nan)})
+    assert np.array_equal(evaluator(dg.e_gen(1, 3), 2, None), evaluator(dg.e_gen(1, 3), 2, {}))
+    assert max_residual(evaluator(dg.e_gen(1, 3), 2), embed(omega_projector(2), 1, 3)) < 1e-12
+
+
+def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(monkeypatch):
+    # the cached greedy path is the one optimize=True searches for, so every
+    # contraction of the flow and of the decorated TL checks is unchanged
+    calls, contract = [], dg._contract
+
+    def record(spec, operands):
+        out = contract(spec, operands)
+        calls.append((spec, operands, out))
+        return out
+
+    monkeypatch.setattr(dg, "_contract", record)
+    for d in (2, 3, 4, 5):
+        check_flow(d)
+    for k in range(1, 10):
+        check_tl_decorated(3, 3, k)
+    assert len(calls) == 4 * 22 + 9 * 2
+    assert len({spec for spec, _, _ in calls}) >= 3
+    for spec, operands, out in calls:
+        assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
+
+
+def test_planned_path_gives_the_same_report_on_a_miss_and_a_hit():
+    dg._einsum_path.cache_clear()
+    first = check_flow(4, seed=7).to_dict()
+    missed = dg._einsum_path.cache_info()
+    second = check_flow(4, seed=7).to_dict()
+    hit = dg._einsum_path.cache_info()
+    assert missed.misses > 0 and hit.misses == missed.misses and hit.hits > missed.hits
+    assert second == first
+
+
+def test_path_cache_is_bounded():
+    # every d is a new (spec, shapes) key; the oldest plans are dropped
+    size = dg._einsum_path.cache_info().maxsize
+    assert size is not None
+    loop = dg.DecoratedDiagram(0, 0, (), ((dg.Decoration("m"), dg.Decoration("m", "dagger")),))
+    for d in range(1, size + 40):
+        assert abs(dg.brute_force_evaluate(loop, d, {"m": np.eye(d)})[0, 0] - d) < 1e-9
+        assert np.array_equal(dg.evaluate(dg.identity_diagram(1), d), np.eye(d))
+    assert dg._einsum_path.cache_info().currsize <= size
 
 
 def test_matching_validation():
@@ -224,13 +284,13 @@ def test_flavor_table(rng, flavor, apply):
     # a flavor is bit 0 (transpose) and bit 1 (conjugate) of its index
     m = random_complex_matrix(rng, 3)
     deco = dg.Decoration("m", flavor)
-    assert np.array_equal(deco.matrix({"m": m}, 3), apply(m))
+    assert np.array_equal(deco.matrix({"m": m}), apply(m))
     for toggle in (dg.Decoration.toggle_transpose, dg.Decoration.toggle_dagger):
         assert toggle(deco) != deco and toggle(toggle(deco)) == deco
     assert deco.toggle_transpose().toggle_dagger() == dg.Decoration("m", {
         "plain": "conjugate", "transpose": "dagger", "conjugate": "plain", "dagger": "transpose"}[flavor])
-    assert np.array_equal(deco.toggle_transpose().matrix({"m": m}, 3), apply(m).T)
-    assert np.array_equal(deco.toggle_dagger().matrix({"m": m}, 3), apply(m).conj().T)
+    assert np.array_equal(deco.toggle_transpose().matrix({"m": m}), apply(m).T)
+    assert np.array_equal(deco.toggle_dagger().matrix({"m": m}), apply(m).conj().T)
 
 
 @pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])

@@ -386,10 +386,34 @@ def test_flow_rejects_nonunitary():
     d = 2
     bad = [identity(d)] * 8
     bad[3] = np.diag([1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="operator 4 is not unitary"):
         flow_apply(bad, linalg.basis_ket(d, 0), d)
     with pytest.raises(ValueError):
         flow_closed_form([identity(d)] * 7, linalg.basis_ket(d, 0), d)
+
+
+@pytest.mark.parametrize("apply", [flow_apply, flow_closed_form])
+def test_flow_names_the_first_bad_operator(apply):
+    # the operators are read in order: a non-unitary one is named before a
+    # later malformed one, and a malformed one before a later non-unitary one
+    d, phi = 2, linalg.basis_ket(2, 0)
+    nonunitary, misshaped, nan = np.diag([1.0, 2.0]), np.eye(3), np.full((2, 2), np.nan)
+    cases = [({5: misshaped}, linalg.DimensionError, "operator 5 must be 2x2"),
+             ({2: nonunitary, 5: misshaped}, ValueError, "operator 2 is not unitary"),
+             ({1: misshaped, 2: nonunitary}, linalg.DimensionError, "operator 1 must be 2x2"),
+             ({3: nonunitary, 6: nonunitary}, ValueError, "operator 3 is not unitary"),
+             ({8: nonunitary}, ValueError, "operator 8 is not unitary"),
+             ({6: identity(d) * (1 + 1e-6)}, ValueError, "operator 6 is not unitary"),
+             ({4: nan}, ValueError, "matrix entries must be finite"),
+             ({2: nonunitary, 4: nan}, ValueError, "operator 2 is not unitary"),
+             ({4: nan, 6: nonunitary}, ValueError, "matrix entries must be finite"),
+             ({7: np.ones(2)}, linalg.DimensionError, "expected a matrix")]
+    for bad, error, message in cases:
+        ops = [identity(d)] * 8
+        for k, m in bad.items():
+            ops[k - 1] = m
+        with pytest.raises(error, match=message):
+            apply(ops, phi, d)
 
 
 def test_flow_scaling_matches_trace_factors(rng):
