@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from . import diagram, linalg
+from . import linalg
 from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
 
@@ -30,11 +30,7 @@ def swap(d: int) -> np.ndarray:
     """The d-dimensional two-strand swap P_d |ij> = |ji>."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
-    p = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            p[j * d + i, i * d + j] = 1.0
-    return p
+    return identity(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
 
 
 def _local_dimension(op) -> tuple[int, np.ndarray]:
@@ -64,8 +60,7 @@ def embed(op, i: int, n: int, cols=None) -> np.ndarray:
     strands (i, i+1) of n, 1-based i: op's columns scattered into zeros."""
     d, op = _local_dimension(op)
     cols = np.arange(d ** n) if cols is None else np.asarray(cols)
-    if d ** n * len(cols) > diagram.MAX_OUTPUT_ENTRIES:
-        raise DimensionError(f"embedding of {d}^{n} x {len(cols)} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+    linalg.within_limit(d ** n * len(cols), f"embedding of {d}^{n} x {len(cols)}")
     if not 1 <= i <= n - 1:
         raise DimensionError(f"factor at {i} (d={d}) does not fit {n} strands of d={d}")
     if len(cols) and not 0 <= cols.min() <= cols.max() < d ** n:
@@ -98,8 +93,7 @@ def relation_residual(lhs, rhs, scale=1) -> float:
     d, _ = _local_dimension(lhs[-1][0])
     cols = (np.arange(d ** n) if n <= 3 else  # probes from a generator of its own: the CLI's rng draws as before
             np.random.default_rng(PROBE_SEED).choice(d ** n, min(PROBES, d ** n), replace=False))
-    if d ** n * len(cols) > diagram.MAX_OUTPUT_ENTRIES:
-        raise DimensionError(f"relation on {d}^{n} x {len(cols)} entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+    linalg.within_limit(d ** n * len(cols), f"relation on {d}^{n} x {len(cols)}")
     return max(linalg.max_residual(apply_word(lhs, n, block), scale * apply_word(rhs, n, block))
                for block in np.split(cols, range(BLOCK, len(cols), BLOCK)))
 

@@ -9,6 +9,7 @@ variable; an explicit --seed always wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -185,10 +186,8 @@ def _parse_operator(entry, d: int) -> np.ndarray:
             a, b = (int(x) for x in name[len("weyl:"):].split(","))
             return np.linalg.matrix_power(maxent.shift(d), a) @ np.linalg.matrix_power(maxent.clock(d), b)
         raise ValueError(f"unknown operator name {entry!r}")
-    m = _parse_pairs(entry, 2, "an operator is a name or a matrix of [re, im] pairs")
-    if m.shape != (d, d):
-        raise ValueError(f"operator must be {d}x{d}")
-    return m
+    return linalg.as_operator(_parse_pairs(entry, 2, "an operator is a name or a matrix of [re, im] pairs"),
+                              d, "operator")
 
 
 def _emit(report: VerificationReport, fmt: str) -> int:
@@ -301,17 +300,24 @@ def _positive_int(text: str, least: int = 1, kind: str = "positive") -> int:
     return value
 
 
+def _env_seed() -> int:
+    """The default seed, ENTANGLE_TL_SEED or 0, read afresh on every main()."""
+    text = os.environ.get("ENTANGLE_TL_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ValueError(f"ENTANGLE_TL_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"ENTANGLE_TL_SEED must be a non-negative integer, got {text!r}")
+    return seed
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: main() fills in an absent --seed."""
     parser = argparse.ArgumentParser(
         prog="entangle-tl",
         description="Verify teleportation / braid / Temperley-Lieb identities numerically.")
-    env_seed = os.environ.get("ENTANGLE_TL_SEED", "0")
-    try:
-        default_seed = int(env_seed)
-    except ValueError:
-        raise ValueError(f"ENTANGLE_TL_SEED must be an integer, got {env_seed!r}") from None
-    if default_seed < 0:
-        raise ValueError(f"ENTANGLE_TL_SEED must be a non-negative integer, got {env_seed!r}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_n=False, with_tol=True):
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"strand count, 3..{tlalgebra.MAX_STRANDS} (default 3)")
         if with_tol:
             p.add_argument("--tol", type=_positive_float, default=linalg.DEFAULT_TOL)
-        p.add_argument("--seed", type=lambda text: _positive_int(text, 0, "non-negative"), default=default_seed)
+        p.add_argument("--seed", type=lambda text: _positive_int(text, 0, "non-negative"))
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -350,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        seed = _env_seed()  # before parsing: a bad value exits 2 even beside --seed
         args = build_parser().parse_args(argv)
+        args.seed = seed if vars(args).get("seed") is None else args.seed
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,10 @@ Temperley-Lieb sub-case.
 
 Orientation: diagrams consume input at the top and emit at the bottom, so
 evaluate() returns a d^bottom x d^top matrix and composing a over b gives
-evaluate(b) @ evaluate(a).  Each evaluation validates every operator label
-it uses once, and each network's contraction order is planned once per
-(subscripts, shapes) and reused.
+evaluate(b) @ evaluate(a).  Each evaluation refuses an output beyond
+linalg.MAX_OUTPUT_ENTRIES up front, validates every operator label it uses
+once by linalg.as_operator, and plans each network's contraction order once
+per (subscripts, shapes) for reuse.
 
 Decoration semantics: every stored decoration is the operator applied in the
 downward (flow) direction at its position on the strand, with arc decorations
@@ -42,11 +43,6 @@ FLAVORS = ("plain", "transpose", "conjugate", "dagger")
 
 TOP = "T"
 BOTTOM = "B"
-
-# Largest output, in entries, an evaluation or a braid.embed may allocate
-# (256 MiB of complex128), and most entries a braid.relation_residual walks.
-MAX_OUTPUT_ENTRIES = 2 ** 24
-
 
 @dataclass(frozen=True, order=True)
 class Endpoint:
@@ -337,9 +333,7 @@ def _operator_table(decoration_lists, d: int, ops: dict | None) -> dict:
     for label in dict.fromkeys(deco.op for decos in decoration_lists for deco in decos):
         if label not in (ops or {}):
             raise ValueError(f"unresolvable operator label {label!r}")
-        table[label] = m = linalg.as_matrix(ops[label])
-        if m.shape != (d, d):
-            raise DimensionError(f"operator {label!r} must be {d}x{d}, got {m.shape}")
+        table[label] = linalg.as_operator(ops[label], d, f"operator {label!r}")
     return table
 
 
@@ -388,8 +382,7 @@ def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None):
     count = diag.top + diag.bottom
     if count > len(string.ascii_letters):
         raise ValueError("diagram too large to evaluate")
-    if d ** count > MAX_OUTPUT_ENTRIES:
-        raise DimensionError(f"output of {d}^{count} entries exceeds {MAX_OUTPUT_ENTRIES}")
+    linalg.within_limit(d ** count, f"output of {d}^{count}")
     top = [Endpoint(TOP, i) for i in range(diag.top)]
     bottom = [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
     letter = dict(zip(top + bottom, string.ascii_letters))

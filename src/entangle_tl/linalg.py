@@ -6,8 +6,10 @@ of a composite index, so |i> (x) |j> maps to index i*d + j and
 kron(A, B) acts on the composite space the usual way.
 
 All helpers validate shapes and reject non-finite entries; everything else
-is a thin layer over numpy.  Operators on a pair of strands are never
-embedded here as kron(1, op, 1): braid.apply_on_strands applies them locally.
+is a thin layer over numpy.  The operand rules every module shares are each
+written once, here: as_operator, as_ket, non_unitary and within_limit.
+Operators on a pair of strands are never embedded here as kron(1, op, 1):
+braid.apply_on_strands applies them locally.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import numpy as np
 # The default --tol, the bound of every reported check: each identity resolves
 # far below it in double precision, the flow's (near 1e-15 up to d = 64) too.
 DEFAULT_TOL = 1e-10
+
+# Largest array, in entries, a diagram evaluation, a strand embedding or a Weyl
+# basis may allocate (256 MiB of complex128), and most entries a relation walks.
+MAX_OUTPUT_ENTRIES = 2 ** 24
 
 
 class DimensionError(ValueError):
@@ -39,6 +45,36 @@ def as_vector(v) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
+
+
+def as_operator(m, d: int, what: str) -> np.ndarray:
+    """m as a finite d x d matrix; what names it in the refusal."""
+    a = as_matrix(m)
+    if a.shape != (d, d):
+        raise DimensionError(f"{what} must be {d}x{d}, got {a.shape}")
+    return a
+
+
+def as_ket(v, d: int, what: str) -> np.ndarray:
+    """v as a finite ket of dimension d; what names it in the refusal."""
+    a = as_vector(v)
+    if a.shape != (d,):
+        raise DimensionError(f"{what} must have dimension {d}")
+    return a
+
+
+def non_unitary(stack, tol: float = 1e-9) -> np.ndarray:
+    """The indices n of the (k, d, d) stack with max|U_n U_n^dag - 1| > tol,
+    formed in the product itself; nan counts as above tol."""
+    off = stack @ stack.conj().transpose(0, 2, 1)
+    off -= identity(stack.shape[-1])
+    return np.flatnonzero(~(np.abs(off, out=off).real.max(axis=(1, 2)) <= tol))
+
+
+def within_limit(entries: int, what: str) -> None:
+    """Refuse more than MAX_OUTPUT_ENTRIES entries; what names them, as in "output of 2^5"."""
+    if entries > MAX_OUTPUT_ENTRIES:
+        raise DimensionError(f"{what} entries exceeds {MAX_OUTPUT_ENTRIES}")
 
 
 def identity(d: int) -> np.ndarray:
@@ -103,4 +139,4 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError("unitarity needs a square matrix")
-    return approx_eq(m @ m.conj().T, identity(m.shape[0]), tol)
+    return not non_unitary(m[None], tol).size

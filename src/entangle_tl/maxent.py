@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagram, linalg
+from . import linalg
 from .linalg import DEFAULT_TOL, DimensionError, identity
 from .report import VerificationReport
 
@@ -26,10 +26,7 @@ def omega(d: int) -> np.ndarray:
     """(1/sqrt(d)) sum_i |i i>."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
-    v = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / math.sqrt(d)
+    return identity(d).reshape(-1) / math.sqrt(d)
 
 
 def omega_projector(d: int) -> np.ndarray:
@@ -46,10 +43,7 @@ def clock(d: int) -> np.ndarray:
 
 def shift(d: int) -> np.ndarray:
     """X with X|j> = |j+1 mod d>."""
-    x = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    return x
+    return np.roll(identity(d), 1, axis=0)
 
 
 def _identity_residual(g: np.ndarray, scale: float = 1.0) -> float:
@@ -73,12 +67,7 @@ class WeylBasis:
         mats = np.array(self.unitaries, dtype=np.complex128)  # a copy, so the caller's stays writable
         if mats.shape != (d * d, d, d):
             raise DimensionError(f"need {d * d} unitaries of shape {d}x{d}, got an array of shape {mats.shape}")
-        # max |U_n U_n^dag - 1| for all n at once, formed in the product; nan
-        # counts as not unitary
-        off = mats @ mats.conj().transpose(0, 2, 1)
-        off -= identity(d)
-        bad = np.flatnonzero(~(np.abs(off, out=off).real.max(axis=(1, 2)) <= 1e-9))
-        del off  # freed before the Gram is formed
+        bad = linalg.non_unitary(mats)
         if bad.size:
             raise ValueError(f"U_{bad[0] + 1} is not unitary")
         if linalg.max_residual(mats[0], identity(d)) > 1e-12:
@@ -99,8 +88,7 @@ class WeylBasis:
 def weyl_basis(d: int) -> WeylBasis:
     """Clock-and-shift basis {X^a Z^b : 0 <= a, b < d}, (0,0) first; its d^4
     entries obey the output limit."""
-    if d ** 4 > diagram.MAX_OUTPUT_ENTRIES:
-        raise ValueError(f"Weyl basis of {d}^4 entries exceeds {diagram.MAX_OUTPUT_ENTRIES}")
+    linalg.within_limit(d ** 4, f"Weyl basis of {d}^4")
     x, z = shift(d), clock(d)
     mats = []
     xa = identity(d)
@@ -130,17 +118,12 @@ def omega_n(d: int, n: int, basis: WeylBasis | None = None) -> np.ndarray:
 
 def phi_of(u, d: int) -> np.ndarray:
     """(U x 1)|Omega>, which is vec(U)/sqrt(d) with U read row by row."""
-    u = linalg.as_matrix(u)
-    if u.shape != (d, d):
-        raise DimensionError(f"operator must be {d}x{d}")
-    return u.reshape(-1) / math.sqrt(d)
+    return linalg.as_operator(u, d, "operator").reshape(-1) / math.sqrt(d)
 
 
 def slide_identity_check(m, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """(M x 1)|Omega> = (1 x M^T)|Omega>."""
-    m = linalg.as_matrix(m)
-    if m.shape != (d, d):
-        raise DimensionError(f"operator must be {d}x{d}")
+    m = linalg.as_operator(m, d, "operator")
     report = VerificationReport("slide-identity")
     left = linalg.kron(m, identity(d)) @ omega(d)
     right = linalg.kron(identity(d), m.T) @ omega(d)
@@ -150,11 +133,8 @@ def slide_identity_check(m, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
 
 def trace_identities_check(m, mp, n1, n2, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """tr(M^dag M') = d <psi|psi'> and <psi|N1 x N2|psi'> = (1/d) tr(M^dag N1 M' N2^T)."""
-    m, mp = linalg.as_matrix(m), linalg.as_matrix(mp)
-    n1, n2 = linalg.as_matrix(n1), linalg.as_matrix(n2)
-    for name, a in (("M", m), ("M'", mp), ("N1", n1), ("N2", n2)):
-        if a.shape != (d, d):
-            raise DimensionError(f"{name} must be {d}x{d}")
+    m, mp, n1, n2 = (linalg.as_operator(a, d, name)
+                     for a, name in ((m, "M"), (mp, "M'"), (n1, "N1"), (n2, "N2")))
     report = VerificationReport("trace-identities")
     psi = phi_of(m, d)
     psi_p = phi_of(mp, d)
@@ -179,9 +159,7 @@ def partial_inner_ca_ab(bra_ca, ket_ab, d: int) -> np.ndarray:
 
 def transfer_composition(u, v, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """<Phi(U)|_CA |Phi(V^T)>_AB = (1/d) (V U^dag) composed with the transfer map."""
-    u, v = linalg.as_matrix(u), linalg.as_matrix(v)
-    if u.shape != (d, d) or v.shape != (d, d):
-        raise DimensionError(f"operators must be {d}x{d}")
+    u, v = linalg.as_operator(u, d, "operators"), linalg.as_operator(v, d, "operators")
     if not (linalg.is_unitary(u, tol=1e-9) and linalg.is_unitary(v, tol=1e-9)):
         raise ValueError("transfer composition expects unitary operators")
     report = VerificationReport("transfer-composition")

@@ -29,15 +29,15 @@ import numpy as np
 
 from . import linalg
 from .braid import braid_teleport_config, teleport_swap
-from .linalg import DEFAULT_TOL, DimensionError, identity, kron
+from .linalg import DEFAULT_TOL, identity, kron
 from .maxent import WeylBasis, omega, omega_kets, weyl_basis
 from .maxent import omega_n  # noqa: F401  unused here; perfbench's test_tracer_rebinds_aliases_and_defaults wraps it
 from .qubit import BellKind, bell_matrix, bell_state, pauli, permutation_qubit, sigma_vec_11
 from .report import VerificationReport
 
 
-def _require_unit(v, what="state"):
-    v = linalg.as_vector(v)
+def _require_unit(v, d: int, what="state"):
+    v = linalg.as_ket(v, d, "psi")
     if abs(linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError(f"{what} must be normalized")
     return v
@@ -56,7 +56,7 @@ def _bell_corrections() -> list[tuple[BellKind, np.ndarray]]:
 def teleport_equation_qubit_check(a: complex, b: complex, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|psi>_C |phi+>_AB = (1/2) sum over Bell branches with corrections
     (1, s3, s1, -i s2)."""
-    psi = _require_unit(np.array([a, b], dtype=np.complex128), "(a, b)")
+    psi = _require_unit(np.array([a, b], dtype=np.complex128), 2, "(a, b)")
     report = VerificationReport("teleport-equation-qubit")
     lhs = linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS))
     rhs = np.zeros(8, dtype=np.complex128)
@@ -157,9 +157,7 @@ def measurement_form(d: int, psi, basis: WeylBasis | None = None) -> np.ndarray:
     so the residual is max|Omega_n| max|branch_n - U_n^dag psi / d|, a guard
     held to DEFAULT_TOL (ValueError above it), not a check held to --tol."""
     basis = basis if basis is not None else weyl_basis(d)
-    psi = _require_unit(psi)
-    if psi.shape != (d,):
-        raise DimensionError(f"psi must have dimension {d}")
+    psi = _require_unit(psi, d)
     kets = omega_kets(d, basis)
     state = np.outer(psi, omega(d)).reshape(d * d, d)  # |psi>_C x |Omega>_AB, row CA and column B
     branches = np.einsum("nk,kb->nb", kets.conj(), state)  # numpy's loop, not BLAS: keeps simulate's bits
@@ -181,7 +179,7 @@ def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float
 def qudit_resolution_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|psi> x |Omega> = (1/d) sum_n |Omega_n> x U_n^dag |psi>: K^T times the rows U_n^dag psi / d."""
     basis = basis if basis is not None else weyl_basis(d)
-    psi = _require_unit(psi)
+    psi = _require_unit(psi, d)
     report = VerificationReport("qudit-resolution")
     lhs = linalg.kron_vec(psi, omega(d))
     rhs = omega_kets(d, basis).T @ (psi @ basis.unitaries.conj() / d)  # row CA, column B
@@ -222,7 +220,7 @@ def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, se
     if trials < 1:
         raise ValueError("trials must be >= 1")
     basis = basis if basis is not None else weyl_basis(d)
-    psi = _require_unit(psi)
+    psi = _require_unit(psi, d)
     branches = measurement_form(d, psi, basis)
     # np.linalg.norm of each row to the bit: it too sums two real dot products
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
@@ -248,9 +246,7 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     included); no positivity is assumed.  The terms form TIGHT_BLOCK_ENTRIES // d^2 at a time.
     """
     basis = basis if basis is not None else weyl_basis(d)
-    rho, obs = linalg.as_matrix(rho), linalg.as_matrix(obs)
-    if rho.shape != (d, d) or obs.shape != (d, d):
-        raise DimensionError(f"rho and O must be {d}x{d}")
+    rho, obs = linalg.as_operator(rho, d, "rho and O"), linalg.as_operator(obs, d, "rho and O")
     report = VerificationReport("tight-teleportation")
     target = np.trace(rho @ obs)
     w = omega(d).reshape(d, d)

@@ -204,25 +204,19 @@ def closed_flow_diagram() -> dg.DecoratedDiagram:
 
 
 def _check_flow_ops(ops, d: int) -> list[np.ndarray]:
-    """The eight operators as d x d matrices, all checked unitary by one stacked
-    U U^dag; a non-unitary one is named before a later malformed one."""
+    """The eight operators as d x d matrices, all checked unitary by one
+    linalg.non_unitary; a non-unitary one is named before a later malformed one."""
     if len(ops) != 8:
         raise ValueError("the flow takes exactly eight operators")
     mats, malformed = [], None
     for k, u in enumerate(ops, start=1):
         try:
-            m = linalg.as_matrix(u)
-            if m.shape != (d, d):
-                raise DimensionError(f"operator {k} must be {d}x{d}")
+            mats.append(linalg.as_operator(u, d, f"operator {k}"))
         except ValueError as exc:
             malformed = exc
             break
-        mats.append(m)
-    if mats:
-        stack = np.stack(mats)
-        off = np.abs(stack @ stack.conj().transpose(0, 2, 1) - identity(d)).max(axis=(1, 2))
-        for k in np.flatnonzero(off > 1e-9)[:1]:
-            raise ValueError(f"operator {k + 1} is not unitary")
+    if mats and (bad := linalg.non_unitary(np.stack(mats))).size:
+        raise ValueError(f"operator {bad[0] + 1} is not unitary")
     if malformed:
         raise malformed
     return mats
@@ -232,7 +226,7 @@ def flow_closed_form(ops, phi, d: int) -> np.ndarray:
     """(1/d^6) tr(U2^dag U5) tr(U4^dag U7)
     (U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag) |phi>."""
     u = _check_flow_ops(ops, d)
-    phi = linalg.as_vector(phi)
+    phi = linalg.as_ket(phi, d, "phi")
     chain = (u[7].T @ u[6].conj().T @ u[5].T @ u[4].conj() @ u[3]
              @ u[2].conj().T @ u[1].T @ u[0].conj().T)
     t1 = np.trace(u[1].conj().T @ u[4])
@@ -244,9 +238,7 @@ def flow_apply(ops, phi, d: int, evaluator=dg.evaluate) -> np.ndarray:
     """The flow's output for the input |phi>: the d x d matrix of
     closed_flow_diagram(), from one evaluator call, applied to |phi>."""
     u = _check_flow_ops(ops, d)
-    phi = linalg.as_vector(phi)
-    if phi.shape != (d,):
-        raise DimensionError(f"phi must have dimension {d}")
+    phi = linalg.as_ket(phi, d, "phi")
     return evaluator(closed_flow_diagram(), d, dict(zip(FLOW_LABELS, u))) @ phi
 
 

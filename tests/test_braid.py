@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from entangle_tl import braid, linalg
-from entangle_tl import diagram as dg
 from entangle_tl.braid import (apply_on_strands, apply_word, braid_teleport_config,
                                check_braid_closed_form, check_braid_relation,
                                check_teleport_swapping, check_virtual_mixed,
@@ -259,7 +258,7 @@ def test_strand_positions_out_of_range_raise():
 def test_strand_product_size_guard(monkeypatch):
     # the embedding's d^n x len(cols) entries are counted before anything is
     # scattered, whatever strands op touches
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 63)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 63)
     with pytest.raises(linalg.DimensionError, match="2\\^3 x 8 entries exceeds 63"):
         embed(bell_matrix(), 1, 3)
     with pytest.raises(linalg.DimensionError, match="2\\^6 x 1 entries exceeds 63"):
@@ -321,18 +320,18 @@ def test_relation_residual_stays_on_four_strands(monkeypatch):
     # most 3 strands, where they walk d^3 x d^3: each passes at its count of
     # walked entries and is refused one below it
     entries = 2 ** 4 * braid.PROBES
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", entries)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", entries)
     b = bell_matrix()
     assert relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)]) < 1e-15
     assert check_braid_relation(b).overall_pass
     assert check_virtual_relations(swap(2)).overall_pass
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", entries - 1)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", entries - 1)
     with pytest.raises(linalg.DimensionError, match=f"2\\^4 x 8 entries exceeds {entries - 1}"):
         relation_residual([(b, 1), (b, 3)], [(b, 3), (b, 1)])
     adjacent = [(b, 1), (b, 2), (b, 1)], [(b, 2), (b, 1), (b, 2)]
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 6)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 2 ** 6)
     assert relation_residual(*adjacent) < 1e-15
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 6 - 1)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 2 ** 6 - 1)
     with pytest.raises(linalg.DimensionError, match="2\\^3 x 8 entries exceeds 63"):
         relation_residual(*adjacent)
 

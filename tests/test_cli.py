@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from entangle_tl import braid, cli, tlalgebra
+from entangle_tl import braid, cli, linalg, tlalgebra
 from entangle_tl import diagram as dg
 from entangle_tl.cli import main
 from entangle_tl.render import render
@@ -237,10 +238,28 @@ def test_negative_seed_env_exits_2(monkeypatch, capsys):
     assert main(["verify", "flow", "--seed", "5"]) == 0
 
 
+def test_main_builds_one_parser_and_reads_the_seed_each_call(monkeypatch, capsys):
+    parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    cli.build_parser.cache_clear()
+    seeds = []
+    for env, argv in (("3", []), ("4", []), ("4", ["--seed", "9"])):
+        monkeypatch.setenv("ENTANGLE_TL_SEED", env)
+        assert main(["simulate", "--trials", "1", "--format", "json", *argv]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["seed"])
+    assert seeds == [3, 4, 9]
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+
+
 def test_output_over_size_limit_exits_2(monkeypatch, capsys):
     # the d=2, n=3 decorated idempotents evaluate to 64 entries; with the
     # limit set below that the guard refuses them before allocating
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 63)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 63)
     assert main(["verify", "tl", "--d", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds 63" in err and err.count("\n") == 1
@@ -250,21 +269,21 @@ def test_strand_product_over_size_limit_exits_2(monkeypatch, capsys):
     # the 3-strand braid relations at d=3 walk 3^3 x 27 entries, the most of
     # the suite; with the limit set below that the guard refuses them before
     # applying a factor
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6 - 1)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 3 ** 6 - 1)
     assert main(["verify", "braid", "--d", "3"]) == 2
     err = capsys.readouterr().err
     assert err == "error: relation on 3^3 x 27 entries exceeds 728\n"
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 3 ** 6)  # relations at the limit are compared
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 3 ** 6)  # relations at the limit are compared
     assert main(["verify", "braid", "--d", "3"]) == 0
 
 
 def test_weyl_basis_over_size_limit_exits_2(monkeypatch, capsys):
     # the d=2 basis has 2^4 entries; with the limit set below that the guard
     # refuses it before allocating
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 15)
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 15)
     assert main(["verify", "maxent", "--d", "2"]) == 2
     assert capsys.readouterr().err == "error: Weyl basis of 2^4 entries exceeds 15\n"
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 16)  # a basis at the limit is built
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 16)  # a basis at the limit is built
     assert main(["verify", "maxent", "--d", "2"]) == 0
 
 

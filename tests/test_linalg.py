@@ -63,6 +63,36 @@ def test_is_unitary():
     assert not is_unitary(np.diag([1.0, 2.0]))
 
 
+I2 = identity(2)
+OPERAND_RULES = [  # (call, its result, or the (class, message) it raises)
+    (lambda: linalg.as_operator(identity(3), 2, "U"), (DimensionError, "U must be 2x2, got (3, 3)")),
+    (lambda: linalg.as_operator([1, 0], 2, "U"), (DimensionError, "expected a matrix, got ndim=1")),
+    (lambda: linalg.as_operator([[np.nan, 0], [0, 1]], 2, "U"), (ValueError, "matrix entries must be finite")),
+    (lambda: linalg.as_operator(I2, 2, "U").tolist(), I2.tolist()),
+    (lambda: linalg.as_ket(np.ones(3), 2, "psi"), (DimensionError, "psi must have dimension 2")),
+    (lambda: linalg.as_ket(I2, 2, "psi"), (DimensionError, "expected a vector, got ndim=2")),
+    (lambda: linalg.as_ket([np.inf, 0], 2, "psi"), (ValueError, "vector entries must be finite")),
+    (lambda: linalg.as_ket([1, 0], 2, "psi").tolist(), [1, 0]),
+    (lambda: linalg.non_unitary(np.stack([I2, np.diag([1, 2]), (1 + 1e-6) * I2, pauli(2)])).tolist(), [1, 2]),
+    (lambda: linalg.non_unitary(np.stack([(1 + 1e-6) * I2, (1 + 1e-12) * I2]), tol=1e-5).tolist(), []),
+    (lambda: linalg.non_unitary(np.stack([bell_matrix(), np.full((4, 4), np.nan)])).tolist(), [1]),
+    (lambda: linalg.within_limit(linalg.MAX_OUTPUT_ENTRIES, "output of 2^24"), None),
+    (lambda: linalg.within_limit(linalg.MAX_OUTPUT_ENTRIES + 1, "output of 2^24 + 1"),
+     (DimensionError, "output of 2^24 + 1 entries exceeds 16777216")),
+]
+
+
+@pytest.mark.parametrize("call, expected", OPERAND_RULES)
+def test_operand_rules(call, expected):
+    if isinstance(expected, tuple):
+        cls, message = expected
+        with pytest.raises(cls) as exc:
+            call()
+        assert type(exc.value) is cls and str(exc.value) == message
+    else:
+        assert call() == expected
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         max_residual(identity(2), identity(3))

@@ -218,6 +218,13 @@ def test_qudit_resolution_any_trace_orthonormal_basis(rng):
     assert qudit_resolution_check(d, psi, basis=conjugated, tol=1e-10).overall_pass
 
 
+@pytest.mark.parametrize("check", [qudit_resolution_check, branch_weights_check, simulate])
+def test_psi_of_another_dimension_refused(check):
+    # a unit 2-ket at d = 3 is refused by name before any product is formed
+    with pytest.raises(linalg.DimensionError, match="^psi must have dimension 3$"):
+        check(3, np.array([0.6, 0.8]))
+
+
 def test_simulate_fidelity_and_uniformity():
     result = simulate(2, np.array([0.6, 0.8]), trials=4096, seed=0)
     assert result.min_fidelity > 1 - 1e-12

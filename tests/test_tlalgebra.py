@@ -210,7 +210,7 @@ def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
 
 def test_relations_without_a_position_are_not_formed(monkeypatch):
     # at n = 3 there is no far pair: forming one would need 4 strands
-    monkeypatch.setattr(dg, "MAX_OUTPUT_ENTRIES", 2 ** 6)  # 3 strands at d = 2, not 4
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 2 ** 6)  # 3 strands at d = 2, not 4
     for report in (check_tl_axioms(3, 2), check_tl_decorated(3, 2, 2), check_brauer_mixed(3, 2)):
         assert report.overall_pass, report.suite_name
 
