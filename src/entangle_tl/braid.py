@@ -2,8 +2,9 @@
 pairs, plus the braid teleportation configuration and teleportation swapping.
 
 A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
-of a d-dimensional system; apply_on_strands() applies it at position i of n
-strands in O(d^(n+2)) per column, never forming the d^n x d^n embedding.
+of a d-dimensional system, or a (..., d^2, d^2) stack of them, which the same
+code broadcasts over.  apply_on_strands() applies it at position i of n strands
+in O(d^(n+2)) per column, never forming the d^n x d^n embedding.
 embed() forms columns of that embedding by scattering, and apply_word() the
 same columns of a word of such factors: its rightmost factor embedded, the
 others applied.  relation_residual() compares a relation written on the
@@ -14,6 +15,7 @@ on n strands both sides only gain identity strands.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from .report import VerificationReport
 
 PROBES, PROBE_SEED = 8, 0  # the basis kets a far relation is compared on, and their seed
 BLOCK = 64  # basis-ket columns a relation's words are applied to at a time
+STACK_ENTRIES = 2 ** 16  # entries a stacked pass holds per array: the chunk bound of tlalgebra.check_tl_decorated
 
 
 def swap(d: int) -> np.ndarray:
@@ -34,25 +37,27 @@ def swap(d: int) -> np.ndarray:
 
 
 def _local_dimension(op) -> tuple[int, np.ndarray]:
-    """(d, op) for a finite d^2 x d^2 strand operator."""
-    m = linalg.as_matrix(op)
-    d = math.isqrt(m.shape[0])
-    if m.shape != (d * d, d * d):
+    """(d, op) for a finite d^2 x d^2 strand operator or a stack of them."""
+    m = linalg.as_matrix(op, stacked=True)
+    d = math.isqrt(m.shape[-1])
+    if m.shape[-2:] != (d * d, d * d):
         raise DimensionError(f"strand operator must be d^2 x d^2, got {m.shape}")
     return d, m
 
 
 def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based
-    i, for x with d^n rows; the embedding is never formed."""
+    i, for a ket x of d^n entries or x with d^n rows on axis -2; the embedding
+    is never formed."""
     d, op = _local_dimension(op)
     if not 1 <= i <= n - 1:
         raise DimensionError(f"position {i} out of range for {n} strands")
     x = np.asarray(x)
-    if x.shape[0] != d ** n:
-        raise DimensionError(f"operand has {x.shape[0]} rows, not {d}^{n}")
-    blocks = x.reshape(d ** (i - 1), d * d, -1)
-    return np.matmul(op, blocks).reshape(x.shape)
+    if (rows := x.shape[-2:][0]) != d ** n:
+        raise DimensionError(f"operand has {rows} rows, not {d}^{n}")
+    lead = x.shape[:-2]
+    out = np.matmul(op[..., None, :, :], x.reshape(*lead, d ** (i - 1), d * d, -1))
+    return out.reshape(*out.shape[:-3], *x.shape[len(lead):])
 
 
 def embed(op, i: int, n: int, cols=None) -> np.ndarray:
@@ -67,9 +72,10 @@ def embed(op, i: int, n: int, cols=None) -> np.ndarray:
         raise DimensionError(f"columns {cols.min()}..{cols.max()} out of range for {d}^{n}")
     shape = (d ** (i - 1), d * d, d ** (n - i - 1))
     hi, mid, lo = np.unravel_index(cols, shape)
-    out = np.zeros((*shape, len(cols)), dtype=op.dtype)
-    out[hi, :, lo, np.arange(len(cols))] = op[:, mid].T
-    return out.reshape(d ** n, len(cols))
+    out = np.zeros((*op.shape[:-2], *shape, len(cols)), dtype=op.dtype)
+    picked = op[..., :, mid]  # assigned with the column axis first, as the fancy index orders it
+    out[..., hi, :, lo, np.arange(len(cols))] = picked.transpose(-1, *range(picked.ndim - 1))
+    return out.reshape(*op.shape[:-2], d ** n, len(cols))
 
 
 def apply_word(word, n: int, cols=None) -> np.ndarray:
@@ -88,14 +94,16 @@ def relation_residual(lhs, rhs, scale=1) -> float:
     1..max i + 1: on more strands L x 1 and R x 1 add only zero entries.  Both
     words are applied to BLOCK basis-ket columns at a time: every column on at
     most 3 strands, PROBES of them on 4 or more (far commutativity, Freivalds,
-    IFIP 1977), so a misplaced factor fails and no d^2n product is formed."""
+    IFIP 1977), so a misplaced factor fails and no d^2n product is formed.
+    Stacked operators give one residual per operator, as an array."""
     n = max(i for _, i in (*lhs, *rhs)) + 1
     d, _ = _local_dimension(lhs[-1][0])
     cols = (np.arange(d ** n) if n <= 3 else  # probes from a generator of its own: the CLI's rng draws as before
             np.random.default_rng(PROBE_SEED).choice(d ** n, min(PROBES, d ** n), replace=False))
     linalg.within_limit(d ** n * len(cols), f"relation on {d}^{n} x {len(cols)}")
-    return max(linalg.max_residual(apply_word(lhs, n, block), scale * apply_word(rhs, n, block))
-               for block in np.split(cols, range(BLOCK, len(cols), BLOCK)))
+    return functools.reduce(np.maximum, (  # np.maximum, not max: one residual per stacked operator, nan kept
+        linalg.max_residual(apply_word(lhs, n, block), scale * apply_word(rhs, n, block), axis=(-2, -1))
+        for block in np.split(cols, range(BLOCK, len(cols), BLOCK))))
 
 
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:

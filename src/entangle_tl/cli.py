@@ -119,9 +119,7 @@ def _dense(cfg, rng):
 
 def _tl(cfg, rng):
     n, d, tol = cfg.strands, cfg.dimension, cfg.tolerance
-    basis = maxent.weyl_basis(d)
-    return [tlalgebra.check_tl_axioms(n, d, tol)] + [
-        tlalgebra.check_tl_decorated(3, d, idx, basis, tol) for idx in range(1, d * d + 1)]
+    return [tlalgebra.check_tl_axioms(n, d, tol)] + tlalgebra.check_tl_decorated(3, d, tol=tol)
 
 
 def _brauer(cfg, rng):
@@ -149,15 +147,14 @@ def run_suite(suite: str, cfg: RunConfig) -> VerificationReport:
 
 
 def _parse_psi(text: str, d: int) -> np.ndarray:
+    """'uniform', 'basisK' or comma-separated amplitudes, held to linalg.as_ket
+    and normalized."""
     if text == "uniform":
         return np.ones(d, dtype=np.complex128) / np.sqrt(d)
     if text.startswith("basis"):
         k = int(text[len("basis"):])
         return linalg.basis_ket(d, k)
-    parts = [complex(p.strip().replace("i", "j")) for p in text.split(",")]
-    v = np.array(parts, dtype=np.complex128)
-    if v.shape != (d,):
-        raise ValueError(f"psi needs {d} amplitudes, got {len(parts)}")
+    v = linalg.as_ket([complex(p.strip().replace("i", "j")) for p in text.split(",")], d, "psi")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise ValueError("psi must be normalized")
     return v

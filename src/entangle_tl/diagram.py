@@ -8,10 +8,11 @@ Temperley-Lieb sub-case.
 
 Orientation: diagrams consume input at the top and emit at the bottom, so
 evaluate() returns a d^bottom x d^top matrix and composing a over b gives
-evaluate(b) @ evaluate(a).  Each evaluation refuses an output beyond
-linalg.MAX_OUTPUT_ENTRIES up front, validates every operator label it uses
-once by linalg.as_operator, and plans each network's contraction order once
-per (subscripts, shapes) for reuse.
+evaluate(b) @ evaluate(a); an operator table may hold (..., d, d) stacks,
+which give one such matrix per stacked operator.  Each evaluation refuses an output
+matrix beyond linalg.MAX_OUTPUT_ENTRIES up front, validates every operator
+label it uses once by linalg.as_operator, and plans each network's
+contraction order once per (subscripts, shapes) for reuse.
 
 Decoration semantics: every stored decoration is the operator applied in the
 downward (flow) direction at its position on the strand, with arc decorations
@@ -88,7 +89,7 @@ class Decoration:
         """table[op], already validated by _operator_table, with this flavor applied."""
         m = table[self.op]
         bits = FLAVORS.index(self.flavor)
-        m = m.T if bits & 1 else m
+        m = m.swapaxes(-1, -2) if bits & 1 else m
         return m.conj() if bits & 2 else m
 
     def to_dict(self) -> dict:
@@ -328,12 +329,12 @@ def compose(top_diag: DecoratedDiagram, bottom_diag: DecoratedDiagram) -> Decora
 
 def _operator_table(decoration_lists, d: int, ops: dict | None) -> dict:
     """Each label the decorations use, looked up in ops and validated once
-    as a finite d x d matrix; labels no decoration uses stay unchecked."""
+    as a finite d x d matrix or stack; labels no decoration uses stay unchecked."""
     table = {}
     for label in dict.fromkeys(deco.op for decos in decoration_lists for deco in decos):
         if label not in (ops or {}):
             raise ValueError(f"unresolvable operator label {label!r}")
-        table[label] = linalg.as_operator(ops[label], d, f"operator {label!r}")
+        table[label] = linalg.as_operator(ops[label], d, f"operator {label!r}", stacked=True)
     return table
 
 
@@ -344,8 +345,14 @@ def _einsum_path(spec: str, shapes: tuple) -> tuple:
 
 
 def _contract(spec: str, operands: list) -> np.ndarray:
-    """The one contraction of both evaluators, along its cached path."""
-    return np.einsum(spec, *operands, optimize=_einsum_path(spec, tuple(op.shape for op in operands)))
+    """The one contraction of both evaluators, along its cached path, planned
+    for one matrix of each stack: each is contracted as if alone."""
+    return np.einsum(spec, *operands, optimize=_einsum_path(spec, tuple(op.shape[-2:] for op in operands)))
+
+
+def _matrices(out: np.ndarray, out_sub: str, shape: tuple) -> np.ndarray:
+    """A contraction's endpoint axes, after any stack axes, in the output matrix shape."""
+    return out.reshape(*out.shape[:out.ndim - len(out_sub)], *shape)
 
 
 def _strand_tensor(s: Strand, d: int, table: dict) -> np.ndarray:
@@ -354,17 +361,17 @@ def _strand_tensor(s: Strand, d: int, table: dict) -> np.ndarray:
     start_is_bottom = s.start.side == BOTTOM
     for deco in s.decorations:
         m = deco.matrix(table)
-        out = (m.T if start_is_bottom else m) @ out
+        out = (m.swapaxes(-1, -2) if start_is_bottom else m) @ out
     return out
 
 
-def _scalar_value(diag: DecoratedDiagram, d: int, table: dict) -> complex:
+def _scalar_value(diag: DecoratedDiagram, d: int, table: dict):
     value = diag.scalar.numeric(d)
     for loop in diag.loops:
         prod = np.eye(d, dtype=np.complex128)
         for deco in loop:
             prod = deco.matrix(table) @ prod
-        value *= complex(np.trace(prod))
+        value = np.multiply(value, np.trace(prod, axis1=-2, axis2=-1))
     return value
 
 
@@ -375,8 +382,9 @@ def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> com
 
 def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None):
     """Both evaluators' start, refused up front when the diagram or its output is too
-    large: one einsum letter per endpoint (top row, then bottom row), the output
-    subscript (bottom, then top), the output shape and the operator table."""
+    large: one einsum letter per endpoint (top row, then bottom row), the prefix
+    of stack axes ("..." when a table entry is a stack), the output subscript
+    (bottom, then top), the output matrix shape and the operator table."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     count = diag.top + diag.bottom
@@ -387,20 +395,22 @@ def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None):
     bottom = [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
     letter = dict(zip(top + bottom, string.ascii_letters))
     table = _operator_table(diag.loops + tuple(s.decorations for s in diag.strands), d, ops)
-    return letter, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top), table
+    # stack axes only when an operator has them: einsum parses an ellipsis on every call
+    stack = "..." if any(m.ndim > 2 for m in table.values()) else ""
+    return letter, stack, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top), table
 
 
 def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Dense d^bottom x d^top matrix of the diagram (input at top), from one
     einsum over its strand tensors.  States and effects enter as cups and
     caps composed onto the diagram, as in tlalgebra.closed_flow_diagram."""
-    letter, out_sub, shape, table = _prepare(diag, d, ops)
-    value = _scalar_value(diag, d, table)
+    letter, stack, out_sub, shape, table = _prepare(diag, d, ops)
+    value = np.asarray(_scalar_value(diag, d, table))[..., None, None]
     if not diag.strands:
-        return np.array([[value]], dtype=np.complex128)
+        return value
 
-    spec = ",".join(letter[s.end] + letter[s.start] for s in diag.strands) + "->" + out_sub
-    return value * _contract(spec, [_strand_tensor(s, d, table) for s in diag.strands]).reshape(shape)
+    spec = ",".join(stack + letter[s.end] + letter[s.start] for s in diag.strands) + "->" + stack + out_sub
+    return value * _matrices(_contract(spec, [_strand_tensor(s, d, table) for s in diag.strands]), out_sub, shape)
 
 
 def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
@@ -412,7 +422,7 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     evaluate(), only the operator table and the contraction; agreement
     between the two is the correctness test for the normal-form bookkeeping.
     """
-    letter, out_sub, shape, table = _prepare(diag, d, ops)
+    letter, stack, out_sub, shape, table = _prepare(diag, d, ops)
     pool = iter(string.ascii_letters[len(letter):])
 
     def fresh():
@@ -451,7 +461,8 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
     if not operands:
         return np.array([[prefactor]], dtype=np.complex128)
-    return prefactor * _contract(",".join(subs) + "->" + out_sub, operands).reshape(shape)
+    spec = ",".join(stack + sub for sub in subs) + "->" + stack + out_sub
+    return prefactor * _matrices(_contract(spec, operands), out_sub, shape)
 
 
 def adjoint_diagram(diag: DecoratedDiagram) -> DecoratedDiagram:

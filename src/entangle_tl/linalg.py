@@ -21,7 +21,8 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 # Largest array, in entries, a diagram evaluation, a strand embedding or a Weyl
-# basis may allocate (256 MiB of complex128), and most entries a relation walks.
+# basis may allocate (256 MiB of complex128), and most entries a relation walks:
+# per operator of a stack, which its caller bounds.
 MAX_OUTPUT_ENTRIES = 2 ** 24
 
 
@@ -29,46 +30,48 @@ class DimensionError(ValueError):
     """Shapes of the operands do not conform."""
 
 
-def as_matrix(m) -> np.ndarray:
+def as_matrix(m, stacked: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def as_vector(v) -> np.ndarray:
+def as_vector(v, stacked: bool = False) -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128)
-    if a.ndim != 1:
+    if a.ndim != 1 and not (stacked and a.ndim > 1):
         raise DimensionError(f"expected a vector, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
 
 
-def as_operator(m, d: int, what: str) -> np.ndarray:
-    """m as a finite d x d matrix; what names it in the refusal."""
-    a = as_matrix(m)
-    if a.shape != (d, d):
+def as_operator(m, d: int, what: str, stacked: bool = False) -> np.ndarray:
+    """m as a finite d x d matrix, or with stacked a finite (..., d, d) stack
+    of them; what names it in the refusal."""
+    a = as_matrix(m, stacked)
+    if a.shape[-2:] != (d, d):
         raise DimensionError(f"{what} must be {d}x{d}, got {a.shape}")
     return a
 
 
-def as_ket(v, d: int, what: str) -> np.ndarray:
-    """v as a finite ket of dimension d; what names it in the refusal."""
-    a = as_vector(v)
-    if a.shape != (d,):
+def as_ket(v, d: int, what: str, stacked: bool = False) -> np.ndarray:
+    """v as a finite ket of dimension d, or with stacked a finite (..., d)
+    stack of them; what names it in the refusal."""
+    a = as_vector(v, stacked)
+    if a.shape[-1] != d:
         raise DimensionError(f"{what} must have dimension {d}")
     return a
 
 
 def non_unitary(stack, tol: float = 1e-9) -> np.ndarray:
-    """The indices n of the (k, d, d) stack with max|U_n U_n^dag - 1| > tol,
-    formed in the product itself; nan counts as above tol."""
-    off = stack @ stack.conj().transpose(0, 2, 1)
+    """The flat indices n of the (..., d, d) stack with max|U_n U_n^dag - 1| >
+    tol, formed in the product itself; nan counts as above tol."""
+    off = stack @ stack.conj().swapaxes(-1, -2)
     off -= identity(stack.shape[-1])
-    return np.flatnonzero(~(np.abs(off, out=off).real.max(axis=(1, 2)) <= tol))
+    return np.flatnonzero(~(np.abs(off, out=off).real.max(axis=(-2, -1)) <= tol))
 
 
 def within_limit(entries: int, what: str) -> None:
@@ -119,8 +122,9 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def max_residual(a, b) -> float:
-    """Entrywise max modulus difference between two same-shape arrays."""
+def max_residual(a, b, axis=None):
+    """Entrywise max modulus difference between two same-shape arrays, over
+    axis (all by default): axis=(-2, -1) gives one per matrix of two stacks."""
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         raise DimensionError(f"cannot compare {a.shape} with {b.shape}")
@@ -128,7 +132,8 @@ def max_residual(a, b) -> float:
         return 0.0
     diff = a - b
     # |a - b| written over the difference, so no separate float array
-    return float(np.max(np.abs(diff, out=diff).real))
+    worst = np.abs(diff, out=diff).real.max(axis=axis)
+    return float(worst) if axis is None else worst
 
 
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:

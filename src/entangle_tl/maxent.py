@@ -108,12 +108,17 @@ def pauli_weyl_basis() -> WeylBasis:
     return WeylBasis(2, (pauli(0), pauli(1), 1j * pauli(2), pauli(3)))
 
 
-def omega_n(d: int, n: int, basis: WeylBasis | None = None) -> np.ndarray:
-    """|Omega_n> = (U_n x 1)|Omega>."""
+def resolve_basis(d: int, basis: WeylBasis | None) -> WeylBasis:
+    """basis, or weyl_basis(d) when it is None; refused when its dimension is not d."""
     basis = basis if basis is not None else weyl_basis(d)
     if basis.d != d:
         raise DimensionError("basis dimension mismatch")
-    return phi_of(basis.unitary(n), d)
+    return basis
+
+
+def omega_n(d: int, n: int, basis: WeylBasis | None = None) -> np.ndarray:
+    """|Omega_n> = (U_n x 1)|Omega>."""
+    return phi_of(resolve_basis(d, basis).unitary(n), d)
 
 
 def phi_of(u, d: int) -> np.ndarray:
@@ -174,10 +179,7 @@ def transfer_composition(u, v, d: int, tol: float = DEFAULT_TOL) -> Verification
 def omega_kets(d: int, basis: WeylBasis | None = None) -> np.ndarray:
     """Every |Omega_n> = (U_n x 1)|Omega> at once: row n - 1 of the d^2 x d^2
     array K is vec(U_n)/sqrt(d), as phi_of gives it."""
-    basis = basis if basis is not None else weyl_basis(d)
-    if basis.d != d:
-        raise DimensionError("basis dimension mismatch")
-    return basis.unitaries.reshape(d * d, d * d) / math.sqrt(d)
+    return resolve_basis(d, basis).unitaries.reshape(d * d, d * d) / math.sqrt(d)
 
 
 def completeness_check(d: int, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:

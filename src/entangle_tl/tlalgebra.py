@@ -6,7 +6,8 @@ x omega x ... x 1 built from the maximally entangled projector; virtual
 crossings are swaps on strand pairs.  Each of the 4 TL and 8 mixed Brauer
 relations is formed once per calculus on the <= 4 strands it touches: there n
 adds only names, never more or larger matrices or diagrams.  check_tl_decorated
-still evaluates one d^n x d^n decorated diagram per position.  The loop
+evaluates one decorated diagram per position for a stack of basis elements at
+a time, a (k, d^n, d^n) stack within braid.STACK_ENTRIES entries.  The loop
 parameter is d.  The flow diagram is its eight decorated projectors composed.
 """
 
@@ -16,11 +17,11 @@ import functools
 
 import numpy as np
 
+from . import braid, linalg
 from . import diagram as dg
-from . import linalg
 from .braid import embed, relation_residual, swap
-from .linalg import DEFAULT_TOL, DimensionError, identity
-from .maxent import WeylBasis, clock, omega_projector, weyl_basis
+from .linalg import DEFAULT_TOL, identity
+from .maxent import WeylBasis, clock, omega_projector, resolve_basis
 from .report import VerificationReport
 
 # Largest n of the TL and Brauer checks: each relation is formed once on <= 4
@@ -72,16 +73,18 @@ def _tl_relations(n: int, d: int) -> list:
     return [relation for relation in relations if relation[3]]
 
 
-def _check_dense_relations(report: VerificationReport, w: np.ndarray, x: str, suffix: str,
+def _check_dense_relations(reports: list, w: np.ndarray, x: str, suffix: str,
                            n: int, d: int, tol: float) -> None:
-    """X_i hermitian and each TL relation, for X_i = w on strands (i, i+1)."""
-    hermitian = linalg.max_residual(w, w.conj().T)
-    for i in range(1, n):
-        report.add(f"{x}_{i} hermitian{suffix}", hermitian, tol)
+    """X_i hermitian and each TL relation into reports[k], for X_i = w[k] on
+    strands (i, i+1): one stacked pass over the (k, d^2, d^2) stack w."""
+    hermitian = linalg.max_residual(w, w.conj().swapaxes(-1, -2), axis=(-2, -1))
+    checks = [(f"{x}_{i} hermitian{suffix}", hermitian) for i in range(1, n)]
     for lhs, rhs, scale, names in _tl_relations(n, d):
         residual = relation_residual([(w, k) for k in lhs], [(w, k) for k in rhs], scale)
-        for name in names:
-            report.add(name.format(x=x) + suffix, residual, tol)
+        checks += [(name.format(x=x) + suffix, residual) for name in names]
+    for k, report in enumerate(reports):
+        for name, residuals in checks:
+            report.add(name, residuals[k], tol)
 
 
 def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -91,7 +94,7 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
     if not 3 <= n <= MAX_STRANDS:
         raise ValueError(f"adjacent TL relations need 3 <= n <= {MAX_STRANDS}, got {n}")
     report = VerificationReport(f"tl-axioms n={n} d={d}")
-    _check_dense_relations(report, omega_projector(d), "E", " (dense)", n, d, tol)
+    _check_dense_relations([report], omega_projector(d)[None], "E", " (dense)", n, d, tol)
     for i in range(1, n):
         gen = dg.e_gen(i, n)
         report.add_bool(f"E_{i} self-adjoint (diagram)", dg.adjoint_diagram(gen) == gen)
@@ -111,25 +114,28 @@ def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationRep
     return report
 
 
-def check_tl_decorated(n: int, d: int, basis_index: int,
-                       basis: WeylBasis | None = None,
-                       tol: float = DEFAULT_TOL) -> VerificationReport:
-    """The decorated idempotents built from omega_n satisfy the same axioms."""
+def check_tl_decorated(n: int, d: int, basis: WeylBasis | None = None,
+                       tol: float = DEFAULT_TOL) -> list[VerificationReport]:
+    """The decorated idempotents Et = (U_k x 1) E (U_k x 1)^dag satisfy the
+    same axioms: one report per basis element k, each chunk of the basis
+    checked in one stacked pass."""
     if n < 3:
         raise ValueError("adjacent TL relations need n >= 3")
-    basis = basis if basis is not None else weyl_basis(d)
-    if basis.d != d:
-        raise DimensionError("basis dimension mismatch")
-    u = basis.unitary(basis_index)
-    report = VerificationReport(f"tl-decorated n={n} d={d} basis={basis_index}")
-    w = omega_projector(d)
-    wn = linalg.kron(u, identity(d)) @ w @ linalg.kron(u, identity(d)).conj().T
-    _check_dense_relations(report, wn, "Et", "", n, d, tol)
-    for i in range(1, n):
-        evaluated = dg.evaluate(decorated_e_gen(i, n, "u"), d, {"u": u})
-        report.add(f"decorated diagram evaluates to Et_{i}",
-                   linalg.max_residual(evaluated, embed(wn, i, n)), tol)
-    return report
+    unitaries = resolve_basis(d, basis).unitaries
+    step = max(1, braid.STACK_ENTRIES // d ** (2 * n))
+    reports = [VerificationReport(f"tl-decorated n={n} d={d} basis={k}") for k in range(1, d * d + 1)]
+    for lo in range(0, d * d, step):
+        u = unitaries[lo:lo + step]
+        left = np.kron(u, identity(d))
+        wn = left @ omega_projector(d) @ left.conj().swapaxes(-1, -2)
+        _check_dense_relations(reports[lo:lo + step], wn, "Et", "", n, d, tol)
+        for i in range(1, n):
+            # one expression, so no evaluated stack outlives its comparison
+            residuals = linalg.max_residual(dg.evaluate(decorated_e_gen(i, n, "u"), d, {"u": u}),
+                                            embed(wn, i, n), axis=(-2, -1))
+            for report, residual in zip(reports[lo:lo + step], residuals):
+                report.add(f"decorated diagram evaluates to Et_{i}", residual, tol)
+    return reports
 
 
 def check_brauer_mixed(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -204,19 +210,20 @@ def closed_flow_diagram() -> dg.DecoratedDiagram:
 
 
 def _check_flow_ops(ops, d: int) -> list[np.ndarray]:
-    """The eight operators as d x d matrices, all checked unitary by one
-    linalg.non_unitary; a non-unitary one is named before a later malformed one."""
+    """The eight operators as d x d matrices or equal-shape stacks of them, all
+    checked unitary by one linalg.non_unitary; a non-unitary one is named
+    before a later malformed one."""
     if len(ops) != 8:
         raise ValueError("the flow takes exactly eight operators")
     mats, malformed = [], None
     for k, u in enumerate(ops, start=1):
         try:
-            mats.append(linalg.as_operator(u, d, f"operator {k}"))
+            mats.append(linalg.as_operator(u, d, f"operator {k}", stacked=True))
         except ValueError as exc:
             malformed = exc
             break
     if mats and (bad := linalg.non_unitary(np.stack(mats))).size:
-        raise ValueError(f"operator {bad[0] + 1} is not unitary")
+        raise ValueError(f"operator {bad[0] // (mats[0].size // d ** 2) + 1} is not unitary")
     if malformed:
         raise malformed
     return mats
@@ -224,14 +231,15 @@ def _check_flow_ops(ops, d: int) -> list[np.ndarray]:
 
 def flow_closed_form(ops, phi, d: int) -> np.ndarray:
     """(1/d^6) tr(U2^dag U5) tr(U4^dag U7)
-    (U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag) |phi>."""
+    (U8^T U7^dag U6^T U5^* U4 U3^dag U2^T U1^dag) |phi>, one output per
+    stacked octuple when the operators are (..., d, d) stacks and phi (..., d)."""
     u = _check_flow_ops(ops, d)
-    phi = linalg.as_ket(phi, d, "phi")
-    chain = (u[7].T @ u[6].conj().T @ u[5].T @ u[4].conj() @ u[3]
-             @ u[2].conj().T @ u[1].T @ u[0].conj().T)
-    t1 = np.trace(u[1].conj().T @ u[4])
-    t2 = np.trace(u[3].conj().T @ u[6])
-    return (t1 * t2 / d ** 6) * (chain @ phi)
+    phi = linalg.as_ket(phi, d, "phi", stacked=True)
+    t = [m.swapaxes(-1, -2) for m in u]
+    chain = t[7] @ t[6].conj() @ t[5] @ u[4].conj() @ u[3] @ t[2].conj() @ t[1] @ t[0].conj()
+    t1 = np.trace(t[1].conj() @ u[4], axis1=-2, axis2=-1)
+    t2 = np.trace(t[3].conj() @ u[6], axis1=-2, axis2=-1)
+    return (t1 * t2 / d ** 6)[..., None] * (chain @ phi[..., None])[..., 0]
 
 
 def flow_apply(ops, phi, d: int, evaluator=dg.evaluate) -> np.ndarray:
@@ -247,22 +255,25 @@ def check_flow(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationR
     and the two exact cases, held to min(tol, 1e-12): no looser tol reaches them."""
     report = VerificationReport(f"flow d={d}")
     rng = np.random.default_rng(seed)
-
-    def random_unitary():
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, r = np.linalg.qr(g)
-        return q @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
+    # drawn octuple by octuple (per unitary its Gaussian matrix, then its phases;
+    # phi last), then factored and phased at once: q @ diag keeps each one's bits
+    gauss, phases = np.zeros((2, 10, 8, d, d), dtype=np.complex128)
+    phis = np.empty((10, d), dtype=np.complex128)
+    for j in range(10):
+        for k in range(8):
+            gauss[j, k] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            phases[j, k][np.diag_indices(d)] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phis[j] = phi / np.linalg.norm(phi)
+    octuples = np.linalg.qr(gauss)[0] @ phases
+    expected = flow_closed_form(octuples.swapaxes(0, 1), phis, d)
 
     worst_eval = 0.0
     worst_brute = 0.0
-    for _ in range(10):
-        ops = [random_unitary() for _ in range(8)]
-        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi = phi / np.linalg.norm(phi)
-        expected = flow_closed_form(ops, phi, d)
-        worst_eval = max(worst_eval, linalg.max_residual(flow_apply(ops, phi, d), expected))
+    for ops, phi, want in zip(octuples, phis, expected):
+        worst_eval = max(worst_eval, linalg.max_residual(flow_apply(ops, phi, d), want))
         worst_brute = max(worst_brute, linalg.max_residual(
-            flow_apply(ops, phi, d, evaluator=dg.brute_force_evaluate), expected))
+            flow_apply(ops, phi, d, evaluator=dg.brute_force_evaluate), want))
     report.add("random octuples: evaluate vs closed form", worst_eval, tol)
     report.add("random octuples: brute-force contraction vs closed form", worst_brute, tol)
 

@@ -126,8 +126,9 @@ def test_criterion_7_tl_axioms():
     assert composed.scalar.half_power_of_d - e1.scalar.half_power_of_d == -4
     assert composed.loops == ()
     for d in (2, 3):
-        for idx in range(1, d * d + 1):
-            rep = tlalgebra.check_tl_decorated(3, d, idx, tol=1e-10)
+        reports = tlalgebra.check_tl_decorated(3, d, tol=1e-10)
+        assert len(reports) == d * d
+        for idx, rep in enumerate(reports, start=1):
             assert rep.overall_pass, (d, idx)
             worst = max(worst, rep.max_residual)
     report(7, "TL axioms n<=5 d<=4 (diagram + dense); decorated at d=2,3", worst, 1e-10)

@@ -314,6 +314,19 @@ def test_relation_residual_equals_n_strand_residual(rng, d, lhs, rhs):
     assert relation_residual(lhs, lhs) == 0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lhs,rhs", RELATION_WORDS)
+def test_stacked_relation_residual_is_one_call_per_operator(rng, d, lhs, rhs):
+    # a (3, d^2, d^2) stack in place of operator 0 gives the residuals of one
+    # call per stacked operator, to the bit; the unstacked operator 1 broadcasts
+    stack, op = np.stack([random_op(rng, d) for _ in range(3)]), random_op(rng, d)
+    scale = complex(rng.normal(), rng.normal())
+    got = relation_residual([((stack, op)[k], i) for k, i in lhs], [((stack, op)[k], i) for k, i in rhs], scale)
+    want = [relation_residual([((u, op)[k], i) for k, i in lhs], [((u, op)[k], i) for k, i in rhs], scale)
+            for u in stack]
+    assert got.shape == (3,) and np.array_equal(got, want)
+
+
 def test_relation_residual_stays_on_four_strands(monkeypatch):
     # far commutativity written on the strands it touches walks d^4 x PROBES
     # probe entries, and the braid and virtual checkers' other words sit on at

@@ -101,6 +101,16 @@ def test_simulate_rejects_unnormalized(capsys):
     capsys.readouterr()
 
 
+def test_psi_amplitudes_follow_the_ket_rules(capsys):
+    # the listed amplitudes are refused by linalg.as_ket as they are parsed
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        cli._parse_psi("nan,0", 2)
+    with pytest.raises(linalg.DimensionError, match="^psi must have dimension 2$"):
+        cli._parse_psi("1,0,0", 2)
+    assert main(["simulate", "--psi", "nan,0"]) == 2
+    assert capsys.readouterr().err == "error: vector entries must be finite\n"
+
+
 def test_simulate_deterministic():
     a = run_cli(["simulate", "--d", "3", "--seed", "7", "--psi", "uniform"])
     b = run_cli(["simulate", "--d", "3", "--seed", "7", "--psi", "uniform"])
@@ -334,7 +344,7 @@ def test_far_commutation_fails_a_misplaced_factor(monkeypatch, capsys, d):
             if name in FAR_CHECKS:
                 assert not check["pass"], (suite, check)
                 seen.add(name)
-    decorated = tlalgebra.check_tl_decorated(4, d, 2)
+    decorated = tlalgebra.check_tl_decorated(4, d)[1]  # basis element 2
     for check in decorated.checks:
         if check.identity_name in FAR_CHECKS:
             assert not check.passed, check

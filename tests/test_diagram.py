@@ -211,12 +211,41 @@ def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(monkeypatch):
     monkeypatch.setattr(dg, "_contract", record)
     for d in (2, 3, 4, 5):
         check_flow(d)
-    for k in range(1, 10):
-        check_tl_decorated(3, 3, k)
-    assert len(calls) == 4 * 22 + 9 * 2
+    check_tl_decorated(3, 3)  # the nine basis elements in one stack: one call per position
+    assert len(calls) == 4 * 22 + 2
     assert len({spec for spec, _, _ in calls}) >= 3
     for spec, operands, out in calls:
         assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
+
+
+@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_table_is_one_call_per_operator_bit_for_bit(evaluator, d, rng):
+    # the decorated idempotents check_tl_decorated evaluates over a stack: a
+    # (k, d, d) table entry gives the k single-table matrices, to the bit
+    stack = np.stack([random_unitary(rng, d) for _ in range(4)])
+    for n in (3, 4):
+        for i in range(1, n):
+            diag = decorated_e_gen(i, n, "u")
+            got = evaluator(diag, d, {"u": stack})
+            assert got.shape == (4, d ** n, d ** n)
+            for matrix, u in zip(got, stack):
+                assert np.array_equal(matrix, evaluator(diag, d, {"u": u}))
+
+
+def test_stacked_table_broadcasts_over_any_diagram(rng):
+    # stacks on strands and in loops: each matrix of the result is the
+    # single-table one, up to the order in which the contraction sums
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        diag = random_composed_diagram(rng)
+        tables = [random_operator_table(rng, d) for _ in range(3)]
+        stacked = {label: np.stack([t[label] for t in tables]) for label in tables[0]}
+        for evaluator in (dg.evaluate, dg.brute_force_evaluate):
+            got = np.broadcast_to(evaluator(diag, d, stacked), (3, d ** diag.bottom, d ** diag.top))
+            for matrix, table in zip(got, tables):
+                single = evaluator(diag, d, table)
+                assert max_residual(matrix, single) <= 1e-12 * max(1.0, np.abs(single).max())
 
 
 def test_planned_path_gives_the_same_report_on_a_miss_and_a_hit():

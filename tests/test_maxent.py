@@ -13,6 +13,7 @@ from entangle_tl.maxent import (WeylBasis, clock, completeness_check, omega, ome
                                 slide_identity_check, trace_identities_check,
                                 transfer_composition, weyl_basis)
 from entangle_tl.qubit import BellKind, bell_state, pauli
+from entangle_tl.tlalgebra import check_tl_decorated
 
 from conftest import random_complex_matrix, random_unitary
 
@@ -262,3 +263,10 @@ def test_completeness_fails_a_nan(monkeypatch):
     monkeypatch.setattr(maxent, "omega_kets", lambda d, basis=None: kets)
     report = completeness_check(2)
     assert not any(c.passed for c in report.checks) and not report.overall_pass
+
+
+def test_a_basis_of_another_dimension_is_refused_on_every_path():
+    basis = pauli_weyl_basis()
+    for use in (lambda: omega_n(3, 1, basis), lambda: omega_kets(3, basis), lambda: check_tl_decorated(3, 3, basis)):
+        with pytest.raises(linalg.DimensionError, match="^basis dimension mismatch$"):
+            use()

@@ -41,20 +41,33 @@ def test_tl_far_commutativity_disjoint_strands():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_tl_decorated_every_basis_element(d):
-    for idx in range(1, d * d + 1):
-        report = check_tl_decorated(3, d, idx, tol=1e-10)
+    reports = check_tl_decorated(3, d, tol=1e-10)
+    assert [r.suite_name for r in reports] == [f"tl-decorated n=3 d={d} basis={idx}" for idx in range(1, d * d + 1)]
+    for idx, report in enumerate(reports, start=1):
         assert report.overall_pass, (idx, [c for c in report.checks if not c.passed])
 
 
 def test_tl_decorated_identity_reduces_to_plain():
     plain = check_tl_axioms(3, 2, tol=1e-10)
-    decorated = check_tl_decorated(3, 2, 1, tol=1e-10)
+    decorated = check_tl_decorated(3, 2, tol=1e-10)[0]
     assert plain.overall_pass and decorated.overall_pass
 
 
 def test_tl_decorated_refuses_a_basis_of_another_dimension():
     with pytest.raises(linalg.DimensionError, match="basis dimension mismatch"):
-        check_tl_decorated(3, 3, 1, pauli_weyl_basis())
+        check_tl_decorated(3, 3, pauli_weyl_basis())
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4)])
+def test_tl_decorated_reports_do_not_depend_on_the_chunk(monkeypatch, d, n):
+    # one basis element per chunk is the per-index check; chunks of two put a
+    # boundary inside the basis, and d^2 elements make one stack
+    reports = []
+    for per_chunk in (1, 2, d * d):
+        monkeypatch.setattr(braid, "STACK_ENTRIES", per_chunk * d ** (2 * n))
+        reports.append([r.to_dict() for r in check_tl_decorated(n, d)])
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0]) == d * d
 
 
 def test_tl_decorated_sigma1_direct_products():
@@ -211,7 +224,7 @@ def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
 def test_relations_without_a_position_are_not_formed(monkeypatch):
     # at n = 3 there is no far pair: forming one would need 4 strands
     monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 2 ** 6)  # 3 strands at d = 2, not 4
-    for report in (check_tl_axioms(3, 2), check_tl_decorated(3, 2, 2), check_brauer_mixed(3, 2)):
+    for report in (check_tl_axioms(3, 2), *check_tl_decorated(3, 2), check_brauer_mixed(3, 2)):
         assert report.overall_pass, report.suite_name
 
 
@@ -414,6 +427,27 @@ def test_flow_names_the_first_bad_operator(apply):
             ops[k - 1] = m
         with pytest.raises(error, match=message):
             apply(ops, phi, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_flow_draw_matches_one_qr_per_unitary(monkeypatch, d):
+    # the stacked QR and phases give the unitaries and kets a per-matrix loop
+    # draws from the same generator, to the bit (q * phases would not from d = 4)
+    seen = []
+    monkeypatch.setattr(tlalgebra, "flow_apply",
+                        lambda ops, phi, d, evaluator=dg.evaluate: seen.append((ops, phi)) or
+                        flow_apply(ops, phi, d, evaluator))
+    assert check_flow(d, seed=11).overall_pass
+    assert len(seen) == 22
+    rng = np.random.default_rng(11)
+    for j in range(10):
+        ops = []
+        for _ in range(8):
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            ops.append(q @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))))
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for got_ops, got_phi in seen[2 * j:2 * j + 2]:  # the evaluate and the brute-force call
+            assert np.array_equal(got_ops, ops) and np.array_equal(got_phi, phi / np.linalg.norm(phi))
 
 
 def test_flow_scaling_matches_trace_factors(rng):
