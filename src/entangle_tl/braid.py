@@ -26,7 +26,6 @@ from .report import VerificationReport
 
 PROBES, PROBE_SEED = 8, 0  # the basis kets a far relation is compared on, and their seed
 BLOCK = 64  # basis-ket columns a relation's words are applied to at a time
-STACK_ENTRIES = 2 ** 16  # entries a stacked pass holds per array: the chunk bound of tlalgebra.check_tl_decorated
 
 
 def swap(d: int) -> np.ndarray:

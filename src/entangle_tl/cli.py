@@ -239,6 +239,7 @@ def cmd_flow(args) -> int:
         d = data.get("d", args.d)
         if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise ValueError(f"d must be a positive integer, got {json.dumps(d)}")
+        linalg.within_limit(d * d, f"output of {d}^2")  # the closed flow's matrix, before any operator
         ops = [_parse_operator(entry, d) for entry in data["operators"]]
         phi = (_parse_psi(data["phi"], d) if isinstance(data.get("phi"), str)
                else _parse_pairs(data["phi"], 1, "phi is a psi string or a list of [re, im] pairs")

@@ -8,11 +8,10 @@ Temperley-Lieb sub-case.
 
 Orientation: diagrams consume input at the top and emit at the bottom, so
 evaluate() returns a d^bottom x d^top matrix and composing a over b gives
-evaluate(b) @ evaluate(a); an operator table may hold (..., d, d) stacks,
-which give one such matrix per stacked operator.  Each evaluation refuses an output
-matrix beyond linalg.MAX_OUTPUT_ENTRIES up front, validates every operator
-label it uses once by linalg.as_operator, and plans each network's
-contraction order once per (subscripts, shapes) for reuse.
+evaluate(b) @ evaluate(a).  Each evaluation refuses an output matrix beyond
+linalg.MAX_OUTPUT_ENTRIES up front and validates every operator label it uses
+once by linalg.as_operator.  evaluate()'s table may hold (..., d, d) stacks,
+giving one matrix per stacked operator; brute_force_evaluate() takes d x d ones.
 
 Decoration semantics: every stored decoration is the operator applied in the
 downward (flow) direction at its position on the strand, with arc decorations
@@ -327,14 +326,14 @@ def compose(top_diag: DecoratedDiagram, bottom_diag: DecoratedDiagram) -> Decora
 # evaluation
 
 
-def _operator_table(decoration_lists, d: int, ops: dict | None) -> dict:
-    """Each label the decorations use, looked up in ops and validated once
-    as a finite d x d matrix or stack; labels no decoration uses stay unchecked."""
+def _operator_table(decoration_lists, d: int, ops: dict | None, stacked: bool) -> dict:
+    """Each label the decorations use, looked up in ops and validated once by
+    linalg.as_operator(..., stacked); labels no decoration uses stay unchecked."""
     table = {}
     for label in dict.fromkeys(deco.op for decos in decoration_lists for deco in decos):
         if label not in (ops or {}):
             raise ValueError(f"unresolvable operator label {label!r}")
-        table[label] = linalg.as_operator(ops[label], d, f"operator {label!r}", stacked=True)
+        table[label] = linalg.as_operator(ops[label], d, f"operator {label!r}", stacked)
     return table
 
 
@@ -342,17 +341,6 @@ def _operator_table(decoration_lists, d: int, ops: dict | None) -> dict:
 def _einsum_path(spec: str, shapes: tuple) -> tuple:
     """numpy's greedy contraction order, the one optimize=True searches for."""
     return tuple(np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0])
-
-
-def _contract(spec: str, operands: list) -> np.ndarray:
-    """The one contraction of both evaluators, along its cached path, planned
-    for one matrix of each stack: each is contracted as if alone."""
-    return np.einsum(spec, *operands, optimize=_einsum_path(spec, tuple(op.shape[-2:] for op in operands)))
-
-
-def _matrices(out: np.ndarray, out_sub: str, shape: tuple) -> np.ndarray:
-    """A contraction's endpoint axes, after any stack axes, in the output matrix shape."""
-    return out.reshape(*out.shape[:out.ndim - len(out_sub)], *shape)
 
 
 def _strand_tensor(s: Strand, d: int, table: dict) -> np.ndarray:
@@ -377,14 +365,13 @@ def _scalar_value(diag: DecoratedDiagram, d: int, table: dict):
 
 def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> complex:
     """coeff * d^(k/2) * product of loop traces."""
-    return _scalar_value(diag, d, _operator_table(diag.loops, d, ops))
+    return _scalar_value(diag, d, _operator_table(diag.loops, d, ops, stacked=False))
 
 
-def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None):
+def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None, stacked: bool):
     """Both evaluators' start, refused up front when the diagram or its output is too
-    large: one einsum letter per endpoint (top row, then bottom row), the prefix
-    of stack axes ("..." when a table entry is a stack), the output subscript
-    (bottom, then top), the output matrix shape and the operator table."""
+    large: one einsum letter per endpoint (top row, then bottom row), the output
+    subscript (bottom, then top), the output matrix shape and the operator table."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     count = diag.top + diag.bottom
@@ -394,35 +381,34 @@ def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None):
     top = [Endpoint(TOP, i) for i in range(diag.top)]
     bottom = [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
     letter = dict(zip(top + bottom, string.ascii_letters))
-    table = _operator_table(diag.loops + tuple(s.decorations for s in diag.strands), d, ops)
-    # stack axes only when an operator has them: einsum parses an ellipsis on every call
-    stack = "..." if any(m.ndim > 2 for m in table.values()) else ""
-    return letter, stack, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top), table
+    table = _operator_table(diag.loops + tuple(s.decorations for s in diag.strands), d, ops, stacked)
+    return letter, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top), table
 
 
 def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
-    """Dense d^bottom x d^top matrix of the diagram (input at top), from one
-    einsum over its strand tensors.  States and effects enter as cups and
+    """Dense d^bottom x d^top matrix of the diagram (input at top), the outer
+    product of its strand tensors.  States and effects enter as cups and
     caps composed onto the diagram, as in tlalgebra.closed_flow_diagram."""
-    letter, stack, out_sub, shape, table = _prepare(diag, d, ops)
+    letter, out_sub, shape, table = _prepare(diag, d, ops, stacked=True)
     value = np.asarray(_scalar_value(diag, d, table))[..., None, None]
     if not diag.strands:
         return value
-
-    spec = ",".join(stack + letter[s.end] + letter[s.start] for s in diag.strands) + "->" + stack + out_sub
-    return value * _matrices(_contract(spec, [_strand_tensor(s, d, table) for s in diag.strands]), out_sub, shape)
+    # each endpoint's letter appears once in the operands and once in the output: nothing is summed
+    spec = ",".join("..." + letter[s.end] + letter[s.start] for s in diag.strands) + "->..." + out_sub
+    out = np.einsum(spec, *(_strand_tensor(s, d, table) for s in diag.strands))
+    return value * out.reshape(out.shape[:out.ndim - len(out_sub)] + shape)
 
 
 def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Oracle evaluation: build the full tensor network node by node
     (normalized cup/cap tensors, one matrix node per decoration) and contract
-    every internal index in one einsum.
+    every internal index in one einsum, along a path planned once per network.
 
     Shares no strand-level matrix-product or flavor-toggling logic with
-    evaluate(), only the operator table and the contraction; agreement
-    between the two is the correctness test for the normal-form bookkeeping.
+    evaluate(), only the operator lookup; agreement between the two is the
+    correctness test for the normal-form bookkeeping.
     """
-    letter, stack, out_sub, shape, table = _prepare(diag, d, ops)
+    letter, out_sub, shape, table = _prepare(diag, d, ops, stacked=False)
     pool = iter(string.ascii_letters[len(letter):])
 
     def fresh():
@@ -461,8 +447,9 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
     if not operands:
         return np.array([[prefactor]], dtype=np.complex128)
-    spec = ",".join(stack + sub for sub in subs) + "->" + stack + out_sub
-    return prefactor * _matrices(_contract(spec, operands), out_sub, shape)
+    spec = ",".join(subs) + "->" + out_sub
+    path = _einsum_path(spec, tuple(op.shape for op in operands))
+    return prefactor * np.einsum(spec, *operands, optimize=path).reshape(shape)
 
 
 def adjoint_diagram(diag: DecoratedDiagram) -> DecoratedDiagram:

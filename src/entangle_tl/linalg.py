@@ -25,6 +25,10 @@ DEFAULT_TOL = 1e-10
 # per operator of a stack, which its caller bounds.
 MAX_OUTPUT_ENTRIES = 2 ** 24
 
+# Most entries a blocked pass holds per array: a chunk of the decorated TL
+# basis (tlalgebra.check_tl_decorated) or of the tight-scheme terms.
+BLOCK_ENTRIES = 2 ** 16
+
 
 class DimensionError(ValueError):
     """Shapes of the operands do not conform."""

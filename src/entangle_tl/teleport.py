@@ -234,16 +234,14 @@ def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, se
                             min_fidelity=float(min(1.0, fidelities.min())))
 
 
-# Most T_n(O) entries per tight-scheme block; d <= 16 is one block (one einsum path search).
-TIGHT_BLOCK_ENTRIES = 2 ** 16
-
-
 def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """sum_n tr((rho x omega)(omega_n x T_n(O))) = tr(rho O) with
     T_n(O) = U_n^dag O U_n, and each term equal to tr(rho O)/d^2.
 
     rho and O may be any d x d matrices (rank-one non-hermitian forms
-    included); no positivity is assumed.  The terms form TIGHT_BLOCK_ENTRIES // d^2 at a time.
+    included); no positivity is assumed.  The terms form
+    linalg.BLOCK_ENTRIES // d^2 at a time, so d <= 16 is one block (one
+    einsum path search).
     """
     basis = basis if basis is not None else weyl_basis(d)
     rho, obs = linalg.as_operator(rho, d, "rho and O"), linalg.as_operator(obs, d, "rho and O")
@@ -251,7 +249,7 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     target = np.trace(rho @ obs)
     w = omega(d).reshape(d, d)
     kets = omega_kets(d, basis).reshape(d * d, d, d)
-    step = max(1, TIGHT_BLOCK_ENTRIES // d ** 2)
+    step = max(1, linalg.BLOCK_ENTRIES // d ** 2)
     blocks = []
     for lo in range(0, d * d, step):  # a block of terms, both projectors rank one:
         # rho on C, omega on AB, omega_n on CA, T_n(O) = U_n^dag O U_n on B

@@ -7,7 +7,7 @@ crossings are swaps on strand pairs.  Each of the 4 TL and 8 mixed Brauer
 relations is formed once per calculus on the <= 4 strands it touches: there n
 adds only names, never more or larger matrices or diagrams.  check_tl_decorated
 evaluates one decorated diagram per position for a stack of basis elements at
-a time, a (k, d^n, d^n) stack within braid.STACK_ENTRIES entries.  The loop
+a time, a (k, d^n, d^n) stack within linalg.BLOCK_ENTRIES entries.  The loop
 parameter is d.  The flow diagram is its eight decorated projectors composed.
 """
 
@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from . import braid, linalg
+from . import linalg
 from . import diagram as dg
 from .braid import embed, relation_residual, swap
 from .linalg import DEFAULT_TOL, identity
@@ -122,7 +122,7 @@ def check_tl_decorated(n: int, d: int, basis: WeylBasis | None = None,
     if n < 3:
         raise ValueError("adjacent TL relations need n >= 3")
     unitaries = resolve_basis(d, basis).unitaries
-    step = max(1, braid.STACK_ENTRIES // d ** (2 * n))
+    step = max(1, linalg.BLOCK_ENTRIES // d ** (2 * n))
     reports = [VerificationReport(f"tl-decorated n={n} d={d} basis={k}") for k in range(1, d * d + 1)]
     for lo in range(0, d * d, step):
         u = unitaries[lo:lo + step]
@@ -253,6 +253,7 @@ def flow_apply(ops, phi, d: int, evaluator=dg.evaluate) -> np.ndarray:
 def check_flow(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Ten seeded random unitary octuples through both evaluators, held to tol,
     and the two exact cases, held to min(tol, 1e-12): no looser tol reaches them."""
+    linalg.within_limit(d * d, f"output of {d}^2")  # the closed flow's matrix, before any draw
     report = VerificationReport(f"flow d={d}")
     rng = np.random.default_rng(seed)
     # drawn octuple by octuple (per unitary its Gaussian matrix, then its phases;

@@ -297,6 +297,21 @@ def test_weyl_basis_over_size_limit_exits_2(monkeypatch, capsys):
     assert main(["verify", "maxent", "--d", "2"]) == 0
 
 
+def test_flow_over_size_limit_exits_2_before_any_operator(tmp_path, monkeypatch, capsys):
+    # the closed flow's 5^2 output entries exceed a limit of 16: the spec is
+    # refused before any of its operators is built, with the evaluator's message
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_operator", lambda entry, d: parsed.append(entry))
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 16)
+    spec = tmp_path / "flow.json"
+    spec.write_text(json.dumps({"d": 5, "operators": ["identity"] * 8}))
+    assert main(["flow", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {spec}: output of 5^2 entries exceeds 16\n"
+    assert parsed == []
+    assert main(["verify", "flow", "--d", "5"]) == 2
+    assert capsys.readouterr().err == "error: output of 5^2 entries exceeds 16\n"
+
+
 @pytest.mark.parametrize("argv", [["verify", "maxent"], ["verify", "teleport"], ["verify", "tight"],
                                   ["verify", "dense"], ["verify", "all"], ["simulate"]])
 def test_basis_commands_beyond_limit_exit_2(argv, capsys):

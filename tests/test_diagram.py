@@ -9,7 +9,7 @@ from entangle_tl.braid import embed, swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_projector
 from entangle_tl.qubit import permutation_qubit
-from entangle_tl.tlalgebra import check_flow, check_tl_decorated, decorated_e_gen
+from entangle_tl.tlalgebra import check_flow, decorated_e_gen
 
 from conftest import (random_complex_matrix, random_composed_diagram,
                       random_matching_diagram, random_operator_table, random_unitary)
@@ -199,53 +199,64 @@ def test_operator_labels_resolved_once_per_evaluation(evaluator):
 
 
 def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(monkeypatch):
-    # the cached greedy path is the one optimize=True searches for, so every
-    # contraction of the flow and of the decorated TL checks is unchanged
-    calls, contract = [], dg._contract
+    # the oracle's cached greedy path is the one optimize=True searches for,
+    # so every brute-force contraction of the flow check is unchanged
+    calls, einsum = [], np.einsum
 
-    def record(spec, operands):
-        out = contract(spec, operands)
-        calls.append((spec, operands, out))
+    def record(spec, *operands, **kwargs):
+        out = einsum(spec, *operands, **kwargs)
+        if kwargs.get("optimize") is not None:  # evaluate passes no path
+            calls.append((spec, operands, out))
         return out
 
-    monkeypatch.setattr(dg, "_contract", record)
+    monkeypatch.setattr(dg.np, "einsum", record)
     for d in (2, 3, 4, 5):
         check_flow(d)
-    check_tl_decorated(3, 3)  # the nine basis elements in one stack: one call per position
-    assert len(calls) == 4 * 22 + 2
-    assert len({spec for spec, _, _ in calls}) >= 3
+    monkeypatch.undo()
+    assert len(calls) == 4 * 10
     for spec, operands, out in calls:
         assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
 
 
-@pytest.mark.parametrize("evaluator", [dg.evaluate, dg.brute_force_evaluate])
 @pytest.mark.parametrize("d", [2, 3])
-def test_stacked_table_is_one_call_per_operator_bit_for_bit(evaluator, d, rng):
+def test_stacked_table_is_one_call_per_operator_bit_for_bit(d, rng):
     # the decorated idempotents check_tl_decorated evaluates over a stack: a
     # (k, d, d) table entry gives the k single-table matrices, to the bit
     stack = np.stack([random_unitary(rng, d) for _ in range(4)])
     for n in (3, 4):
         for i in range(1, n):
             diag = decorated_e_gen(i, n, "u")
-            got = evaluator(diag, d, {"u": stack})
+            got = dg.evaluate(diag, d, {"u": stack})
             assert got.shape == (4, d ** n, d ** n)
             for matrix, u in zip(got, stack):
-                assert np.array_equal(matrix, evaluator(diag, d, {"u": u}))
+                assert np.array_equal(matrix, dg.evaluate(diag, d, {"u": u}))
 
 
 def test_stacked_table_broadcasts_over_any_diagram(rng):
     # stacks on strands and in loops: each matrix of the result is the
-    # single-table one, up to the order in which the contraction sums
+    # single-table one, to the bit
     for _ in range(40):
         d = int(rng.integers(1, 4))
         diag = random_composed_diagram(rng)
         tables = [random_operator_table(rng, d) for _ in range(3)]
         stacked = {label: np.stack([t[label] for t in tables]) for label in tables[0]}
-        for evaluator in (dg.evaluate, dg.brute_force_evaluate):
-            got = np.broadcast_to(evaluator(diag, d, stacked), (3, d ** diag.bottom, d ** diag.top))
-            for matrix, table in zip(got, tables):
-                single = evaluator(diag, d, table)
-                assert max_residual(matrix, single) <= 1e-12 * max(1.0, np.abs(single).max())
+        got = np.broadcast_to(dg.evaluate(diag, d, stacked), (3, d ** diag.bottom, d ** diag.top))
+        for matrix, table in zip(got, tables):
+            assert np.array_equal(matrix, dg.evaluate(diag, d, table))
+
+
+def test_brute_force_refuses_a_stacked_table(rng):
+    # the oracle contracts single operators: a (k, d, d) entry is refused,
+    # on a strand and in a loop alike, as by scalar_value, which returns one complex
+    strand = dg.decorate(dg.cup_diagram(), 0, 0, dg.Decoration("m"))
+    loop = dg.DecoratedDiagram(0, 0, (), ((dg.Decoration("m"),),))
+    stack = np.stack([random_unitary(rng, 2) for _ in range(3)])
+    for diag in (strand, loop):
+        with pytest.raises(linalg.DimensionError, match="expected a matrix, got ndim=3"):
+            dg.brute_force_evaluate(diag, 2, {"m": stack})
+        assert dg.evaluate(diag, 2, {"m": stack}).shape[0] == 3
+    with pytest.raises(linalg.DimensionError, match="expected a matrix, got ndim=3"):
+        dg.structural_ratio(loop, loop, 2, {"m": stack})
 
 
 def test_planned_path_gives_the_same_report_on_a_miss_and_a_hit():

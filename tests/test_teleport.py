@@ -367,7 +367,7 @@ def test_tight_teleportation_blocks_agree_with_one_block(rng, monkeypatch):
     rho = np.outer(random_ket(rng, d), random_ket(rng, d).conj())
     obs = random_unitary(rng, d)
     whole = tight_teleportation_check(d, rho, obs).checks
-    monkeypatch.setattr(teleport, "TIGHT_BLOCK_ENTRIES", 4 * d * d)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * d * d)
     blocked = tight_teleportation_check(d, rho, obs).checks
     assert [c.identity_name for c in blocked] == [c.identity_name for c in whole]
     assert all(abs(a.max_residual - b.max_residual) < 1e-15 for a, b in zip(blocked, whole))

@@ -64,7 +64,7 @@ def test_tl_decorated_reports_do_not_depend_on_the_chunk(monkeypatch, d, n):
     # boundary inside the basis, and d^2 elements make one stack
     reports = []
     for per_chunk in (1, 2, d * d):
-        monkeypatch.setattr(braid, "STACK_ENTRIES", per_chunk * d ** (2 * n))
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", per_chunk * d ** (2 * n))
         reports.append([r.to_dict() for r in check_tl_decorated(n, d)])
     assert reports[0] == reports[1] == reports[2]
     assert len(reports[0]) == d * d
@@ -427,6 +427,16 @@ def test_flow_names_the_first_bad_operator(apply):
             ops[k - 1] = m
         with pytest.raises(error, match=message):
             apply(ops, phi, d)
+
+
+def test_flow_over_size_limit_is_refused_before_the_draw(monkeypatch):
+    # the 4^2-entry closed flow matrix is the first thing checked: no unitary is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_flow drew before refusing d")
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 15)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(linalg.DimensionError, match=r"output of 4\^2 entries exceeds 15"):
+        check_flow(4)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
