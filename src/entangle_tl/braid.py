@@ -1,10 +1,10 @@
 """Braid, virtual-braid and mixed relations for matrices acting on strand
 pairs, plus the braid teleportation configuration and teleportation swapping.
 
-A strand operator is a plain d^2 x d^2 matrix acting on two adjacent strands
-of a d-dimensional system, or a (..., d^2, d^2) stack of them, which the same
-code broadcasts over.  apply_on_strands() applies it at position i of n strands
-in O(d^(n+2)) per column, never forming the d^n x d^n embedding.
+A strand operator is a d^2 x d^2 matrix on two adjacent strands of d-dimensional
+systems, a (..., d^2, d^2) stack the same code broadcasts over, or Swap(d), P
+moving entries.  apply_on_strands() applies it at position i of n strands in
+O(d^(n+2)) per column, never forming the d^n x d^n embedding.
 embed() forms columns of that embedding by scattering, and apply_word() the
 same columns of a word of such factors: its rightmost factor embedded, the
 others applied.  relation_residual() compares a relation written on the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +29,30 @@ PROBES, PROBE_SEED = 8, 0  # the basis kets a far relation is compared on, and t
 BLOCK = 64  # basis-ket columns a relation's words are applied to at a time
 
 
+@dataclass(frozen=True)
+class Swap:
+    """The swap P_d |ij> = |ji> as a strand factor, the virtual crossing:
+    apply_on_strands swaps two axes and embed puts each column's one entry at
+    its permuted row, so no d^2 x d^2 matrix is multiplied."""
+    d: int
+    shape = property(lambda self: (self.d ** 2, self.d ** 2))
+
+    def permutation(self) -> np.ndarray:
+        """The row of P's 1 in each column: |ij> (column i d + j) goes to |ji>."""
+        return np.arange(self.d ** 2).reshape(self.d, self.d).T.ravel()
+
+
 def swap(d: int) -> np.ndarray:
-    """The d-dimensional two-strand swap P_d |ij> = |ji>."""
+    """P_d as a dense matrix: Swap(d)'s permutation applied to the identity."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
-    return identity(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
+    return identity(d * d)[:, Swap(d).permutation()]
 
 
-def _local_dimension(op) -> tuple[int, np.ndarray]:
-    """(d, op) for a finite d^2 x d^2 strand operator or a stack of them."""
+def _local_dimension(op) -> tuple[int, np.ndarray | Swap]:
+    """(d, op) for a Swap or a finite d^2 x d^2 strand operator or a stack of them."""
+    if isinstance(op, Swap):
+        return op.d, op
     m = linalg.as_matrix(op, stacked=True)
     d = math.isqrt(m.shape[-1])
     if m.shape[-2:] != (d * d, d * d):
@@ -55,6 +71,8 @@ def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     if (rows := x.shape[-2:][0]) != d ** n:
         raise DimensionError(f"operand has {rows} rows, not {d}^{n}")
     lead = x.shape[:-2]
+    if isinstance(op, Swap):  # entries moved, none multiplied
+        return x.reshape(*lead, d ** (i - 1), d, d, -1).swapaxes(-3, -2).reshape(x.shape)
     out = np.matmul(op[..., None, :, :], x.reshape(*lead, d ** (i - 1), d * d, -1))
     return out.reshape(*out.shape[:-3], *x.shape[len(lead):])
 
@@ -71,9 +89,12 @@ def embed(op, i: int, n: int, cols=None) -> np.ndarray:
         raise DimensionError(f"columns {cols.min()}..{cols.max()} out of range for {d}^{n}")
     shape = (d ** (i - 1), d * d, d ** (n - i - 1))
     hi, mid, lo = np.unravel_index(cols, shape)
-    out = np.zeros((*op.shape[:-2], *shape, len(cols)), dtype=op.dtype)
-    picked = op[..., :, mid]  # assigned with the column axis first, as the fancy index orders it
-    out[..., hi, :, lo, np.arange(len(cols))] = picked.transpose(-1, *range(picked.ndim - 1))
+    out = np.zeros((*op.shape[:-2], *shape, len(cols)), dtype=np.complex128)
+    if isinstance(op, Swap):
+        out[hi, op.permutation()[mid], lo, np.arange(len(cols))] = 1
+    else:
+        picked = op[..., :, mid]  # assigned with the column axis first, as the fancy index orders it
+        out[..., hi, :, lo, np.arange(len(cols))] = picked.transpose(-1, *range(picked.ndim - 1))
     return out.reshape(*op.shape[:-2], d ** n, len(cols))
 
 
@@ -131,7 +152,7 @@ def check_braid_closed_form(b, tol: float = DEFAULT_TOL) -> VerificationReport:
 def check_virtual_relations(v, tol: float = DEFAULT_TOL) -> VerificationReport:
     """v^2 = 1, v1 v2 v1 = v2 v1 v2, far commutativity."""
     report = VerificationReport("virtual-relations")
-    report.add("v^2 = 1", relation_residual([(v, 1), (v, 1)], [(identity(len(v)), 1)]), tol)
+    report.add("v^2 = 1", relation_residual([(v, 1), (v, 1)], [(identity(v.shape[-1]), 1)]), tol)
     report.add("v1 v2 v1 = v2 v1 v2", relation_residual([(v, 1), (v, 2), (v, 1)],
                                                         [(v, 2), (v, 1), (v, 2)]), tol)
     report.add("v1 v3 = v3 v1", relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)]), tol)
@@ -158,13 +179,13 @@ def braid_teleport_config(b) -> np.ndarray:
 def teleport_swap(d: int, cols=None) -> np.ndarray:
     """Columns cols (all by default) of (P x 1)(1 x P): routes |ij> x |k> to
     |k> x |ij> cyclically."""
-    return apply_word([(swap(d), 1), (swap(d), 2)], 3, cols)
+    return apply_word([(Swap(d), 1), (Swap(d), 2)], 3, cols)
 
 
 def teleport_swap_reverse(d: int, cols=None) -> np.ndarray:
     """Columns cols (all by default) of (1 x P)(P x 1): the inverse cyclic
     routing |k> x |ij> to |ij> x |k>."""
-    return apply_word([(swap(d), 2), (swap(d), 1)], 3, cols)
+    return apply_word([(Swap(d), 2), (Swap(d), 1)], 3, cols)
 
 
 def check_teleport_swapping(d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -173,7 +194,7 @@ def check_teleport_swapping(d: int, tol: float = DEFAULT_TOL) -> VerificationRep
     c of the forward routing has its 1 at row routed[c], of the reverse at
     back[c]).  Reverse after forward is (1xP)(Px1)(Px1)(1xP), compared with 1."""
     report = VerificationReport("teleport-swapping")
-    p = swap(d)
+    p = Swap(d)
     c = np.arange(d ** 3)
     routed = (c % d) * d * d + c // d  # |ij>|k> to |k>|ij>
     back = (c % (d * d)) * d + c // (d * d)  # |k>|ij> to |ij>|k>

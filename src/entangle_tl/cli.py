@@ -73,13 +73,13 @@ def _braid(cfg, rng):
     reports = [braid.check_braid_closed_form(b, tol),
                braid.check_virtual_mixed(b, qubit.permutation_qubit(), tol)]
     if d != 2:
-        reports.append(braid.check_braid_relation(braid.swap(d), tol))
+        reports.append(braid.check_braid_relation(braid.Swap(d), tol))
     return reports
 
 
 def _virtual(cfg, rng):
     d, tol = cfg.dimension, cfg.tolerance
-    return [braid.check_virtual_relations(braid.swap(d), tol),
+    return [braid.check_virtual_relations(braid.Swap(d), tol),
             braid.check_teleport_swapping(d, tol)]
 
 

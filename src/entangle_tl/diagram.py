@@ -337,12 +337,6 @@ def _operator_table(decoration_lists, d: int, ops: dict | None, stacked: bool) -
     return table
 
 
-@functools.lru_cache(maxsize=128)
-def _einsum_path(spec: str, shapes: tuple) -> tuple:
-    """numpy's greedy contraction order, the one optimize=True searches for."""
-    return tuple(np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0])
-
-
 def _strand_tensor(s: Strand, d: int, table: dict) -> np.ndarray:
     """S[x_end, x_start]: the walked operator product along the strand."""
     out = np.eye(d, dtype=np.complex128)
@@ -402,7 +396,7 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndar
 def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Oracle evaluation: build the full tensor network node by node
     (normalized cup/cap tensors, one matrix node per decoration) and contract
-    every internal index in one einsum, along a path planned once per network.
+    every internal index by linalg.contract, a program compiled once per network.
 
     Shares no strand-level matrix-product or flavor-toggling logic with
     evaluate(), only the operator lookup; agreement between the two is the
@@ -448,8 +442,7 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     if not operands:
         return np.array([[prefactor]], dtype=np.complex128)
     spec = ",".join(subs) + "->" + out_sub
-    path = _einsum_path(spec, tuple(op.shape for op in operands))
-    return prefactor * np.einsum(spec, *operands, optimize=path).reshape(shape)
+    return prefactor * linalg.contract(spec, *operands).reshape(shape)
 
 
 def adjoint_diagram(diag: DecoratedDiagram) -> DecoratedDiagram:

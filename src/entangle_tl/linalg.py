@@ -8,11 +8,15 @@ kron(A, B) acts on the composite space the usual way.
 All helpers validate shapes and reject non-finite entries; everything else
 is a thin layer over numpy.  The operand rules every module shares are each
 written once, here: as_operator, as_ket, non_unitary and within_limit.
+contract() is the one planned tensor contraction.
 Operators on a pair of strands are never embedded here as kron(1, op, 1):
 braid.apply_on_strands applies them locally.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -149,3 +153,55 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     if m.shape[0] != m.shape[1]:
         raise DimensionError("unitarity needs a square matrix")
     return not non_unitary(m[None], tol).size
+
+
+def contract(spec: str, *operands) -> np.ndarray:
+    """np.einsum(spec, *operands, optimize=True) to the bit, running only the
+    steps _program compiled for these shapes: no path is searched or parsed."""
+    ops = list(operands)
+    for inds, eq, prep, shape_ab, perm in _program(spec, tuple(op.shape for op in ops)):
+        taken = [ops.pop(i) for i in inds]
+        if prep is None:  # not a pairwise step: one einsum
+            ops.append(np.einsum(eq, *taken))
+        else:  # each operand laid out, then multiplied or matmul'd
+            a, b = ((x if e is None else np.einsum(e, x)).reshape(shape) for x, (e, shape) in zip(taken, prep))
+            ops.append(np.multiply(a, b) if perm is None else np.matmul(a, b).reshape(shape_ab).transpose(perm))
+    return ops[0]
+
+
+@functools.lru_cache(maxsize=128)
+def _program(spec: str, shapes: tuple) -> tuple:
+    """Each step along numpy's greedy path as (positions popped, subscripts, and
+    _pair's plan or three Nones), read from np.einsum_path's output: the path,
+    and each step's subscripts from its line of the report ("current" column)."""
+    path, info = np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")
+    dims = {ix: n for term, s in zip(spec.split("->")[0].split(","), shapes) for ix, n in zip(term, s) if n != 1}
+    current, program = list(shapes), []
+    for inds, line in zip(path[1:], info.splitlines()[1 - len(path):]):  # the report ends with a line per step
+        inds, eq = tuple(sorted(inds, reverse=True)), line.split()[1]  # popped right to left, as numpy does
+        taken = [current.pop(i) for i in inds]
+        current.append(tuple(dims.get(ix, 1) for ix in eq.split("->")[1]))
+        program.append((inds, eq, *(_pair(eq, *taken) if len(inds) == 2 else (None, None, None))))
+    return tuple(program)
+
+
+def _pair(eq: str, shape_a: tuple, shape_b: tuple) -> tuple:
+    """The step eq on two operands as numpy 2.4's einsum runs it (bmm_einsum): each
+    term laid out by one einsum, then multiplied, or fused for one batched matmul."""
+    (ta, tb), out = eq.split("->")[0].split(","), eq.split("->")[1]
+    big_a, big_b = ({ix: n for ix, n in zip(t, s) if n != 1} for t, s in ((ta, shape_a), (tb, shape_b)))
+    size, con = {**big_a, **big_b}, [ix for ix in big_a if ix in big_b and ix not in out]
+    if not con:  # each term laid out as out, with axes of length one where it lacks an index, and multiplied
+        return tuple(_layout(t, [ix for ix in out if ix in t], [s[t.index(ix)] if ix in t else 1 for ix in out])
+                     for t, s in ((ta, shape_a), (tb, shape_b))), None, None
+    bat, keep_a = ([ix for ix in big_a if ix in out and (ix in big_b) == shared] for shared in (True, False))
+    keep_b = [ix for ix in big_b if ix not in big_a and ix in out]
+    sizes = [math.prod(size[ix] for ix in group) for group in ([bat] if bat else []) + [keep_a, con, keep_b]]
+    produced = [ix for ix in out if ix not in size] + bat + keep_a + keep_b  # axes of length one lead
+    return ((_layout(ta, bat + keep_a + con, sizes[:-1]), _layout(tb, bat + con + keep_b, sizes[:-3] + sizes[-2:])),
+            tuple(size.get(ix, 1) for ix in produced), tuple(map(produced.index, out)))
+
+
+def _layout(term: str, want: list, shape: list) -> tuple:
+    """The einsum laying term out as want, None when it already is, and the shape it is then read as."""
+    return (None if "".join(want) == term else f"{term}->{''.join(want)}"), tuple(shape)

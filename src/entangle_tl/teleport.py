@@ -16,8 +16,8 @@ contraction returns Bob's branches (<Omega_n| x 1)(|psi> x |Omega>) for all
 d^2 outcomes as the rows of one array, after checking the measurement
 equation, and the branch weights and the simulator reuse that array.  The
 rank-one projectors omega and omega_n are contracted as kets, and every sum
-over n (the qudit resolution, the tight-scheme terms, the dense-coding
-table) is one product or einsum over the stacked basis.
+over n is one product (the qudit resolution) or linalg.contract call per block
+of the stacked basis (the tight-scheme terms, the dense-coding table).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .braid import braid_teleport_config, teleport_swap
 from .linalg import DEFAULT_TOL, identity, kron
-from .maxent import WeylBasis, omega, omega_kets, weyl_basis
+from .maxent import WeylBasis, omega, omega_kets, resolve_basis, weyl_basis
 from .maxent import omega_n  # noqa: F401  unused here; perfbench's test_tracer_rebinds_aliases_and_defaults wraps it
 from .qubit import BellKind, bell_matrix, bell_state, pauli, permutation_qubit, sigma_vec_11
 from .report import VerificationReport
@@ -241,7 +241,7 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     rho and O may be any d x d matrices (rank-one non-hermitian forms
     included); no positivity is assumed.  The terms form
     linalg.BLOCK_ENTRIES // d^2 at a time, so d <= 16 is one block (one
-    einsum path search).
+    linalg.contract call).
     """
     basis = basis if basis is not None else weyl_basis(d)
     rho, obs = linalg.as_operator(rho, d, "rho and O"), linalg.as_operator(obs, d, "rho and O")
@@ -255,7 +255,7 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
         # rho on C, omega on AB, omega_n on CA, T_n(O) = U_n^dag O U_n on B
         u, k = basis.unitaries[lo:lo + step], kets[lo:lo + step]
         t_n = u.conj().transpose(0, 2, 1) @ obs @ u
-        blocks.append(np.einsum("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n, optimize=True))
+        blocks.append(linalg.contract("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n))
     terms = np.concatenate(blocks)
     report.add("per-term value tr(rho O)/d^2", float(np.max(np.abs(terms - target / d ** 2))), tol)
     report.add("total sum = tr(rho O)", abs(terms.sum() - target), tol)
@@ -267,12 +267,18 @@ def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
     (T_n x 1)(omega_m) = (U_n^dag x 1) omega_m (U_n x 1).
 
     omega and omega_m are rank one, so each entry is the squared modulus of
-    <Omega|(U_n^dag x 1)|Omega_m>; one einsum forms all d^4 amplitudes."""
-    basis = basis if basis is not None else weyl_basis(d)
-    w = omega(d).reshape(d, d)
-    k = omega_kets(d, basis).reshape(d * d, d, d)
-    amplitudes = np.einsum("ca,nxc,mxa->nm", w.conj(), basis.unitaries.conj(), k, optimize=True)
-    return np.abs(amplitudes) ** 2
+    <Omega|(U_n^dag x 1)|Omega_m>, formed for linalg.BLOCK_ENTRIES // d^2
+    rows n at a time, so d <= 16 is one block."""
+    basis = resolve_basis(d, basis)
+    w = omega(d).reshape(d, d).conj()
+    # omega_kets(d, basis) as K[a, x, m] = <x a|Omega_m>, laid out once as each block's matmul reads it
+    k = np.divide(basis.unitaries.transpose(2, 1, 0), np.sqrt(d), order="C")
+    step = max(1, linalg.BLOCK_ENTRIES // d ** 2)
+    table = np.empty((d * d, d * d))
+    for lo in range(0, d * d, step):
+        u = basis.unitaries[lo:lo + step].conj()
+        table[lo:lo + step] = np.abs(linalg.contract("ca,nxc,axm->nm", w, u, k)) ** 2
+    return table
 
 
 def dense_coding_check(d: int, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:

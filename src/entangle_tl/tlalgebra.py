@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from . import diagram as dg
-from .braid import embed, relation_residual, swap
+from .braid import Swap, embed, relation_residual
 from .linalg import DEFAULT_TOL, identity
 from .maxent import WeylBasis, clock, omega_projector, resolve_basis
 from .report import VerificationReport
@@ -36,7 +36,7 @@ def e_matrix(i: int, n: int, d: int) -> np.ndarray:
 
 def v_matrix(i: int, n: int, d: int) -> np.ndarray:
     """Dense virtual crossing: the swap on strands (i, i+1) of n."""
-    return embed(swap(d), i, n)
+    return embed(Swap(d), i, n)
 
 
 def _cup(label: str) -> dg.DecoratedDiagram:
@@ -145,7 +145,7 @@ def check_brauer_mixed(n: int, d: int, tol: float = DEFAULT_TOL) -> Verification
     if not 3 <= n <= MAX_STRANDS:
         raise ValueError(f"mixed adjacent relations need 3 <= n <= {MAX_STRANDS}, got {n}")
     report = VerificationReport(f"brauer-mixed n={n} d={d}")
-    w, p = omega_projector(d), swap(d)
+    w, p = omega_projector(d), Swap(d)
     E1, E2, E3, v1, v2, v3 = (w, 1), (w, 2), (w, 3), (p, 1), (p, 2), (p, 3)
     up, far = _positions(n)
     relations = [  # each once on the strands it touches

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entangle_tl import diagram as dg
+from entangle_tl import linalg
 
 
 def random_unitary(rng, d):
@@ -86,3 +87,16 @@ def random_composed_diagram(rng, max_strands=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def contract_calls(monkeypatch):
+    """Every linalg.contract call made during the test, as (spec, operands, result)."""
+    calls, contract = [], linalg.contract
+
+    def record(spec, *operands):
+        calls.append((spec, operands, contract(spec, *operands)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(linalg, "contract", record)
+    return calls

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from entangle_tl import braid, linalg
-from entangle_tl.braid import (apply_on_strands, apply_word, braid_teleport_config,
+from entangle_tl.braid import (Swap, apply_on_strands, apply_word, braid_teleport_config,
                                check_braid_closed_form, check_braid_relation,
                                check_teleport_swapping, check_virtual_mixed,
                                check_virtual_relations, embed, relation_residual, swap,
                                teleport_swap, teleport_swap_reverse)
+from entangle_tl.cli import main
 from entangle_tl.linalg import identity, kron, max_residual, product_ket
 from entangle_tl.maxent import omega_projector, shift
 from entangle_tl.qubit import bell_matrix, permutation_qubit
@@ -73,6 +74,42 @@ def test_check_teleport_swapping_fails_on_forward_routing_back(monkeypatch, d):
 def test_teleport_swap_d1_is_scalar_one():
     assert teleport_swap(1).shape == (1, 1)
     assert teleport_swap(1)[0, 0] == 1
+
+
+def test_swap_is_the_permutation_matrix():
+    for d in range(1, 6):
+        want = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                want[j * d + i, i * d + j] = 1  # |ij> to |ji>
+        assert np.array_equal(swap(d), want)
+    with pytest.raises(linalg.DimensionError, match="dimension must be >= 1"):
+        swap(0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_swap_factor_equals_the_dense_swap_bit_for_bit(rng, d):
+    # the factor moves entries where the dense swap multiplies by 0 and 1:
+    # applied to a ket, a block of columns or a stack of blocks, and embedded
+    # on all columns or some, the results agree to the bit
+    factor, dense = Swap(d), swap(d)
+    for n in range(2, 6):
+        cols = rng.choice(d ** n, min(5, d ** n), replace=False)
+        block = rng.normal(size=(2, d ** n, 3)) + 1j * rng.normal(size=(2, d ** n, 3))
+        for i in range(1, n):
+            for x in (block[0, :, 0], block[0], block):
+                assert np.array_equal(apply_on_strands(factor, i, n, x), apply_on_strands(dense, i, n, x))
+            assert np.array_equal(embed(factor, i, n, cols), embed(dense, i, n, cols))
+            if d ** n <= 256:
+                assert np.array_equal(embed(factor, i, n), embed(dense, i, n))
+
+
+@pytest.mark.parametrize("suite", ["virtual", "braid"])
+@pytest.mark.parametrize("wrong", [lambda c, d: c, lambda c, d: (c + 1) % d ** 2], ids=["identity", "shifted"])
+def test_a_wrong_swap_permutation_fails_the_suite(monkeypatch, capsys, suite, wrong):
+    monkeypatch.setattr(braid.Swap, "permutation", lambda self: wrong(np.arange(self.d ** 2), self.d))
+    assert main(["verify", suite, "--d", "3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_braid_closed_form():

@@ -198,23 +198,42 @@ def test_operator_labels_resolved_once_per_evaluation(evaluator):
     assert max_residual(evaluator(dg.e_gen(1, 3), 2), embed(omega_projector(2), 1, 3)) < 1e-12
 
 
-def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(monkeypatch):
-    # the oracle's cached greedy path is the one optimize=True searches for,
-    # so every brute-force contraction of the flow check is unchanged
-    calls, einsum = [], np.einsum
-
-    def record(spec, *operands, **kwargs):
-        out = einsum(spec, *operands, **kwargs)
-        if kwargs.get("optimize") is not None:  # evaluate passes no path
-            calls.append((spec, operands, out))
-        return out
-
-    monkeypatch.setattr(dg.np, "einsum", record)
+def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(contract_calls):
+    # linalg.contract runs the steps numpy's einsum runs along the greedy path
+    # optimize=True searches for, so every brute-force contraction of the flow
+    # check is unchanged
     for d in (2, 3, 4, 5):
         check_flow(d)
-    monkeypatch.undo()
-    assert len(calls) == 4 * 10
-    for spec, operands, out in calls:
+    assert len(contract_calls) == 4 * 10
+    for spec, operands, out in contract_calls:
+        assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
+
+
+def test_random_contractions_match_einsum_with_optimize_true_bit_for_bit(rng, contract_calls):
+    # random composed diagrams reach every kind of step: the trace of a loop
+    # with one decoration (a repeated letter), empty loops beside a
+    # contraction, a strand of its own (letters met nowhere else) and a
+    # network that closes to a scalar
+    seen = set()
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        diag = random_composed_diagram(rng)
+        before = len(contract_calls)
+        dg.brute_force_evaluate(diag, d, random_operator_table(rng, d))
+        if len(contract_calls) == before:  # nothing but empty loops and the scalar
+            continue
+        terms, out = contract_calls[-1][0].split("->")
+        for t in terms.split(","):
+            if len(t) == 2 and t[0] == t[1]:
+                seen.add("trace")
+            if t and all(ix in out and terms.count(ix) == 1 for ix in t):
+                seen.add("strand of its own")
+        if not out:
+            seen.add("scalar")
+        if any(not loop for loop in diag.loops):
+            seen.add("empty loop")
+    assert seen == {"trace", "empty loop", "strand of its own", "scalar"}
+    for spec, operands, out in contract_calls:
         assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
 
 
@@ -260,24 +279,24 @@ def test_brute_force_refuses_a_stacked_table(rng):
 
 
 def test_planned_path_gives_the_same_report_on_a_miss_and_a_hit():
-    dg._einsum_path.cache_clear()
+    linalg._program.cache_clear()
     first = check_flow(4, seed=7).to_dict()
-    missed = dg._einsum_path.cache_info()
+    missed = linalg._program.cache_info()
     second = check_flow(4, seed=7).to_dict()
-    hit = dg._einsum_path.cache_info()
+    hit = linalg._program.cache_info()
     assert missed.misses > 0 and hit.misses == missed.misses and hit.hits > missed.hits
     assert second == first
 
 
 def test_path_cache_is_bounded():
     # every d is a new (spec, shapes) key; the oldest plans are dropped
-    size = dg._einsum_path.cache_info().maxsize
+    size = linalg._program.cache_info().maxsize
     assert size is not None
     loop = dg.DecoratedDiagram(0, 0, (), ((dg.Decoration("m"), dg.Decoration("m", "dagger")),))
     for d in range(1, size + 40):
         assert abs(dg.brute_force_evaluate(loop, d, {"m": np.eye(d)})[0, 0] - d) < 1e-9
         assert np.array_equal(dg.evaluate(dg.identity_diagram(1), d), np.eye(d))
-    assert dg._einsum_path.cache_info().currsize <= size
+    assert linalg._program.cache_info().currsize <= size
 
 
 def test_matching_validation():

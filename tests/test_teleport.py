@@ -390,6 +390,40 @@ def test_tight_teleportation_holds_no_d4_product(rng):
     assert peak < 2 * basis.unitaries.nbytes, peak / basis.unitaries.nbytes
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 17])
+def test_tight_and_dense_contractions_match_einsum_bit_for_bit(rng, d, contract_calls):
+    # one block of basis elements up to d = 16 and two at d = 17, each
+    # linalg.contract call equal to np.einsum with optimize=True to the bit
+    basis = weyl_basis(d)
+    tight_teleportation_check(d, random_unitary(rng, d) / d, random_unitary(rng, d), basis)
+    dense_coding_table(d, basis)
+    assert len(contract_calls) == 2 * (1 if d <= 16 else 2)
+    for spec, operands, out in contract_calls:
+        assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
+
+
+def test_dense_coding_blocks_agree_with_one_block(monkeypatch):
+    # blocks of 4, 4 and 1 rows at d = 3 give the one-block table
+    d = 3
+    whole = dense_coding_table(d)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * d * d)
+    assert max_residual(dense_coding_table(d), whole) < 1e-15
+
+
+def test_dense_coding_holds_no_d4_product():
+    # at d = 32 the amplitudes form 64 rows at a time: the peak is about the
+    # kets, the float table and one block, below two basis sizes
+    d = 32
+    basis = weyl_basis(d)
+    tracemalloc.start()
+    try:
+        assert dense_coding_table(d, basis).shape == (d * d, d * d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * basis.unitaries.nbytes, peak / basis.unitaries.nbytes
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_dense_coding_table_matches_explicit_trace_form(d):
     # tr(omega (U_n^dag x 1) omega_m (U_n x 1)) with the conjugated projector formed
