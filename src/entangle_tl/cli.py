@@ -152,7 +152,10 @@ def _parse_psi(text: str, d: int) -> np.ndarray:
     if text == "uniform":
         return np.ones(d, dtype=np.complex128) / np.sqrt(d)
     if text.startswith("basis"):
-        k = int(text[len("basis"):])
+        try:
+            k = int(text[len("basis"):])
+        except ValueError:
+            raise ValueError(f"a basis state is basisK with an integer K, got {text!r}") from None
         return linalg.basis_ket(d, k)
     v = linalg.as_ket([complex(p.strip().replace("i", "j")) for p in text.split(",")], d, "psi")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
@@ -180,7 +183,10 @@ def _parse_operator(entry, d: int) -> np.ndarray:
         if name in ("sigma1", "sigma2", "sigma3") and d == 2:
             return qubit.pauli(int(name[-1]))
         if name.startswith("weyl:"):
-            a, b = (int(x) for x in name[len("weyl:"):].split(","))
+            try:
+                a, b = (int(x) for x in name[len("weyl:"):].split(","))
+            except ValueError:
+                raise ValueError(f"a Weyl operator is weyl:a,b with integers a and b, got {entry!r}") from None
             return np.linalg.matrix_power(maxent.shift(d), a) @ np.linalg.matrix_power(maxent.clock(d), b)
         raise ValueError(f"unknown operator name {entry!r}")
     return linalg.as_operator(_parse_pairs(entry, 2, "an operator is a name or a matrix of [re, im] pairs"),
@@ -240,6 +246,8 @@ def cmd_flow(args) -> int:
         if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise ValueError(f"d must be a positive integer, got {json.dumps(d)}")
         linalg.within_limit(d * d, f"output of {d}^2")  # the closed flow's matrix, before any operator
+        if "operators" not in data:
+            raise ValueError("the spec has no operators: it needs a list of eight")
         ops = [_parse_operator(entry, d) for entry in data["operators"]]
         phi = (_parse_psi(data["phi"], d) if isinstance(data.get("phi"), str)
                else _parse_pairs(data["phi"], 1, "phi is a psi string or a list of [re, im] pairs")

@@ -8,10 +8,11 @@ Temperley-Lieb sub-case.
 
 Orientation: diagrams consume input at the top and emit at the bottom, so
 evaluate() returns a d^bottom x d^top matrix and composing a over b gives
-evaluate(b) @ evaluate(a).  Each evaluation refuses an output matrix beyond
-linalg.MAX_OUTPUT_ENTRIES up front and validates every operator label it uses
-once by linalg.as_operator.  evaluate()'s table may hold (..., d, d) stacks,
-giving one matrix per stacked operator; brute_force_evaluate() takes d x d ones.
+evaluate(b) @ evaluate(a).  Each evaluator plans a diagram once for all d, in a
+cached property holding labels, letters, flavor names and subscripts; each call
+refuses an output beyond linalg.MAX_OUTPUT_ENTRIES, checks its operators by one
+linalg.as_operators and reads flavor bits from FLAVORS.  evaluate()'s table may
+hold (..., d, d) stacks; brute_force_evaluate() takes d x d ones.
 
 Decoration semantics: every stored decoration is the operator applied in the
 downward (flow) direction at its position on the strand, with arc decorations
@@ -175,6 +176,9 @@ class DecoratedDiagram:
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "loops", tuple(tuple(l) for l in self.loops))
 
+    _evaluation_plan = functools.cached_property(lambda self: _plan_evaluation(self))
+    _network_plan = functools.cached_property(lambda self: _plan_network(self))
+
 
 def identity_diagram(n: int) -> DecoratedDiagram:
     strands = tuple(Strand(Endpoint(TOP, i), Endpoint(BOTTOM, i)) for i in range(n))
@@ -326,71 +330,114 @@ def compose(top_diag: DecoratedDiagram, bottom_diag: DecoratedDiagram) -> Decora
 # evaluation
 
 
-def _operator_table(decoration_lists, d: int, ops: dict | None, stacked: bool) -> dict:
-    """Each label the decorations use, looked up in ops and validated once by
-    linalg.as_operator(..., stacked); labels no decoration uses stay unchecked."""
-    table = {}
-    for label in dict.fromkeys(deco.op for decos in decoration_lists for deco in decos):
-        if label not in (ops or {}):
-            raise ValueError(f"unresolvable operator label {label!r}")
-        table[label] = linalg.as_operator(ops[label], d, f"operator {label!r}", stacked)
-    return table
-
-
-def _strand_tensor(s: Strand, d: int, table: dict) -> np.ndarray:
-    """S[x_end, x_start]: the walked operator product along the strand."""
-    out = np.eye(d, dtype=np.complex128)
-    start_is_bottom = s.start.side == BOTTOM
-    for deco in s.decorations:
-        m = deco.matrix(table)
-        out = (m.swapaxes(-1, -2) if start_is_bottom else m) @ out
-    return out
-
-
-def _scalar_value(diag: DecoratedDiagram, d: int, table: dict):
-    value = diag.scalar.numeric(d)
-    for loop in diag.loops:
-        prod = np.eye(d, dtype=np.complex128)
-        for deco in loop:
-            prod = deco.matrix(table) @ prod
-        value = np.multiply(value, np.trace(prod, axis1=-2, axis2=-1))
-    return value
-
-
-def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> complex:
-    """coeff * d^(k/2) * product of loop traces."""
-    return _scalar_value(diag, d, _operator_table(diag.loops, d, ops, stacked=False))
-
-
-def _prepare(diag: DecoratedDiagram, d: int, ops: dict | None, stacked: bool):
-    """Both evaluators' start, refused up front when the diagram or its output is too
-    large: one einsum letter per endpoint (top row, then bottom row), the output
-    subscript (bottom, then top), the output matrix shape and the operator table."""
+def _check_size(diag: DecoratedDiagram, d: int) -> tuple:
+    """Both evaluators' start, before any plan: the output shape, or a refusal of d, the diagram or the output."""
     if d < 1:
         raise DimensionError("dimension must be >= 1")
     count = diag.top + diag.bottom
     if count > len(string.ascii_letters):
         raise ValueError("diagram too large to evaluate")
     linalg.within_limit(d ** count, f"output of {d}^{count}")
-    top = [Endpoint(TOP, i) for i in range(diag.top)]
-    bottom = [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
-    letter = dict(zip(top + bottom, string.ascii_letters))
-    table = _operator_table(diag.loops + tuple(s.decorations for s in diag.strands), d, ops, stacked)
-    return letter, "".join(letter[e] for e in bottom + top), (d ** diag.bottom, d ** diag.top), table
+    return d ** diag.bottom, d ** diag.top
+
+
+def _labels(diag: DecoratedDiagram) -> tuple:
+    """The operator labels the decorations use, in first use: loops, then strands."""
+    return tuple(dict.fromkeys(deco.op for deco in sum((*diag.loops, *(s.decorations for s in diag.strands)), ())))
+
+
+def _letters(diag: DecoratedDiagram) -> tuple:
+    """One einsum letter per endpoint (top row, then bottom row) and the output subscript (bottom, then top)."""
+    ends = [Endpoint(TOP, i) for i in range(diag.top)] + [Endpoint(BOTTOM, i) for i in range(diag.bottom)]
+    letter = dict(zip(ends, string.ascii_letters))
+    return letter, "".join(letter[e] for e in ends[diag.top:] + ends[:diag.top])
+
+
+def _operator_table(labels: tuple, d: int, ops: dict | None, stacked: bool) -> list:
+    """ops[label] for each label, checked by one linalg.as_operators(..., stacked); a
+    missing label is refused after the labels before it, as a check in order would."""
+    ops = ops or {}
+    known = next((k for k, label in enumerate(labels) if label not in ops), len(labels))
+    table = linalg.as_operators([ops[label] for label in labels[:known]], d,
+                                (f"operator {label!r}" for label in labels), stacked)
+    if known < len(labels):
+        raise ValueError(f"unresolvable operator label {labels[known]!r}")
+    return table
+
+
+def _plan_evaluation(diag: DecoratedDiagram) -> tuple:
+    """evaluate()'s plan: the table's labels, the output subscript, the outer product's
+    spec, and each loop's and strand's walk as (label index, flavor name, flip) per
+    decoration, where a strand starting on the bottom row flips each to its transpose."""
+    labels = _labels(diag)
+    loops = tuple(tuple((labels.index(deco.op), deco.flavor, False) for deco in loop) for loop in diag.loops)
+    strands = tuple(tuple((labels.index(deco.op), deco.flavor, s.start.side == BOTTOM) for deco in s.decorations)
+                    for s in diag.strands)
+    letter, out_sub = _letters(diag)
+    # each endpoint's letter appears once in the operands and once in the output: nothing is summed
+    spec = ",".join("..." + letter[s.end] + letter[s.start] for s in diag.strands) + "->..." + out_sub
+    return labels, out_sub, spec, loops, strands
+
+
+def _walk_product(walk: tuple, table: list, eye: np.ndarray) -> np.ndarray:
+    """The operator product along a walk, its first step rightmost, reading FLAVORS on every call."""
+    out = eye
+    for k, flavor, flip in walk:
+        bits = FLAVORS.index(flavor) ^ flip
+        m = table[k].swapaxes(-1, -2) if bits & 1 else table[k]
+        out = (m.conj() if bits & 2 else m) @ out
+    return out
+
+
+def _scalar_value(value: complex, loops: tuple, table: list, eye: np.ndarray):
+    return functools.reduce(np.multiply, (np.trace(_walk_product(walk, table, eye), axis1=-2, axis2=-1)
+                                          for walk in loops), value)
+
+
+def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> complex:
+    """coeff * d^(k/2) * product of loop traces."""
+    labels = tuple(dict.fromkeys(deco.op for loop in diag.loops for deco in loop))
+    loops = [[(labels.index(deco.op), deco.flavor, False) for deco in loop] for loop in diag.loops]
+    table = _operator_table(labels, d, ops, stacked=False)
+    return _scalar_value(diag.scalar.numeric(d), loops, table, np.eye(d, dtype=np.complex128))
 
 
 def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Dense d^bottom x d^top matrix of the diagram (input at top), the outer
     product of its strand tensors.  States and effects enter as cups and
     caps composed onto the diagram, as in tlalgebra.closed_flow_diagram."""
-    letter, out_sub, shape, table = _prepare(diag, d, ops, stacked=True)
-    value = np.asarray(_scalar_value(diag, d, table))[..., None, None]
-    if not diag.strands:
+    shape = _check_size(diag, d)
+    labels, out_sub, spec, loops, strands = diag._evaluation_plan
+    table, eye = _operator_table(labels, d, ops, stacked=True), np.eye(d, dtype=np.complex128)
+    value = np.asarray(_scalar_value(diag.scalar.numeric(d), loops, table, eye))[..., None, None]
+    if not strands:
         return value
-    # each endpoint's letter appears once in the operands and once in the output: nothing is summed
-    spec = ",".join("..." + letter[s.end] + letter[s.start] for s in diag.strands) + "->..." + out_sub
-    out = np.einsum(spec, *(_strand_tensor(s, d, table) for s in diag.strands))
+    out = np.einsum(spec, *(_walk_product(walk, table, eye) for walk in strands))
     return value * out.reshape(out.shape[:out.ndim - len(out_sub)] + shape)
+
+
+def _plan_network(diag: DecoratedDiagram) -> tuple:
+    """brute_force_evaluate()'s plan: the table's labels, the network's subscripts (None
+    when it needs more letters than there are), its nodes (per operand its Decoration, or
+    whether its plain wire is an arc), arc count and empty loops."""
+    labels, (letter, out_sub) = _labels(diag), _letters(diag)
+    if len(letter) + len(sum((*diag.loops, *(s.decorations for s in diag.strands)), ())) > len(string.ascii_letters):
+        return labels, None, (), 0, 0
+    pool = iter(string.ascii_letters[len(letter):])
+    nodes, subs = [], []
+    for s in diag.strands:
+        # chain from the start endpoint; decorations are downward-flow matrices on the
+        # start branch, extremum (if any) before the end, each oriented along physical flow
+        chain = [letter[s.start]] + [next(pool) for _ in s.decorations]
+        subs += [b + a if s.start.side == TOP else a + b for a, b in zip(chain, chain[1:])]
+        subs.append(chain[-1] + letter[s.end])
+        nodes += [*s.decorations, s.is_arc]
+    for loop in diag.loops:
+        wires = [next(pool) for _ in loop]
+        subs += [b + a for a, b in zip(wires, wires[1:] + wires[:1])]
+        nodes += loop
+    return (labels, ",".join(subs) + "->" + out_sub, tuple(nodes), sum(s.is_arc for s in diag.strands),
+            sum(not loop for loop in diag.loops))
 
 
 def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
@@ -398,50 +445,20 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     (normalized cup/cap tensors, one matrix node per decoration) and contract
     every internal index by linalg.contract, a program compiled once per network.
 
-    Shares no strand-level matrix-product or flavor-toggling logic with
-    evaluate(), only the operator lookup; agreement between the two is the
-    correctness test for the normal-form bookkeeping.
+    Shares no strand walking or flavor logic with evaluate(), only the size
+    check, labels, letters and operator lookup; agreement between the two is
+    the correctness test for the normal-form bookkeeping.
     """
-    letter, out_sub, shape, table = _prepare(diag, d, ops, stacked=False)
-    pool = iter(string.ascii_letters[len(letter):])
-
-    def fresh():
-        try:
-            return next(pool)
-        except StopIteration:
-            raise ValueError("diagram too large for brute-force contraction") from None
-
-    operands, subs = [], []
-    arc_count = 0
-    for s in diag.strands:
-        # chain from the start endpoint; decorations are downward-flow
-        # matrices on the start branch, extremum (if any) before the end
-        start_down = s.start.side == TOP
-        prev = letter[s.start]
-        for deco in s.decorations:
-            nxt = fresh()
-            operands.append(deco.matrix(table))
-            # wire runs start -> nxt; orient the matrix along physical flow
-            subs.append((nxt + prev) if start_down else (prev + nxt))
-            prev = nxt
-        arc_count += s.is_arc
-        operands.append(np.eye(d, dtype=np.complex128) / (np.sqrt(d) if s.is_arc else 1.0))
-        subs.append(prev + letter[s.end])
-
-    loop_factor = 1.0 + 0.0j
-    for loop in diag.loops:
-        if not loop:
-            loop_factor *= d
-            continue
-        wires = [fresh() for _ in loop]
-        for i, deco in enumerate(loop):
-            operands.append(deco.matrix(table))
-            subs.append(wires[(i + 1) % len(wires)] + wires[i])
-
-    prefactor = diag.scalar.numeric(d) * float(d) ** (arc_count / 2.0) * loop_factor
-    if not operands:
+    shape = _check_size(diag, d)
+    labels, spec, nodes, arcs, empty_loops = diag._network_plan
+    table = dict(zip(labels, _operator_table(labels, d, ops, stacked=False)))
+    if spec is None:
+        raise ValueError("diagram too large for brute-force contraction")
+    prefactor = diag.scalar.numeric(d) * float(d) ** (arcs / 2.0) * ((1.0 + 0.0j) * d ** empty_loops)
+    if not nodes:
         return np.array([[prefactor]], dtype=np.complex128)
-    spec = ",".join(subs) + "->" + out_sub
+    wires = (np.eye(d, dtype=np.complex128), np.eye(d, dtype=np.complex128) / np.sqrt(d))  # plain, arc
+    operands = [node.matrix(table) if isinstance(node, Decoration) else wires[node] for node in nodes]
     return prefactor * linalg.contract(spec, *operands).reshape(shape)
 
 

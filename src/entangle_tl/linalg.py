@@ -7,7 +7,7 @@ kron(A, B) acts on the composite space the usual way.
 
 All helpers validate shapes and reject non-finite entries; everything else
 is a thin layer over numpy.  The operand rules every module shares are each
-written once, here: as_operator, as_ket, non_unitary and within_limit.
+written once, here: as_operator(s), as_ket, non_unitary and within_limit.
 contract() is the one planned tensor contraction.
 Operators on a pair of strands are never embedded here as kron(1, op, 1):
 braid.apply_on_strands applies them locally.
@@ -63,6 +63,26 @@ def as_operator(m, d: int, what: str, stacked: bool = False) -> np.ndarray:
     if a.shape[-2:] != (d, d):
         raise DimensionError(f"{what} must be {d}x{d}, got {a.shape}")
     return a
+
+
+def as_operators(mats, d: int, names, stacked: bool = False, unitary: bool = False) -> list[np.ndarray]:
+    """Each of mats as as_operator(m, d, name, stacked) returns it, and with unitary held
+    to non_unitary: checked at once when they share one shape, else (or on a refusal) one
+    at a time, so the first bad operator is named as alone.  names is read only then."""
+    try:
+        arrays = [np.asarray(m, dtype=np.complex128) for m in mats]
+        stack = np.asarray(arrays)  # a ValueError when their shapes differ
+        if (stack.shape[-2:] == (d, d) and (stack.ndim == 3 or stacked and stack.ndim > 3)
+                and np.isfinite(stack).all() and not (unitary and non_unitary(stack).size)):
+            return arrays
+    except (TypeError, ValueError):
+        pass
+    checked = []
+    for m, name in zip(mats, names):
+        checked.append(as_operator(m, d, name, stacked))
+        if unitary and non_unitary(checked[-1]).size:
+            raise ValueError(f"{name} is not unitary")
+    return checked
 
 
 def as_ket(v, d: int, what: str, stacked: bool = False) -> np.ndarray:
@@ -164,7 +184,7 @@ def contract(spec: str, *operands) -> np.ndarray:
         if prep is None:  # not a pairwise step: one einsum
             ops.append(np.einsum(eq, *taken))
         else:  # each operand laid out, then multiplied or matmul'd
-            a, b = ((x if e is None else np.einsum(e, x)).reshape(shape) for x, (e, shape) in zip(taken, prep))
+            a, b = ((x if lay is None else lay(x)).reshape(shape) for x, (lay, shape) in zip(taken, prep))
             ops.append(np.multiply(a, b) if perm is None else np.matmul(a, b).reshape(shape_ab).transpose(perm))
     return ops[0]
 
@@ -203,5 +223,9 @@ def _pair(eq: str, shape_a: tuple, shape_b: tuple) -> tuple:
 
 
 def _layout(term: str, want: list, shape: list) -> tuple:
-    """The einsum laying term out as want, None when it already is, and the shape it is then read as."""
-    return (None if "".join(want) == term else f"{term}->{''.join(want)}"), tuple(shape)
+    """What lays term out as want (None when it already is, a transpose when want permutes
+    term's distinct indices, else one einsum) and the shape it is then read as."""
+    want = "".join(want)
+    return (None if want == term else functools.partial(np.transpose, axes=tuple(map(term.index, want)))
+            if sorted(want) == sorted(term) == sorted(set(term)) else functools.partial(np.einsum, f"{term}->{want}"),
+            tuple(shape))

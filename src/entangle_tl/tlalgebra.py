@@ -210,23 +210,11 @@ def closed_flow_diagram() -> dg.DecoratedDiagram:
 
 
 def _check_flow_ops(ops, d: int) -> list[np.ndarray]:
-    """The eight operators as d x d matrices or equal-shape stacks of them, all
-    checked unitary by one linalg.non_unitary; a non-unitary one is named
-    before a later malformed one."""
+    """The eight operators as d x d matrices or equal-shape stacks of them, checked
+    unitary by one linalg.as_operators; the first bad operator is named."""
     if len(ops) != 8:
         raise ValueError("the flow takes exactly eight operators")
-    mats, malformed = [], None
-    for k, u in enumerate(ops, start=1):
-        try:
-            mats.append(linalg.as_operator(u, d, f"operator {k}", stacked=True))
-        except ValueError as exc:
-            malformed = exc
-            break
-    if mats and (bad := linalg.non_unitary(np.stack(mats))).size:
-        raise ValueError(f"operator {bad[0] // (mats[0].size // d ** 2) + 1} is not unitary")
-    if malformed:
-        raise malformed
-    return mats
+    return linalg.as_operators(ops, d, [f"operator {k}" for k in range(1, 9)], stacked=True, unitary=True)
 
 
 def flow_closed_form(ops, phi, d: int) -> np.ndarray:
@@ -256,39 +244,31 @@ def check_flow(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationR
     linalg.within_limit(d * d, f"output of {d}^2")  # the closed flow's matrix, before any draw
     report = VerificationReport(f"flow d={d}")
     rng = np.random.default_rng(seed)
-    # drawn octuple by octuple (per unitary its Gaussian matrix, then its phases;
-    # phi last), then factored and phased at once: q @ diag keeps each one's bits
-    gauss, phases = np.zeros((2, 10, 8, d, d), dtype=np.complex128)
+    # drawn octuple by octuple (per unitary its Gaussian pair, then its phase angles;
+    # phi last), then formed, factored and phased at once: q @ diag keeps each one's bits
+    normals, angles = np.empty((10, 8, 2, d, d)), np.empty((10, 8, d))
     phis = np.empty((10, d), dtype=np.complex128)
     for j in range(10):
         for k in range(8):
-            gauss[j, k] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            phases[j, k][np.diag_indices(d)] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
+            normals[j, k] = rng.normal(size=(2, d, d))
+            angles[j, k] = rng.uniform(0, 2 * np.pi, size=d)
         phi = rng.normal(size=d) + 1j * rng.normal(size=d)
         phis[j] = phi / np.linalg.norm(phi)
-    octuples = np.linalg.qr(gauss)[0] @ phases
+    phases = np.exp(1j * angles)[..., None] * identity(d)
+    octuples = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])[0] @ phases
     expected = flow_closed_form(octuples.swapaxes(0, 1), phis, d)
 
-    worst_eval = 0.0
-    worst_brute = 0.0
-    for ops, phi, want in zip(octuples, phis, expected):
-        worst_eval = max(worst_eval, linalg.max_residual(flow_apply(ops, phi, d), want))
-        worst_brute = max(worst_brute, linalg.max_residual(
-            flow_apply(ops, phi, d, evaluator=dg.brute_force_evaluate), want))
-    report.add("random octuples: evaluate vs closed form", worst_eval, tol)
-    report.add("random octuples: brute-force contraction vs closed form", worst_brute, tol)
+    worst = {"evaluate": 0.0, "brute-force contraction": 0.0}
+    for ops, phi, want in zip(octuples, phis, expected):  # each octuple through both evaluators
+        for name, evaluator in zip(worst, (dg.evaluate, dg.brute_force_evaluate)):
+            worst[name] = max(worst[name], linalg.max_residual(flow_apply(ops, phi, d, evaluator), want))
+    for name, residual in worst.items():
+        report.add(f"random octuples: {name} vs closed form", residual, tol)
 
-    exact_tol = min(tol, 1e-12)
-    one = identity(d)
-    phi = linalg.basis_ket(d, 0)
+    exact_tol, one, phi = min(tol, 1e-12), identity(d), linalg.basis_ket(d, 0)
     got = flow_apply([one] * 8, phi, d)
-    report.add("all-identity: output = phi / d^4",
-               linalg.max_residual(got, phi / d ** 4), exact_tol)
-
-    if d >= 2:
-        ops = [one] * 8
-        ops[4] = clock(d)   # U_5 trace-orthogonal to U_2 = 1
-        got = flow_apply(ops, phi, d)
-        report.add("orthogonal pair U2, U5: zero output",
-                   linalg.max_residual(got, np.zeros(d)), exact_tol)
+    report.add("all-identity: output = phi / d^4", linalg.max_residual(got, phi / d ** 4), exact_tol)
+    if d >= 2:  # U_5 trace-orthogonal to U_2 = 1
+        got = flow_apply([one] * 4 + [clock(d)] + [one] * 3, phi, d)
+        report.add("orthogonal pair U2, U5: zero output", linalg.max_residual(got, np.zeros(d)), exact_tol)
     return report

@@ -185,6 +185,20 @@ def test_flow_spec_malformed_operator_exits_2(tmp_path, capsys, entry):
     assert err.startswith(f"error: {spec}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec_data, message", [
+    pytest.param({"d": 2}, "the spec has no operators: it needs a list of eight", id="no-operators"),
+    pytest.param({"d": 2, "operators": ["weyl:1"] + ["identity"] * 7},
+                 "a Weyl operator is weyl:a,b with integers a and b, got 'weyl:1'", id="weyl-one-index"),
+    pytest.param({"d": 2, "operators": ["identity"] * 8, "phi": "basisx"},
+                 "a basis state is basisK with an integer K, got 'basisx'", id="basis-without-index"),
+])
+def test_flow_spec_refusal_names_the_fault(tmp_path, capsys, spec_data, message):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(spec_data))
+    assert main(["flow", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+
+
 def test_flow_spec_boolean_d_exits_2(tmp_path, capsys):
     # true is a JSON boolean, not the dimension 1
     spec = tmp_path / "d.json"

@@ -9,7 +9,7 @@ from entangle_tl.braid import embed, swap
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_projector
 from entangle_tl.qubit import permutation_qubit
-from entangle_tl.tlalgebra import check_flow, decorated_e_gen
+from entangle_tl.tlalgebra import FLOW_LABELS, check_flow, closed_flow_diagram, decorated_e_gen
 
 from conftest import (random_complex_matrix, random_composed_diagram,
                       random_matching_diagram, random_operator_table, random_unitary)
@@ -201,12 +201,44 @@ def test_operator_labels_resolved_once_per_evaluation(evaluator):
 def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(contract_calls):
     # linalg.contract runs the steps numpy's einsum runs along the greedy path
     # optimize=True searches for, so every brute-force contraction of the flow
-    # check is unchanged
+    # check is unchanged; 200 seeded random composed diagrams add steps whose
+    # operands are laid out by a transpose or by an einsum, trace steps and
+    # steps that close to a scalar
     for d in (2, 3, 4, 5):
         check_flow(d)
     assert len(contract_calls) == 4 * 10
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        dg.brute_force_evaluate(random_composed_diagram(rng), d, random_operator_table(rng, d))
+    layouts = {lay and lay.func for spec, operands, _ in contract_calls
+               for step in linalg._program(spec, tuple(op.shape for op in operands)) if step[2]
+               for lay, _ in step[2]}
+    assert layouts == {None, np.transpose, np.einsum}
     for spec, operands, out in contract_calls:
         assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
+
+
+def test_plans_hold_structure_only(rng, monkeypatch):
+    # each evaluator plans a diagram once, and every call still looks its
+    # operators up and reads each flavor's bits through FLAVORS: one instance
+    # gives each table's own result, stacked or single, as a new instance does
+    d, diag = 3, closed_flow_diagram()
+    tables = [dict(zip(FLOW_LABELS, (random_unitary(rng, d) for _ in FLOW_LABELS))) for _ in range(2)]
+    stacked = {label: np.stack([t[label] for t in tables]) for label in FLOW_LABELS}
+    before = {}
+    for evaluator in (dg.evaluate, dg.brute_force_evaluate):
+        got = [evaluator(diag, d, t) for t in tables]
+        fresh = [evaluator(dg.loads(dg.dumps(diag)), d, t) for t in tables]
+        assert not np.allclose(got[0], got[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+        before[evaluator] = got[0]
+    for matrix, table in zip(dg.evaluate(diag, d, stacked), tables):
+        assert np.array_equal(matrix, dg.evaluate(diag, d, table))
+    # this order read as index bits turns every dagger into a conjugate
+    monkeypatch.setattr(dg, "FLAVORS", ("plain", "transpose", "dagger", "conjugate"))
+    for evaluator, want in before.items():
+        assert not np.allclose(evaluator(diag, d, tables[0]), want)
 
 
 def test_random_contractions_match_einsum_with_optimize_true_bit_for_bit(rng, contract_calls):

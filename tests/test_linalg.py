@@ -93,6 +93,44 @@ def test_operand_rules(call, expected):
         assert call() == expected
 
 
+I3, P1 = identity(3), pauli(1)
+STACKS = [np.stack([I2] * 2), np.stack([P1] * 3)]
+
+
+@pytest.mark.parametrize("mats, stacked", [
+    pytest.param([I2, [[1, 0], [0]], I2], False, id="ragged"),
+    pytest.param([I2, [[np.nan, 0], [0, 1]], I3], False, id="nan"),
+    pytest.param([I2, I3, [[np.nan, 0], [0, 1]]], False, id="3x3-among-2x2"),
+    pytest.param([I2, [1, 0]], False, id="1-d"),
+    pytest.param(STACKS, False, id="stacks-unstacked"),
+    pytest.param([STACKS[0], I3], True, id="stack-then-3x3"),
+])
+def test_as_operators_refuses_as_as_operator_does(mats, stacked):
+    # one check at once when the shapes agree; any refusal is as_operator's on
+    # the first bad operator, with its class, its message and its name
+    names = [f"U{k}" for k in range(len(mats))]
+    with pytest.raises(ValueError) as one:
+        for m, name in zip(mats, names):
+            linalg.as_operator(m, 2, name, stacked)
+    with pytest.raises(ValueError) as at_once:
+        linalg.as_operators(mats, 2, names, stacked)
+    assert type(at_once.value) is type(one.value) and str(at_once.value) == str(one.value)
+
+
+@pytest.mark.parametrize("mats, stacked", [
+    pytest.param([I2, P1, P1.real], False, id="2x2"),
+    pytest.param(STACKS, True, id="stacks-of-different-batch-shapes"),
+    pytest.param([STACKS[1], P1], True, id="a-stack-and-a-matrix"),
+    pytest.param([], False, id="none"),
+])
+def test_as_operators_accepts_what_as_operator_accepts(mats, stacked):
+    got = linalg.as_operators(mats, 2, [f"U{k}" for k in range(len(mats))], stacked)
+    want = [linalg.as_operator(m, 2, "U", stacked) for m in mats]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.complex128 and np.array_equal(a, b)
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         max_residual(identity(2), identity(3))
