@@ -115,14 +115,12 @@ def identity(d: int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
+    a, b = as_matrix(a), as_matrix(b)  # np.kron's products in its layout, without its per-call dispatch
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron_vec(*vecs) -> np.ndarray:
-    out = as_vector(vecs[0])
-    for v in vecs[1:]:
-        out = np.kron(out, as_vector(v))
-    return out
+    return functools.reduce(lambda out, v: np.multiply.outer(out, v).ravel(), map(as_vector, vecs))
 
 
 def basis_ket(d: int, i: int) -> np.ndarray:

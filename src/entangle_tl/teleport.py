@@ -208,14 +208,32 @@ class SimulationResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _draw_counts(seed: int, probs: np.ndarray, trials: int) -> np.ndarray:
+    """np.bincount(default_rng(seed).choice(probs.size, trials, p=probs)) to the bit (see simulate)."""
+    rng, size = np.random.default_rng(seed), probs.size
+    rng.choice(size, 0, p=probs)  # choice's own refusals (NaN, negative, sum off 1); draws nothing
+    cdf = np.concatenate(([0.0], probs.cumsum()))  # 0, then choice's cdf
+    cdf /= cdf[-1]
+    counts = np.zeros(size, dtype=np.int64)
+    for lo in range(0, trials, 2 ** 14):  # blocks of 2^14 keep the temporaries small
+        u = rng.random(min(2 ** 14, trials - lo))
+        guess = np.minimum((u * size).astype(np.int64), size - 1)
+        miss = (u < cdf[guess]) | (u >= cdf[guess + 1])
+        guess[miss] = cdf[1:].searchsorted(u[miss], side="right")
+        counts += np.bincount(guess, minlength=size)
+    return counts
+
+
 def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, seed: int = 0) -> SimulationResult:
     """Sample measurement outcomes, apply Bob's correction, record fidelity.
 
-    The branches come from one measurement_form call and each outcome's
-    probability is its branch weight (1/d^2 each).  The corrected state
-    depends only on the outcome, so it and its fidelity are formed once per
-    outcome that occurred; every corrected state reproduces psi, so
-    min_fidelity stays at 1 up to roundoff.
+    The branches come from one measurement_form call and each outcome's probability is its
+    branch weight (1/d^2 each).  The outcomes are drawn by indexed search (Chen & Asau 1974)
+    over Generator.choice's cdf and uniforms: u's outcome is guessed as floor(u d^2), kept when
+    cdf[g - 1] <= u < cdf[g] (then it is the index choice's search returns) and searched when
+    not, so the histogram is choice's to the bit (numpy 2.4).  The corrected state depends
+    only on the outcome, so it and its fidelity are formed once per outcome that occurred;
+    every corrected state reproduces psi, so min_fidelity stays at 1 up to roundoff.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -224,9 +242,7 @@ def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, se
     branches = measurement_form(d, psi, basis)
     # np.linalg.norm of each row to the bit: it too sums two real dot products
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
-    probs = norms ** 2 / np.sum(norms ** 2)
-    rng = np.random.default_rng(seed)
-    counts = np.bincount(rng.choice(d * d, size=trials, p=probs), minlength=d * d)
+    counts = _draw_counts(seed, norms ** 2 / np.sum(norms ** 2), trials)
     seen = np.flatnonzero(counts)
     corrected = np.matmul(basis.unitaries[seen], (branches[seen] / norms[seen, None])[..., None])[..., 0]
     fidelities = np.abs(_row_dots(corrected, psi.conj())) ** 2  # |<psi|U_n branch_n / |branch_n|>|^2
@@ -288,6 +304,6 @@ def dense_coding_check(d: int, basis: WeylBasis | None = None, tol: float = DEFA
     table = dense_coding_table(d, basis)
     report.add("delta table", linalg.max_residual(table, np.eye(d * d)), tol)
     report.note(f"delta table ({d * d}x{d * d}):")
-    for row in np.real_if_close(np.round(table, 12)):
-        report.note("  " + " ".join(f"{val.real:6.3f}" for val in row))
+    for row in np.round(table, 12).tolist():  # the table is real
+        report.note("  " + " ".join(map("{:6.3f}".format, row)))
     return report

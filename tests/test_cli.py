@@ -548,13 +548,20 @@ def test_verify_flow_takes_tol_as_flow_spec_does(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", ["flow", "tl"])
 def test_flavors_in_the_old_order_fail(monkeypatch, capsys, suite):
-    # this order read as index bits turns every dagger into a conjugate
-    tlalgebra.closed_flow_diagram.cache_clear()
-    monkeypatch.setattr(dg, "FLAVORS", ("plain", "transpose", "dagger", "conjugate"))
+    # this order read as index bits turns every dagger into a conjugate; the cached diagrams are
+    # built and planned afresh in the right order first, so that in any test order an evaluation
+    # plan that kept flavor bits, instead of reading FLAVORS at call time, fails this test
+    caches = (tlalgebra.closed_flow_diagram, tlalgebra.decorated_e_gen)
+    for cached in caches:
+        cached.cache_clear()
     try:
+        assert main(["verify", suite, "--d", "3"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dg, "FLAVORS", ("plain", "transpose", "dagger", "conjugate"))
         assert main(["verify", suite, "--d", "3"]) == 1
     finally:
-        tlalgebra.closed_flow_diagram.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -14,6 +14,18 @@ def test_kron_identities():
     assert approx_eq(kron(identity(2), identity(2)), identity(4), 0)
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [((2, 2), (3, 3)), ((2, 3), (4, 1)), ((1, 4), (3, 2)),
+                                               ((4, 1), (1, 3)), ((1, 1), (2, 5)), ((3, 2), (1, 1))])
+def test_kron_equals_np_kron_bit_for_bit(rng, shape_a, shape_b):
+    # complex, non-square, 1 x n and n x 1 operands: the same products in the same layout
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in (shape_a, shape_b))
+    out = kron(a, b)
+    assert out.shape == np.kron(a, b).shape and np.array_equal(out, np.kron(a, b))
+    vecs = [a.ravel(), b.ravel(), b[0]]
+    assert np.array_equal(linalg.kron_vec(*vecs), np.kron(np.kron(vecs[0], vecs[1]), vecs[2]))
+    assert np.array_equal(linalg.kron_vec(vecs[0]), vecs[0])
+
+
 def test_kron_squares_to_bell_matrix_square():
     b = bell_matrix()
     assert max_residual(1j * kron(pauli(1), pauli(2)), b @ b) < 1e-12

@@ -283,6 +283,42 @@ def test_simulate_json_pinned(d, seed, trials, expected):
     assert simulate(d, random_ket(np.random.default_rng(d), d), trials=trials, seed=seed).to_json() == expected
 
 
+@pytest.mark.parametrize("d", range(1, 17))
+def test_simulate_histogram_is_generator_choice_bit_for_bit(monkeypatch, d):
+    # trials on both sides of the 2^14-trial block edges, the probabilities simulate itself formed
+    draw, probs = teleport._draw_counts, []
+    monkeypatch.setattr(teleport, "_draw_counts", lambda *args: probs.append(args[1]) or draw(*args))
+    psi = random_ket(np.random.default_rng(d), d)
+    for trials in (1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 100_000):
+        for seed in (0, 7, 2 ** 40 + 3):
+            histogram = simulate(d, psi, trials=trials, seed=seed).histogram
+            expected = np.bincount(np.random.default_rng(seed).choice(d * d, trials, p=probs[-1]), minlength=d * d)
+            assert histogram == expected.tolist(), f"d={d} trials={trials} seed={seed} numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("probs", [
+    pytest.param(np.array([0.5 ** k for k in range(1, 12)] + [0.5 ** 11]), id="geometric"),
+    pytest.param(np.array([0.0, 0.5, 0.0, 0.0, 0.25, 0.25, 0.0]), id="zero-entries"),
+    pytest.param(np.array([1e-9] * 9 + [1 - 9e-9]), id="one-heavy-last"),
+    pytest.param(np.array([1.0]), id="one-outcome"),
+])
+def test_draw_counts_is_generator_choice_on_skewed_probabilities(probs):
+    for seed, trials in ((0, 1), (3, 2 ** 14 + 1), (11, 50_000)):
+        drawn = np.random.default_rng(seed).choice(probs.size, trials, p=probs)
+        guesses = np.minimum((np.random.default_rng(seed).random(trials) * probs.size).astype(int), probs.size - 1)
+        if trials > 1 and probs.size > 1:  # the guesses miss here, so the search for the misses has to run
+            assert (guesses != drawn).any()
+        counts = teleport._draw_counts(seed, probs, trials)
+        assert counts.tolist() == np.bincount(drawn, minlength=probs.size).tolist(), f"numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("probs, message", [([np.nan, 1.0], "contain NaN"), ([-0.5, 1.5], "not non-negative"),
+                                            ([0.5, 0.4], "do not sum to 1"), ([0.0, 0.0], "do not sum to 1")])
+def test_draw_counts_refuses_what_choice_refuses(probs, message):
+    with pytest.raises(ValueError, match=message):
+        teleport._draw_counts(0, np.array(probs), 10)
+
+
 def test_simulate_json_record_schema():
     result = simulate(2, np.array([1.0, 0.0]), trials=8, seed=1)
     record = json.loads(result.to_json())
