@@ -151,14 +151,14 @@ def inner(u, v) -> complex:
 def max_residual(a, b, axis=None):
     """Entrywise max modulus difference between two same-shape arrays, over
     axis (all by default): axis=(-2, -1) gives one per matrix of two stacks."""
-    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    dtype = np.float64 if np.isrealobj(a) and np.isrealobj(b) else np.complex128  # |x + 0i| = |x|, nan stays nan
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
     if a.shape != b.shape:
         raise DimensionError(f"cannot compare {a.shape} with {b.shape}")
     if a.size == 0:
         return 0.0
     diff = a - b
-    # |a - b| written over the difference, so no separate float array
-    worst = np.abs(diff, out=diff).real.max(axis=axis)
+    worst = np.abs(diff, out=diff).real.max(axis=axis)  # |a - b| over the difference: no second array
     return float(worst) if axis is None else worst
 
 

@@ -8,10 +8,13 @@ d; any other basis with that property works too and can be passed anywhere a
 WeylBasis is accepted.  A WeylBasis holds its unitaries as one read-only
 (d^2, d, d) array, and the kets |Omega_n> are the rows of one d^2 x d^2 array
 (omega_kets), so every identity over the basis is one batched contraction.
+A basis built by shift_and_multiply from Werner's tables, the Weyl basis too, is
+checked by its tables in O(d^3); one given as unitaries by its d^6 Gram.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,20 +88,42 @@ class WeylBasis:
         return self.unitaries[n - 1]
 
 
+def shift_and_multiply(h, latin) -> WeylBasis:
+    """The basis U_(j d + i + 1)|k> = h[i, k] |latin[j, k]> (Werner, J. Phys. A 34, 7081 (2001)): unitary and
+    trace-orthogonal exactly when every |h_ik| = 1, h h^dag = d 1 and latin is a Latin square, each checked here."""
+    h, latin = linalg.as_matrix(h), np.asarray(latin)
+    d, ks = len(h), np.arange(len(h))
+    if d < 1 or h.shape != (d, d) or latin.shape != (d, d):
+        raise DimensionError(f"h and latin must be d x d with d >= 1, got {h.shape} and {latin.shape}")
+    linalg.within_limit(d ** 4, f"Weyl basis of {d}^4")  # the scatter's entries
+    if not (latin.dtype.kind in "iu" and (np.sort(latin, 0) == ks[:, None]).all() and (np.sort(latin, 1) == ks).all()):
+        raise ValueError("latin is not a Latin square: a row or column repeats an entry")
+    if not (np.abs(np.abs(h) ** 2 - 1) <= 1e-9).all():
+        raise ValueError("h has an entry off the unit circle")
+    if not _identity_residual(h @ h.conj().T, d) <= 1e-9:
+        raise ValueError("h h^dag is not d 1: the rows of h are not orthogonal")
+    if not ((np.abs(h[0] - 1) <= 1e-12).all() and (latin[0] == ks).all()):
+        raise ValueError("U_1 is not the identity: h[0] must be all ones and latin[0] 0..d-1")
+    return _scatter(h, latin)
+
+
+def _scatter(h: np.ndarray, latin: np.ndarray) -> WeylBasis:
+    """The basis of tables shift_and_multiply checked, its unitaries formed by one scatter."""
+    d, ks = len(h), np.arange(len(h))
+    mats = np.zeros((d, d, d, d), dtype=np.complex128)
+    mats[ks[:, None, None], ks[:, None], latin[:, None, :], ks] = h  # U_(j d + i + 1)[latin[j, k], k] = h[i, k]
+    mats.setflags(write=False)
+    basis = object.__new__(WeylBasis)  # checked by its tables, so not by __post_init__
+    basis.__dict__.update(d=d, unitaries=mats.reshape(d * d, d, d))
+    return basis
+
+
 def weyl_basis(d: int) -> WeylBasis:
-    """Clock-and-shift basis {X^a Z^b : 0 <= a, b < d}, (0,0) first; its d^4
-    entries obey the output limit."""
+    """Clock-and-shift basis {X^a Z^b : 0 <= a, b < d}, (0,0) first, within the output limit: the cyclic square
+    a + k mod d, h's row b the diagonal of Z^b by repeated products, so each entry has the bits of X^a Z^b."""
     linalg.within_limit(d ** 4, f"Weyl basis of {d}^4")
-    x, z = shift(d), clock(d)
-    mats = []
-    xa = identity(d)
-    for a in range(d):
-        zb = identity(d)
-        for b in range(d):
-            mats.append(xa @ zb)
-            zb = zb @ z
-        xa = xa @ x
-    return WeylBasis(d, mats)
+    powers = itertools.accumulate([clock(d)] * (d - 1), np.matmul, initial=identity(d))  # Z^b = Z^(b-1) Z
+    return shift_and_multiply(np.diagonal(list(powers), axis1=1, axis2=2), np.add.outer(range(d), range(d)) % d)
 
 
 def pauli_weyl_basis() -> WeylBasis:

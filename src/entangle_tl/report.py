@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 
@@ -31,7 +32,7 @@ class VerificationReport:
 
     suite_name: str
     checks: list[CheckResult] = field(default_factory=list)
-    details: list[str] = field(default_factory=list)
+    details: list[str | Callable[[], Iterable[str]]] = field(default_factory=list)
 
     def add(self, identity_name: str, max_residual: float, tol: float) -> CheckResult:
         if not 0 < tol < float("inf"):  # nan would fail every check and inf pass every one
@@ -47,8 +48,8 @@ class VerificationReport:
         bisect.insort(self.checks, result, key=lambda c: c.identity_name)
         return result
 
-    def note(self, line: str) -> None:
-        self.details.append(line)
+    def note(self, line: str | Callable[[], Iterable[str]]) -> None:
+        self.details.append(line)  # or a function giving lines, called by to_text only
 
     @property
     def overall_pass(self) -> bool:
@@ -71,7 +72,7 @@ class VerificationReport:
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             lines.append(f"  [{status}] {c.identity_name}  residual={c.max_residual:.3e}")
-        lines.extend("  " + d for d in self.details)
+        lines.extend("  " + line for d in self.details for line in (d() if callable(d) else [d]))
         verdict = "pass" if self.overall_pass else "FAIL"
         lines.append(f"suite {self.suite_name}: {verdict} ({len(self.checks)} checks)")
         return "\n".join(lines)

@@ -299,11 +299,10 @@ def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
 
 def dense_coding_check(d: int, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """tr(omega (T_n x 1)(omega_m)) = delta_nm for all n, m; the details
-    list the table itself."""
+    list the table itself, formatted only when the report is printed as text."""
     report = VerificationReport("dense-coding")
     table = dense_coding_table(d, basis)
     report.add("delta table", linalg.max_residual(table, np.eye(d * d)), tol)
-    report.note(f"delta table ({d * d}x{d * d}):")
-    for row in np.round(table, 12).tolist():  # the table is real
-        report.note("  " + " ".join(map("{:6.3f}".format, row)))
+    report.note(lambda: [f"delta table ({d * d}x{d * d}):"] + [  # formatted by to_text only; the table is real
+        "  " + " ".join(map("{:6.3f}".format, row)) for row in np.round(table, 12).tolist()])
     return report

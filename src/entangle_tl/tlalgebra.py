@@ -250,11 +250,11 @@ def check_flow(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationR
     phis = np.empty((10, d), dtype=np.complex128)
     for j in range(10):
         for k in range(8):
-            normals[j, k] = rng.normal(size=(2, d, d))
-            angles[j, k] = rng.uniform(0, 2 * np.pi, size=d)
-        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            rng.standard_normal(out=normals[j, k])  # the draws of normal(size=...) and
+            rng.random(out=angles[j, k])  # uniform(0, 2 pi, size=d) / (2 pi), in place
+        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         phis[j] = phi / np.linalg.norm(phi)
-    phases = np.exp(1j * angles)[..., None] * identity(d)
+    phases = np.exp(1j * (angles * (2 * np.pi)))[..., None] * identity(d)
     octuples = np.linalg.qr(normals[:, :, 0] + 1j * normals[:, :, 1])[0] @ phases
     expected = flow_closed_form(octuples.swapaxes(0, 1), phis, d)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,29 @@ def test_max_residual_leaves_its_operands(rng):
     a0, b0 = a.copy(), b.copy()
     assert max_residual(a, b) == np.max(np.abs(a0 - b0))
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def test_max_residual_keeps_real_operands_real(rng):
+    # the float64 difference gives the complex path's float, nan and inf included
+    a, b = rng.normal(size=(5, 5)), rng.normal(size=(5, 5))
+    a[1, 2], b[3, 3], a[4, 4], b[4, 4], a[0, 1] = np.nan, np.inf, np.inf, np.inf, -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for x, y in ((a, b), (a[2:, 2:], b[2:, 2:]), (a[:2, :2], b[:2, :2]), (a[3:, 3:], b[3:, 3:]), (a[0], b[0])):
+            for axis in (None, 0, -1):
+                want = np.abs(x.astype(np.complex128) - y.astype(np.complex128)).max(axis=axis)
+                got = max_residual(x, y, axis=axis)
+                assert np.array_equal(got, want, equal_nan=True), (x, y, axis)
+        assert np.isnan(max_residual(a, b))
+    assert max_residual([1, 2], [1.5, 2]) == 0.5  # integer and float operands too
+    assert max_residual(identity(2), np.eye(2)) == 0  # mixed operands take the complex path
+    a, b = rng.normal(size=(128, 128)), rng.normal(size=(128, 128))
+    tracemalloc.start()
+    try:
+        max_residual(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * a.nbytes, peak / a.nbytes  # one float64 difference, no complex copy
 
 
 def test_approx_eq_and_max_residual():

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from entangle_tl import linalg, maxent
 from entangle_tl.linalg import identity, kron, max_residual
+from entangle_tl.cli import main
 from entangle_tl.maxent import (WeylBasis, clock, completeness_check, omega, omega_kets, omega_n,
                                 pauli_weyl_basis, partial_inner_ca_ab, phi_of, shift,
-                                slide_identity_check, trace_identities_check,
+                                shift_and_multiply, slide_identity_check, trace_identities_check,
                                 transfer_composition, weyl_basis)
 from entangle_tl.qubit import BellKind, bell_state, pauli
+from entangle_tl.teleport import branch_weights_check, dense_coding_check, tight_teleportation_check
 from entangle_tl.tlalgebra import check_tl_decorated
 
 from conftest import random_complex_matrix, random_unitary
@@ -73,6 +75,93 @@ def test_weyl_basis_rejects_bad_input():
         WeylBasis(2, (identity(2), pauli(1), 2 * pauli(2), pauli(3)))  # U_3 not unitary
     with pytest.raises(linalg.DimensionError):
         weyl_basis(0)
+
+
+def _product_loop_weyl_basis(d):
+    # the basis as X^a Z^b, each power formed by repeated products
+    x, z = shift(d), clock(d)
+    mats, xa = [], identity(d)
+    for _ in range(d):
+        zb = identity(d)
+        for _ in range(d):
+            mats.append(xa @ zb)
+            zb = zb @ z
+        xa = xa @ x
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_weyl_basis_has_the_bits_of_the_product_loop(d):
+    assert np.array_equal(weyl_basis(d).unitaries, _product_loop_weyl_basis(d))
+
+
+def _fourier_tables(d):
+    ks = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(ks, ks) / d), (ks[:, None] + ks) % d
+
+
+def test_shift_and_multiply_refuses_each_table_fault_by_name():
+    h, latin = _fourier_tables(4)
+    shift_and_multiply(h, latin)
+    rows_share = latin.copy()
+    rows_share[2] = latin[1, [0, 2, 1, 3]]  # a permutation of 0..3 sharing column 0 with row 1
+    assert rows_share[2, 0] == rows_share[1, 0] and sorted(rows_share[2]) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="not a Latin square"):
+        shift_and_multiply(h, rows_share)
+    with pytest.raises(ValueError, match="not a Latin square"):
+        shift_and_multiply(h, latin.astype(float))
+    off_circle = h.copy()
+    off_circle[2, 3] *= 1.01
+    with pytest.raises(ValueError, match="off the unit circle"):
+        shift_and_multiply(off_circle, latin)
+    not_hadamard = h.copy()
+    not_hadamard[3] = h[2]  # unimodular, but two equal rows
+    with pytest.raises(ValueError, match="h h\\^dag is not d 1"):
+        shift_and_multiply(not_hadamard, latin)
+    first_row = h * np.exp(0.5j)  # still a unimodular Hadamard matrix, with h[0] != 1
+    with pytest.raises(ValueError, match="U_1 is not the identity"):
+        shift_and_multiply(first_row, latin)
+    with pytest.raises(ValueError, match="U_1 is not the identity"):
+        shift_and_multiply(h, latin[[1, 0, 2, 3]])  # latin[0] is not 0..d-1
+    for bad_h, bad_latin in ((h[:3], latin), (h, latin[:, :3]), (h[:, :3], latin[:3, :3]),
+                             (h[0], latin), (np.zeros((0, 0)), latin[:0, :0])):
+        with pytest.raises(linalg.DimensionError):
+            shift_and_multiply(bad_h, bad_latin)
+
+
+def test_shift_and_multiply_holds_one_read_only_array():
+    h, latin = _fourier_tables(3)
+    basis = shift_and_multiply(h, latin)
+    assert isinstance(basis, WeylBasis) and basis.d == 3 and basis.unitaries.shape == (9, 3, 3)
+    with pytest.raises(ValueError):
+        basis.unitaries[0, 0, 0] = 2
+    h[1, 1] = 5  # the caller's tables stay theirs
+    assert abs(basis.unitary(5)[2, 1] - np.exp(2j * np.pi / 3)) < 1e-15  # U_5 = X Z: 1 -> omega |2>
+
+
+def test_a_non_weyl_table_basis_passes_every_basis_check(rng):
+    # negative control: the Sylvester Hadamard matrix on the Z2 x Z2 square a XOR k
+    # is a valid basis with no clock or shift in it
+    d, sylvester = 4, np.array([[1, 1], [1, -1]])
+    ks = np.arange(d)
+    basis = shift_and_multiply(np.kron(sylvester, sylvester), ks[:, None] ^ ks)
+    assert not np.array_equal(basis.unitaries, weyl_basis(d).unitaries)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    rho, obs = random_complex_matrix(rng, d), random_complex_matrix(rng, d)
+    reports = [completeness_check(d, basis), tight_teleportation_check(d, rho, obs, basis),
+               dense_coding_check(d, basis), branch_weights_check(d, psi, basis),
+               *check_tl_decorated(3, d, basis)]
+    assert all(r.overall_pass for r in reports), [r.to_text() for r in reports if not r.overall_pass]
+
+
+def test_a_scatter_that_drops_h_fails_maxent(monkeypatch, capsys):
+    # the tables are checked, not the unitaries built from them: a scatter that
+    # writes 1 in place of h leaves d copies of each shift, which completeness reads
+    scatter = maxent._scatter
+    monkeypatch.setattr(maxent, "_scatter", lambda h, latin: scatter(np.ones_like(h), latin))
+    assert main(["verify", "maxent", "--d", "3"]) == 1
+    assert "[FAIL] maxent-completeness: <Omega_n|Omega_m> = delta_nm" in capsys.readouterr().out
 
 
 def test_weyl_basis_is_one_read_only_array():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from entangle_tl import linalg, teleport
+from entangle_tl.cli import main
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
 from entangle_tl.qubit import BellKind, bell_state, pauli
+from entangle_tl.report import VerificationReport
 from entangle_tl.teleport import (bell_matrix_form_check, branch_weights_check,
                                   dense_coding_check, dense_coding_table, measurement_form,
                                   qudit_resolution_check, simulate,
@@ -370,6 +372,26 @@ def test_dense_coding_tables():
         table = dense_coding_table(d)
         assert max_residual(table, np.eye(d * d)) < 1e-10
         assert dense_coding_check(d, tol=1e-10).overall_pass
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_dense_coding_text_lists_the_table_row_by_row(d):
+    # the heading, then each row rounded to 12 places and printed at three decimals
+    table = np.round(dense_coding_table(d), 12)
+    want = [f"  delta table ({d * d}x{d * d}):"] + ["    " + " ".join(f"{x:6.3f}" for x in row) for row in table]
+    assert dense_coding_check(d).to_text().splitlines()[1:-1] == want
+
+
+def test_the_dense_coding_table_is_formatted_for_text_reports_only(monkeypatch, capsys):
+    # every deferred detail counts its calls: only `verify dense` as text formats the table
+    calls, note = [], VerificationReport.note
+    monkeypatch.setattr(VerificationReport, "note", lambda self, line: note(
+        self, (lambda: calls.append(self.suite_name) or line()) if callable(line) else line))
+    assert main(["verify", "dense", "--d", "8", "--format", "json"]) == 0
+    assert main(["verify", "all", "--d", "3"]) == 0  # `verify all` drops the details
+    assert calls == []
+    assert main(["verify", "dense", "--d", "8"]) == 0
+    assert calls == ["dense-coding"] and "delta table (64x64):" in capsys.readouterr().out
 
 
 def test_dense_coding_n_equals_m_is_one():
