@@ -11,6 +11,12 @@ others applied.  relation_residual() compares a relation written on the
 strands it touches (2 for one pair, 3 for adjacent pairs, 4 for far
 commutativity, on basis-ket probes) one block of basis-ket columns at a time:
 on n strands both sides only gain identity strands.
+
+A word is checked once, whatever its number of blocks: each factor's operator,
+position and local dimension (one d for both sides of a relation), then its
+columns and their entry limit.  The kernels _embed, _apply and _run check
+nothing and are reached only through those checked entries; embed() and
+apply_on_strands() are the same checks on one factor and the same kernels.
 """
 
 from __future__ import annotations
@@ -60,16 +66,37 @@ def _local_dimension(op) -> tuple[int, np.ndarray | Swap]:
     return d, m
 
 
-def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
-    """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based
-    i, for a ket x of d^n entries or x with d^n rows on axis -2; the embedding
-    is never formed."""
-    d, op = _local_dimension(op)
+def _check_place(d: int, i: int, n: int, rows: int) -> None:
+    """Refuse a factor of local dimension d at position i of n strands applied to an
+    operand of rows rows, as apply_on_strands and a word's every other factor do."""
     if not 1 <= i <= n - 1:
         raise DimensionError(f"position {i} out of range for {n} strands")
-    x = np.asarray(x)
-    if (rows := x.shape[-2:][0]) != d ** n:
+    if rows != d ** n:
         raise DimensionError(f"operand has {rows} rows, not {d}^{n}")
+
+
+def _check_word(word, n: int, d: int | None = None, known: dict | None = None) -> tuple[int, list]:
+    """(d, factors): the (op, i) factors of word right to left, as _run takes them.
+    The rightmost is checked as embed checks it, of local dimension d (its own unless
+    given), the others as apply_on_strands does.  Each distinct operator object is
+    checked once, known mapping its id to (d, op) across the words of a relation."""
+    known, factors = {} if known is None else known, []
+    for op, i in reversed(word):
+        if id(op) not in known:
+            known[id(op)] = _local_dimension(op)
+        dk, op = known[id(op)]
+        if factors:
+            _check_place(dk, i, n, d ** n)
+        else:  # the rightmost factor, embedded
+            d = dk if d is None else d
+            if not 1 <= i <= n - 1 or dk != d:
+                raise DimensionError(f"factor at {i} (d={dk}) does not fit {n} strands of d={d}")
+        factors.append((op, i))
+    return d, factors
+
+
+def _apply(op, i: int, n: int, x: np.ndarray, d: int) -> np.ndarray:
+    """apply_on_strands' product, checking nothing."""
     lead = x.shape[:-2]
     if isinstance(op, Swap):  # entries moved, none multiplied
         return x.reshape(*lead, d ** (i - 1), d, d, -1).swapaxes(-3, -2).reshape(x.shape)
@@ -77,16 +104,8 @@ def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
     return out.reshape(*out.shape[:-3], *x.shape[len(lead):])
 
 
-def embed(op, i: int, n: int, cols=None) -> np.ndarray:
-    """Columns cols (all by default) of 1 x ... x op x ... x 1 with op on
-    strands (i, i+1) of n, 1-based i: op's columns scattered into zeros."""
-    d, op = _local_dimension(op)
-    cols = np.arange(d ** n) if cols is None else np.asarray(cols)
-    linalg.within_limit(d ** n * len(cols), f"embedding of {d}^{n} x {len(cols)}")
-    if not 1 <= i <= n - 1:
-        raise DimensionError(f"factor at {i} (d={d}) does not fit {n} strands of d={d}")
-    if len(cols) and not 0 <= cols.min() <= cols.max() < d ** n:
-        raise DimensionError(f"columns {cols.min()}..{cols.max()} out of range for {d}^{n}")
+def _embed(op, i: int, n: int, cols: np.ndarray, d: int) -> np.ndarray:
+    """embed's scatter, checking nothing."""
     shape = (d ** (i - 1), d * d, d ** (n - i - 1))
     hi, mid, lo = np.unravel_index(cols, shape)
     out = np.zeros((*op.shape[:-2], *shape, len(cols)), dtype=np.complex128)
@@ -98,15 +117,53 @@ def embed(op, i: int, n: int, cols=None) -> np.ndarray:
     return out.reshape(*op.shape[:-2], d ** n, len(cols))
 
 
+def _run(factors: list, n: int, cols: np.ndarray, d: int) -> np.ndarray:
+    """Columns cols of a checked word's product: its first factor (the word's
+    rightmost) embedded, the others applied to it in turn, checking nothing."""
+    (op, i), *rest = factors
+    out = _embed(op, i, n, cols, d)
+    for op, i in rest:  # a loop, not reduce: reduce would keep the embedding alive
+        out = _apply(op, i, n, out, d)
+    return out
+
+
+def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
+    """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based
+    i, for a ket x of d^n entries or x with d^n rows on axis -2; the embedding
+    is never formed."""
+    d, op = _local_dimension(op)
+    x = np.asarray(x)
+    _check_place(d, i, n, x.shape[-2:][0])
+    return _apply(op, i, n, x, d)
+
+
+def embed(op, i: int, n: int, cols=None) -> np.ndarray:
+    """Columns cols (all by default) of 1 x ... x op x ... x 1 with op on
+    strands (i, i+1) of n, 1-based i: op's columns scattered into zeros."""
+    return apply_word([(op, i)], n, cols)
+
+
 def apply_word(word, n: int, cols=None) -> np.ndarray:
     """Columns cols (all by default) of the d^n x d^n product of the (op, i)
     factors of word, written left to right: the rightmost factor's columns are
-    embedded and the others applied to them, right to left, by apply_on_strands."""
-    (op, i), *rest = reversed(word)
-    out = embed(op, i, n, cols)
-    for factor in rest:  # a loop, not reduce: reduce would keep the embedding alive
-        out = apply_on_strands(*factor, n, out)
-    return out
+    embedded and the others applied to them, right to left."""
+    d, factors = _check_word(word, n)
+    cols = np.arange(d ** n) if cols is None else np.asarray(cols)
+    linalg.within_limit(d ** n * len(cols), f"embedding of {d}^{n} x {len(cols)}")
+    if len(cols) and not 0 <= cols.min() <= cols.max() < d ** n:
+        raise DimensionError(f"columns {cols.min()}..{cols.max()} out of range for {d}^{n}")
+    return _run(factors, n, cols, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(d: int, n: int) -> np.ndarray:
+    """The basis-ket columns a relation on n strands is compared on, read-only:
+    all of them on at most 3 strands, else PROBES drawn by a generator of their
+    own (so the CLI's rng draws as before), the same on every call."""
+    cols = np.arange(d ** n) if n <= 3 else np.random.default_rng(PROBE_SEED).choice(
+        d ** n, min(PROBES, d ** n), replace=False)
+    cols.flags.writeable = False
+    return cols
 
 
 def relation_residual(lhs, rhs, scale=1) -> float:
@@ -117,13 +174,18 @@ def relation_residual(lhs, rhs, scale=1) -> float:
     IFIP 1977), so a misplaced factor fails and no d^2n product is formed.
     Stacked operators give one residual per operator, as an array."""
     n = max(i for _, i in (*lhs, *rhs)) + 1
-    d, _ = _local_dimension(lhs[-1][0])
-    cols = (np.arange(d ** n) if n <= 3 else  # probes from a generator of its own: the CLI's rng draws as before
-            np.random.default_rng(PROBE_SEED).choice(d ** n, min(PROBES, d ** n), replace=False))
+    known = {}
+    d, lhs = _check_word(lhs, n, known=known)
+    _, rhs = _check_word(rhs, n, d, known)
+    cols = _columns(d, n)
     linalg.within_limit(d ** n * len(cols), f"relation on {d}^{n} x {len(cols)}")
-    return functools.reduce(np.maximum, (  # np.maximum, not max: one residual per stacked operator, nan kept
-        linalg.max_residual(apply_word(lhs, n, block), scale * apply_word(rhs, n, block), axis=(-2, -1))
-        for block in np.split(cols, range(BLOCK, len(cols), BLOCK))))
+    worst = None
+    for start in range(0, len(cols), BLOCK):
+        block = cols[start:start + BLOCK]
+        left, right = _run(lhs, n, block, d), _run(rhs, n, block, d)
+        residual = linalg.max_residual(left, right if scale == 1 else scale * right, axis=(-2, -1))
+        worst = residual if worst is None else np.maximum(worst, residual)  # not max: one per operator, nan kept
+    return worst
 
 
 def check_braid_relation(b, tol: float = DEFAULT_TOL) -> VerificationReport:

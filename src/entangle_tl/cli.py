@@ -197,7 +197,7 @@ def _emit(report: VerificationReport, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
-        print(report.to_text())
+        sys.stdout.writelines(line + "\n" for line in report.lines())  # as printed, never held whole
     return 0 if report.overall_pass else 1
 
 

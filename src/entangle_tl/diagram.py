@@ -379,18 +379,21 @@ def _plan_evaluation(diag: DecoratedDiagram) -> tuple:
     return labels, out_sub, spec, loops, strands
 
 
-def _walk_product(walk: tuple, table: list, eye: np.ndarray) -> np.ndarray:
-    """The operator product along a walk, its first step rightmost, reading FLAVORS on every call."""
-    out = eye
+def _walk_product(walk: tuple, table: list, d: int) -> np.ndarray:
+    """The operator product along a walk, its first step rightmost, reading FLAVORS on
+    every call: it starts from that step's operator, and is the identity only for an
+    empty walk."""
+    out = None
     for k, flavor, flip in walk:
         bits = FLAVORS.index(flavor) ^ flip
         m = table[k].swapaxes(-1, -2) if bits & 1 else table[k]
-        out = (m.conj() if bits & 2 else m) @ out
-    return out
+        m = m.conj() if bits & 2 else m
+        out = m if out is None else m @ out
+    return np.eye(d, dtype=np.complex128) if out is None else out
 
 
-def _scalar_value(value: complex, loops: tuple, table: list, eye: np.ndarray):
-    return functools.reduce(np.multiply, (np.trace(_walk_product(walk, table, eye), axis1=-2, axis2=-1)
+def _scalar_value(value: complex, loops: tuple, table: list, d: int):
+    return functools.reduce(np.multiply, (_walk_product(walk, table, d).trace(axis1=-2, axis2=-1)
                                           for walk in loops), value)
 
 
@@ -399,7 +402,7 @@ def scalar_value(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> com
     labels = tuple(dict.fromkeys(deco.op for loop in diag.loops for deco in loop))
     loops = [[(labels.index(deco.op), deco.flavor, False) for deco in loop] for loop in diag.loops]
     table = _operator_table(labels, d, ops, stacked=False)
-    return _scalar_value(diag.scalar.numeric(d), loops, table, np.eye(d, dtype=np.complex128))
+    return _scalar_value(diag.scalar.numeric(d), loops, table, d)
 
 
 def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
@@ -408,11 +411,11 @@ def evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndar
     caps composed onto the diagram, as in tlalgebra.closed_flow_diagram."""
     shape = _check_size(diag, d)
     labels, out_sub, spec, loops, strands = diag._evaluation_plan
-    table, eye = _operator_table(labels, d, ops, stacked=True), np.eye(d, dtype=np.complex128)
-    value = np.asarray(_scalar_value(diag.scalar.numeric(d), loops, table, eye))[..., None, None]
+    table = _operator_table(labels, d, ops, stacked=True)
+    value = np.asarray(_scalar_value(diag.scalar.numeric(d), loops, table, d))[..., None, None]
     if not strands:
         return value
-    out = np.einsum(spec, *(_walk_product(walk, table, eye) for walk in strands))
+    out = np.einsum(spec, *(_walk_product(walk, table, d) for walk in strands))
     return value * out.reshape(out.shape[:out.ndim - len(out_sub)] + shape)
 
 
@@ -457,7 +460,8 @@ def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None
     prefactor = diag.scalar.numeric(d) * float(d) ** (arcs / 2.0) * ((1.0 + 0.0j) * d ** empty_loops)
     if not nodes:
         return np.array([[prefactor]], dtype=np.complex128)
-    wires = (np.eye(d, dtype=np.complex128), np.eye(d, dtype=np.complex128) / np.sqrt(d))  # plain, arc
+    eye = np.eye(d, dtype=np.complex128)
+    wires = (eye, eye / np.sqrt(d))  # plain, arc
     operands = [node.matrix(table) if isinstance(node, Decoration) else wires[node] for node in nodes]
     return prefactor * linalg.contract(spec, *operands).reshape(shape)
 

@@ -67,14 +67,14 @@ def as_operator(m, d: int, what: str, stacked: bool = False) -> np.ndarray:
 
 def as_operators(mats, d: int, names, stacked: bool = False, unitary: bool = False) -> list[np.ndarray]:
     """Each of mats as as_operator(m, d, name, stacked) returns it, and with unitary held
-    to non_unitary: checked at once when they share one shape, else (or on a refusal) one
-    at a time, so the first bad operator is named as alone.  names is read only then."""
+    to non_unitary: checked at once when they share one shape (a list of them or their
+    stack made one array by one np.asarray), else (or on a refusal) one at a time, so the
+    first bad operator is named as alone.  names is read only then."""
     try:
-        arrays = [np.asarray(m, dtype=np.complex128) for m in mats]
-        stack = np.asarray(arrays)  # a ValueError when their shapes differ
+        stack = np.asarray(mats, dtype=np.complex128)  # a ValueError when their shapes differ
         if (stack.shape[-2:] == (d, d) and (stack.ndim == 3 or stacked and stack.ndim > 3)
                 and np.isfinite(stack).all() and not (unitary and non_unitary(stack).size)):
-            return arrays
+            return list(stack)
     except (TypeError, ValueError):
         pass
     checked = []
@@ -175,22 +175,27 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 
 def contract(spec: str, *operands) -> np.ndarray:
     """np.einsum(spec, *operands, optimize=True) to the bit, running only the
-    steps _program compiled for these shapes: no path is searched or parsed."""
+    steps _program compiled for these shapes: no path is searched or parsed,
+    and no operand is reshaped to its own shape or transposed in place."""
     ops = list(operands)
-    for inds, eq, prep, shape_ab, perm in _program(spec, tuple(op.shape for op in ops)):
+    for inds, eq, prep, combine, shape, perm in _program(spec, tuple(op.shape for op in ops)):
         taken = [ops.pop(i) for i in inds]
         if prep is None:  # not a pairwise step: one einsum
             ops.append(np.einsum(eq, *taken))
-        else:  # each operand laid out, then multiplied or matmul'd
-            a, b = ((x if lay is None else lay(x)).reshape(shape) for x, (lay, shape) in zip(taken, prep))
-            ops.append(np.multiply(a, b) if perm is None else np.matmul(a, b).reshape(shape_ab).transpose(perm))
+            continue
+        for k, (lay, laid) in enumerate(prep):  # each operand laid out, then multiplied or matmul'd
+            x = taken[k] if lay is None else lay(taken[k])
+            taken[k] = x if laid is None else x.reshape(laid)
+        out = combine(*taken)
+        out = out if shape is None else out.reshape(shape)
+        ops.append(out if perm is None else out.transpose(perm))
     return ops[0]
 
 
 @functools.lru_cache(maxsize=128)
 def _program(spec: str, shapes: tuple) -> tuple:
     """Each step along numpy's greedy path as (positions popped, subscripts, and
-    _pair's plan or three Nones), read from np.einsum_path's output: the path,
+    _pair's plan or four Nones), read from np.einsum_path's output: the path,
     and each step's subscripts from its line of the report ("current" column)."""
     path, info = np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")
     dims = {ix: n for term, s in zip(spec.split("->")[0].split(","), shapes) for ix, n in zip(term, s) if n != 1}
@@ -199,31 +204,36 @@ def _program(spec: str, shapes: tuple) -> tuple:
         inds, eq = tuple(sorted(inds, reverse=True)), line.split()[1]  # popped right to left, as numpy does
         taken = [current.pop(i) for i in inds]
         current.append(tuple(dims.get(ix, 1) for ix in eq.split("->")[1]))
-        program.append((inds, eq, *(_pair(eq, *taken) if len(inds) == 2 else (None, None, None))))
+        program.append((inds, eq, *(_pair(eq, *taken) if len(inds) == 2 else (None, None, None, None))))
     return tuple(program)
 
 
 def _pair(eq: str, shape_a: tuple, shape_b: tuple) -> tuple:
     """The step eq on two operands as numpy 2.4's einsum runs it (bmm_einsum): each
-    term laid out by one einsum, then multiplied, or fused for one batched matmul."""
+    term laid out by one einsum, then multiplied, or fused for one batched matmul
+    whose product is reshaped and permuted; None for a reshape or permutation that
+    would leave its operand as it is."""
     (ta, tb), out = eq.split("->")[0].split(","), eq.split("->")[1]
     big_a, big_b = ({ix: n for ix, n in zip(t, s) if n != 1} for t, s in ((ta, shape_a), (tb, shape_b)))
     size, con = {**big_a, **big_b}, [ix for ix in big_a if ix in big_b and ix not in out]
     if not con:  # each term laid out as out, with axes of length one where it lacks an index, and multiplied
-        return tuple(_layout(t, [ix for ix in out if ix in t], [s[t.index(ix)] if ix in t else 1 for ix in out])
-                     for t, s in ((ta, shape_a), (tb, shape_b))), None, None
+        return tuple(_layout(t, s, [ix for ix in out if ix in t], [s[t.index(ix)] if ix in t else 1 for ix in out])
+                     for t, s in ((ta, shape_a), (tb, shape_b))), np.multiply, None, None
     bat, keep_a = ([ix for ix in big_a if ix in out and (ix in big_b) == shared] for shared in (True, False))
     keep_b = [ix for ix in big_b if ix not in big_a and ix in out]
     sizes = [math.prod(size[ix] for ix in group) for group in ([bat] if bat else []) + [keep_a, con, keep_b]]
     produced = [ix for ix in out if ix not in size] + bat + keep_a + keep_b  # axes of length one lead
-    return ((_layout(ta, bat + keep_a + con, sizes[:-1]), _layout(tb, bat + con + keep_b, sizes[:-3] + sizes[-2:])),
-            tuple(size.get(ix, 1) for ix in produced), tuple(map(produced.index, out)))
+    shape, perm = tuple(size.get(ix, 1) for ix in produced), tuple(map(produced.index, out))
+    return ((_layout(ta, shape_a, bat + keep_a + con, sizes[:-1]),
+             _layout(tb, shape_b, bat + con + keep_b, sizes[:-3] + sizes[-2:])), np.matmul,
+            None if shape == (*sizes[:-2], sizes[-1]) else shape, None if perm == tuple(range(len(perm))) else perm)
 
 
-def _layout(term: str, want: list, shape: list) -> tuple:
-    """What lays term out as want (None when it already is, a transpose when want permutes
-    term's distinct indices, else one einsum) and the shape it is then read as."""
-    want = "".join(want)
+def _layout(term: str, own: tuple, want: list, shape: list) -> tuple:
+    """What lays term, of shape own, out as want (None when it already is, a transpose
+    when want permutes term's distinct indices, else one einsum) and the shape it is
+    then read as (None when it has that shape already)."""
+    want, laid = "".join(want), tuple(dict(zip(term, own))[ix] for ix in want)
     return (None if want == term else functools.partial(np.transpose, axes=tuple(map(term.index, want)))
             if sorted(want) == sorted(term) == sorted(set(term)) else functools.partial(np.einsum, f"{term}->{want}"),
-            tuple(shape))
+            None if laid == tuple(shape) else tuple(shape))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 
@@ -49,7 +49,7 @@ class VerificationReport:
         return result
 
     def note(self, line: str | Callable[[], Iterable[str]]) -> None:
-        self.details.append(line)  # or a function giving lines, called by to_text only
+        self.details.append(line)  # or a function giving lines, called by lines() only
 
     @property
     def overall_pass(self) -> bool:
@@ -67,15 +67,18 @@ class VerificationReport:
             "overall_pass": self.overall_pass,
         }
 
-    def to_text(self) -> str:
-        lines = []
+    def lines(self) -> Iterator[str]:
+        """The text report one line at a time, a detail function's lines as it gives them."""
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.identity_name}  residual={c.max_residual:.3e}")
-        lines.extend("  " + line for d in self.details for line in (d() if callable(d) else [d]))
+            yield f"  [{status}] {c.identity_name}  residual={c.max_residual:.3e}"
+        for d in self.details:
+            yield from ("  " + line for line in (d() if callable(d) else [d]))
         verdict = "pass" if self.overall_pass else "FAIL"
-        lines.append(f"suite {self.suite_name}: {verdict} ({len(self.checks)} checks)")
-        return "\n".join(lines)
+        yield f"suite {self.suite_name}: {verdict} ({len(self.checks)} checks)"
+
+    def to_text(self) -> str:
+        return "\n".join(self.lines())
 
 
 # Shape of VerificationReport.to_dict(), published so scripts can validate

@@ -303,6 +303,11 @@ def dense_coding_check(d: int, basis: WeylBasis | None = None, tol: float = DEFA
     report = VerificationReport("dense-coding")
     table = dense_coding_table(d, basis)
     report.add("delta table", linalg.max_residual(table, np.eye(d * d)), tol)
-    report.note(lambda: [f"delta table ({d * d}x{d * d}):"] + [  # formatted by to_text only; the table is real
-        "  " + " ".join(map("{:6.3f}".format, row)) for row in np.round(table, 12).tolist()])
+
+    def lines():  # formatted for text reports only, one row at a time; the table is real
+        yield f"delta table ({d * d}x{d * d}):"
+        for row in table:
+            yield "  " + " ".join(map("{:6.3f}".format, np.round(row, 12).tolist()))
+
+    report.note(lines)
     return report

@@ -292,6 +292,33 @@ def test_strand_positions_out_of_range_raise():
         relation_residual([(swap(3), 1), (swap(3), 2)], [(b, 1)])
 
 
+def test_relation_words_of_different_dimensions_raise():
+    # one d is shared by both sides of a relation: a word of another d is
+    # refused whichever side it is on and wherever in the word, on 3 strands
+    # and on the 4 of a far relation (where only probe columns are walked)
+    b, p = bell_matrix(), swap(3)
+    for lhs, rhs in (([(p, 1), (p, 2)], [(b, 1)]), ([(b, 1), (b, 2)], [(p, 2)]),
+                     ([(b, 1), (b, 2)], [(p, 1), (b, 2)]), ([(b, 1), (b, 3)], [(b, 3), (p, 1)]),
+                     ([(p, 1), (p, 3)], [(b, 3), (p, 1)])):
+        with pytest.raises(linalg.DimensionError):
+            relation_residual(lhs, rhs)
+        with pytest.raises(linalg.DimensionError):
+            relation_residual(rhs, lhs)
+
+
+def test_probe_columns_are_cached_read_only_and_drawn_as_before():
+    # a far relation compares the same probes on every call: drawn once per
+    # (d, n) by the generator each call used to seed afresh, and read-only
+    for d, n in ((2, 4), (3, 4), (6, 4), (2, 5)):
+        cols = braid._columns(d, n)
+        want = np.random.default_rng(braid.PROBE_SEED).choice(d ** n, min(braid.PROBES, d ** n), replace=False)
+        assert np.array_equal(cols, want) and braid._columns(d, n) is cols
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0] = 0
+    assert np.array_equal(braid._columns(3, 3), np.arange(27)) and not braid._columns(3, 3).flags.writeable
+
+
 def test_strand_product_size_guard(monkeypatch):
     # the embedding's d^n x len(cols) entries are counted before anything is
     # scattered, whatever strands op touches
@@ -455,9 +482,9 @@ def test_far_commutation_never_meets_the_identity(monkeypatch):
     d, calls, rows = 6, [], []
     v, block = swap(d), d ** 4 * braid.PROBES
     relation_residual([(v, 1), (v, 3)], [(v, 3), (v, 1)])  # first-call allocations are not traced
-    apply, scatter = braid.apply_on_strands, braid.embed
-    monkeypatch.setattr(braid, "apply_on_strands", lambda *args: calls.append(args) or apply(*args))
-    monkeypatch.setattr(braid, "embed", lambda op, i, n, cols=None: scatter(op, i, n, cols) if cols is not None
+    apply, scatter = braid._apply, braid._embed  # the kernels every checked word runs on
+    monkeypatch.setattr(braid, "_apply", lambda *args: calls.append(args) or apply(*args))
+    monkeypatch.setattr(braid, "_embed", lambda op, i, n, cols, d: scatter(op, i, n, cols, d) if len(cols) < d ** n
                         else pytest.fail("whole embedding formed"))
     monkeypatch.setattr(braid, "identity", lambda k: rows.append(k) or identity(k))
     tracemalloc.start()
@@ -466,7 +493,7 @@ def test_far_commutation_never_meets_the_identity(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == 2 and all(x.size == block for *_, x in calls)
+    assert len(calls) == 2 and all(x.size == block for _, _, _, x, _ in calls)
     assert all(k < d ** 4 for k in rows)
     assert peak < 8 * 16 * block < 16 * d ** 8 / 10, peak
 

@@ -362,9 +362,9 @@ FAR_CHECKS = {"b1 b3 = b3 b1", "v1 v3 = v3 v1", "b1 v3 = v3 b1", "E_1E_3 = E_3E_
 def test_far_commutation_fails_a_misplaced_factor(monkeypatch, capsys, d):
     # a factor at i >= 2 lands one strand to the left: each far word then
     # meets an overlapping pair, which does not commute
-    apply = braid.apply_on_strands
-    monkeypatch.setattr(braid, "apply_on_strands",
-                        lambda op, i, n, x: apply(op, i - 1 if i >= 2 else i, n, x))
+    apply = braid._apply  # the kernel every checked word applies its factors with
+    monkeypatch.setattr(braid, "_apply",
+                        lambda op, i, n, x, d: apply(op, i - 1 if i >= 2 else i, n, x, d))
     seen = set()
     for suite in ("braid", "virtual", "tl", "brauer"):
         assert main(["verify", suite, "--d", str(d), "--n", "4", "--format", "json"]) == 1

@@ -1,11 +1,13 @@
+import contextlib
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from entangle_tl import linalg, teleport
+from entangle_tl import cli, linalg, teleport
 from entangle_tl.cli import main
 from entangle_tl.linalg import identity, kron, max_residual
 from entangle_tl.maxent import omega, omega_n, omega_projector, pauli_weyl_basis, weyl_basis
@@ -380,6 +382,24 @@ def test_dense_coding_text_lists_the_table_row_by_row(d):
     table = np.round(dense_coding_table(d), 12)
     want = [f"  delta table ({d * d}x{d * d}):"] + ["    " + " ".join(f"{x:6.3f}" for x in row) for row in table]
     assert dense_coding_check(d).to_text().splitlines()[1:-1] == want
+
+
+def test_text_emission_holds_a_few_rows_not_the_whole_text():
+    # cli._emit writes a text report line by line and the table is formatted one
+    # row at a time: at d = 16 the traced peak stays below an eighth of the
+    # 460 kB text, where holding the rows and their joined text took 2.6 MB
+    report = dense_coding_check(16)
+    text = report.to_text()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        cli._emit(report, "text")  # first-call allocations are not traced
+        tracemalloc.start()
+        try:
+            assert cli._emit(report, "text") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(text.splitlines()) == 256 + 3
+    assert peak < len(text) / 8, peak
 
 
 def test_the_dense_coding_table_is_formatted_for_text_reports_only(monkeypatch, capsys):

@@ -199,7 +199,7 @@ def test_tl_diagram_relations_on_touched_strands_equal_n_strands(d):
 def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
     # each distinct relation is formed once whatever n is: n adds names only
     widths, residuals, strands = [], [], []
-    compose, residual, word = dg.compose, tlalgebra.relation_residual, braid.apply_word
+    compose, residual, scatter = dg.compose, tlalgebra.relation_residual, braid._embed
 
     def recording(top_diag, bottom_diag):
         widths.append(max(top_diag.top, top_diag.bottom, bottom_diag.bottom))
@@ -207,7 +207,7 @@ def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
 
     monkeypatch.setattr(dg, "compose", recording)
     monkeypatch.setattr(tlalgebra, "relation_residual", lambda *args: residuals.append(args) or residual(*args))
-    monkeypatch.setattr(braid, "apply_word", lambda factors, n, cols=None: strands.append(n) or word(factors, n, cols))
+    monkeypatch.setattr(braid, "_embed", lambda op, i, n, cols, d: strands.append(n) or scatter(op, i, n, cols, d))
     for n in (4, 64):
         widths.clear()
         residuals.clear()
@@ -219,6 +219,28 @@ def test_tl_axioms_compose_on_at_most_four_strands(monkeypatch):
         assert check_brauer_mixed(n, 2).overall_pass
         assert len(residuals) == 8, n
     assert strands and max(strands) <= 4
+
+
+def test_tl_self_adjointness_is_formed_once(monkeypatch):
+    # the diagram's self-adjointness is checked once, on the two strands E_i
+    # touches, and reported under every i: a generator that is not
+    # self-adjoint fails every one of those checks
+    formed, adjoint = [], dg.adjoint_diagram
+    monkeypatch.setattr(dg, "adjoint_diagram", lambda diag: formed.append(diag.top) or adjoint(diag))
+    for n in (4, 64):
+        formed.clear()
+        checks = [c for c in check_tl_axioms(n, 2).checks if "self-adjoint" in c.identity_name]
+        assert [c.identity_name for c in checks] == sorted(f"E_{i} self-adjoint (diagram)" for i in range(1, n))
+        assert all(c.passed for c in checks) and formed == [2], n
+    e_gen = dg.e_gen
+
+    def phased(i, n):  # the coefficient i is conjugated by the adjoint
+        gen = e_gen(i, n)
+        return dg.DecoratedDiagram(gen.top, gen.bottom, gen.strands, gen.loops, dg.ScalarFactor(1j, -2))
+
+    monkeypatch.setattr(dg, "e_gen", phased)
+    checks = [c for c in check_tl_axioms(5, 2).checks if "self-adjoint" in c.identity_name]
+    assert len(checks) == 4 and not any(c.passed for c in checks)
 
 
 def test_relations_without_a_position_are_not_formed(monkeypatch):
