@@ -1,14 +1,15 @@
 """Temperley-Lieb / Brauer axiom checks and the eight-projector
 quantum-information-flow evaluation.
 
-The TL idempotents are decorated diagrams and dense matrices E_i = 1 x ...
-x omega x ... x 1 built from the maximally entangled projector; virtual
-crossings are swaps on strand pairs.  Each of the 4 TL and 8 mixed Brauer
-relations is formed once per calculus on the <= 4 strands it touches: there n
-adds only names, never more or larger matrices or diagrams.  check_tl_decorated
-evaluates one decorated diagram per position for a stack of basis elements at
-a time, a (k, d^n, d^n) stack within linalg.BLOCK_ENTRIES entries.  The loop
-parameter is d.  The flow diagram is its eight decorated projectors composed.
+Each TL and Brauer relation is one row of TL_RELATIONS or BRAUER_RELATIONS,
+read by _relations once on the <= 4 strands it touches (n adds only names)
+through a map from letter to factor.  On the dense side E is the maximally
+entangled projector, or a stack of decorated ones, and v the swap, compared by
+braid.relation_residual, which reads an empty word as the identity; on the
+diagram side E is dg.e_gen, composed and compared by dg.structural_ratio.
+check_tl_decorated evaluates one decorated diagram per position for a stack of
+basis elements at a time, within linalg.BLOCK_ENTRIES entries.  The flow
+diagram is its eight decorated projectors composed.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 
 from . import linalg
 from . import diagram as dg
-from .braid import Swap, embed, relation_residual
+from .braid import Swap, embed, relation_residual, within_relation_limit
 from .linalg import DEFAULT_TOL, identity
 from .maxent import WeylBasis, clock, omega_projector, resolve_basis
 from .report import VerificationReport
 
-# Largest n of the TL and Brauer checks: each relation is formed once on <= 4
-# strands in both calculi, but it is reported under O(n^2) names.
+# Largest n of the TL and Brauer checks: each relation is formed once, but reported under O(n^2) names.
 MAX_STRANDS = 64
 
 
@@ -54,64 +54,82 @@ def decorated_e_gen(i: int, n: int, op_label: str) -> dg.DecoratedDiagram:
     return dg.place(dg.tensor(_cap(op_label), _cup(op_label)), i, n)
 
 
-def _positions(n: int) -> tuple[list, list]:
-    """The adjacent pairs (i, i+1) and the far pairs (i, j > i+1) of n strands."""
-    return [(i, i + 1) for i in range(1, n - 1)], [(i, j) for i in range(1, n) for j in range(i + 2, n)]
+# Rows (name, positions, lhs, rhs, power): lhs = d^power rhs, words of letters at strand offsets ("v2 v1 E2", the
+# rightmost acting first), at each (i, j) of "each" (i, i + 1), "up" (i, i + 1 < n) or "far" (i, j > i + 1); the name
+# fills in {i}, {j} and the letter {x}.  A TL row's note names its diagram check, the scalars' ratio held to d^power;
+# a row without one, whose two sides are one diagram, is held to ==.
+TL_RELATIONS = (
+    ("{x}_{i}^2 = {x}_{i}", "each", "E1 E1", "E1", 0, ": loop cancels cup/cap powers"),
+    ("{x}_{i}{x}_{j}{x}_{i} = d^-2 {x}_{i}", "up", "E1 E2 E1", "E1", -2, ": half-power drop -4"),
+    ("{x}_{j}{x}_{i}{x}_{j} = d^-2 {x}_{j}", "up", "E2 E1 E2", "E2", -2, ": half-power drop -4"),
+    ("{x}_{i}{x}_{j} = {x}_{j}{x}_{i}", "far", "E1 E3", "E3 E1", 0, ""),
+)
+BRAUER_RELATIONS = (
+    ("E_{i} v_{i} = E_{i}", "each", "E1 v1", "E1", 0),
+    ("v_{i} E_{i} = E_{i}", "each", "v1 E1", "E1", 0),
+    ("E_{i} v_{j} = v_{j} E_{i}", "far", "E1 v3", "v3 E1", 0),
+    ("E_{j} v_{i} = v_{i} E_{j}", "far", "E3 v1", "v1 E3", 0),
+    ("v_{j} v_{i} E_{j} = d E_{i} E_{j}", "up", "v2 v1 E2", "E1 E2", 1),
+    ("E_{i} v_{j} v_{i} = d E_{i} E_{j}", "up", "E1 v2 v1", "E1 E2", 1),
+    ("v_{i} v_{j} E_{i} = d E_{j} E_{i}", "up", "v1 v2 E1", "E2 E1", 1),
+    ("E_{j} v_{i} v_{j} = d E_{j} E_{i}", "up", "E2 v1 v2", "E2 E1", 1),
+)
 
 
-def _tl_relations(n: int, d: int) -> list:
-    """Each TL relation lhs = scale rhs with a position on n strands, once, as
-    (lhs, rhs, scale, names): words list places on the strands it touches (the
-    rightmost acts first), names every position's name ({x} the letter)."""
-    up, far = _positions(n)
-    relations = [
-        ([1, 1], [1], 1, [f"{{x}}_{i}^2 = {{x}}_{i}" for i in range(1, n)]),
-        ([1, 2, 1], [1], 1 / d ** 2, [f"{{x}}_{i}{{x}}_{j}{{x}}_{i} = d^-2 {{x}}_{i}" for i, j in up]),
-        ([2, 1, 2], [2], 1 / d ** 2, [f"{{x}}_{j}{{x}}_{i}{{x}}_{j} = d^-2 {{x}}_{j}" for i, j in up]),
-        ([1, 3], [3, 1], 1, [f"{{x}}_{i}{{x}}_{j} = {{x}}_{j}{{x}}_{i}" for i, j in far]),
-    ]
-    return [relation for relation in relations if relation[3]]
+@functools.cache
+def _rows(table: tuple, n: int, x: str) -> tuple:
+    """table's rows with a position on n strands as (names, lhs, rhs, power, *note), words as (letter, offset)."""
+    at = {"each": [(i, i + 1) for i in range(1, n)], "up": [(i, i + 1) for i in range(1, n - 1)],
+          "far": [(i, j) for i in range(1, n) for j in range(i + 2, n)]}
+    return tuple((tuple(name.format(i=i, j=j, x=x) for i, j in at[positions]),
+                  *(tuple((a[0], int(a[1:])) for a in word.split()) for word in (lhs, rhs)), *rest)
+                 for name, positions, lhs, rhs, *rest in table if at[positions])
 
 
-def _check_dense_relations(reports: list, w: np.ndarray, x: str, suffix: str,
-                           n: int, d: int, tol: float) -> None:
+def _relations(table: tuple, n: int, x: str, letters: dict):
+    """_rows(table, n, x) with each word's (letter, offset) pairs mapped to (letters[letter], offset)."""
+    for names, lhs, rhs, *rest in _rows(table, n, x):
+        yield names, [(letters[a], k) for a, k in lhs], [(letters[a], k) for a, k in rhs], *rest
+
+
+def _projector(n: int, d: int) -> np.ndarray:
+    """omega_projector(d), the letter E, once n (3..MAX_STRANDS) and the 3-strand relations' size pass."""
+    if not 3 <= n <= MAX_STRANDS:
+        raise ValueError(f"TL and Brauer relations need 3 <= n <= {MAX_STRANDS}, got {n}")
+    within_relation_limit(d, 3)
+    return omega_projector(d)
+
+
+def _check_dense_relations(reports: list, w: np.ndarray, x: str, suffix: str, n: int, d: int, tol: float) -> None:
     """X_i hermitian and each TL relation into reports[k], for X_i = w[k] on
     strands (i, i+1): one stacked pass over the (k, d^2, d^2) stack w."""
     hermitian = linalg.max_residual(w, w.conj().swapaxes(-1, -2), axis=(-2, -1))
     checks = [(f"{x}_{i} hermitian{suffix}", hermitian) for i in range(1, n)]
-    for lhs, rhs, scale, names in _tl_relations(n, d):
-        residual = relation_residual([(w, k) for k in lhs], [(w, k) for k in rhs], scale)
-        checks += [(name.format(x=x) + suffix, residual) for name in names]
+    for names, lhs, rhs, power, _ in _relations(TL_RELATIONS, n, x, {"E": w}):
+        residual = relation_residual(lhs, rhs, d ** power)
+        checks += [(name + suffix, residual) for name in names]
     for k, report in enumerate(reports):
         for name, residuals in checks:
             report.add(name, residuals[k], tol)
 
 
 def check_tl_axioms(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """E_i^2 = E_i, E_i^dag = E_i, E_i E_{i+-1} E_i = d^-2 E_i and far
-    commutativity, on dense matrices and as diagrams (structure plus exact
-    scalar bookkeeping), each relation once on the strands it touches."""
-    if not 3 <= n <= MAX_STRANDS:
-        raise ValueError(f"adjacent TL relations need 3 <= n <= {MAX_STRANDS}, got {n}")
+    """E_i^dag = E_i and TL_RELATIONS on dense matrices and as diagrams, structure plus exact scalars."""
     report = VerificationReport(f"tl-axioms n={n} d={d}")
-    _check_dense_relations([report], omega_projector(d)[None], "E", " (dense)", n, d, tol)
+    _check_dense_relations([report], _projector(n, d)[None], "E", " (dense)", n, d, tol)
     gen = dg.e_gen(1, 2)  # formed once on the strands it touches, like each relation
     self_adjoint = dg.adjoint_diagram(gen) == gen
     for i in range(1, n):
         report.add_bool(f"E_{i} self-adjoint (diagram)", self_adjoint)
-    for lhs, rhs, scale, names in _tl_relations(n, d):
-        m = max(lhs + rhs) + 1
+    for names, lhs, rhs, power, note in _relations(TL_RELATIONS, n, "E", {"E": dg.e_gen}):
+        m = max(k for _, k in lhs + rhs) + 1
         # the rightmost generator acts first, so it goes on top
-        left, right = (functools.reduce(dg.compose, [dg.e_gen(k, m) for k in reversed(word)])
+        left, right = (functools.reduce(dg.compose, [place(k, m) for place, k in reversed(word)])
                        for word in (lhs, rhs))
-        if len(rhs) == 2:  # far commutativity: both sides are one diagram
-            ok, why = left == right, ""
-        else:
-            ratio = dg.structural_ratio(left, right, d)
-            ok = ratio is not None and abs(ratio - scale) <= tol
-            why = ": loop cancels cup/cap powers" if len(lhs) == 2 else ": half-power drop -4"
+        ratio = dg.structural_ratio(left, right, d) if note else None
+        ok = (ratio is not None and abs(ratio - d ** power) <= tol) if note else left == right
         for name in names:
-            report.add_bool(name.format(x="E") + f" (diagram{why})", ok)
+            report.add_bool(f"{name} (diagram{note})", ok)
     return report
 
 
@@ -120,15 +138,14 @@ def check_tl_decorated(n: int, d: int, basis: WeylBasis | None = None,
     """The decorated idempotents Et = (U_k x 1) E (U_k x 1)^dag satisfy the
     same axioms: one report per basis element k, each chunk of the basis
     checked in one stacked pass."""
-    if n < 3:
-        raise ValueError("adjacent TL relations need n >= 3")
+    w = _projector(n, d)
     unitaries = resolve_basis(d, basis).unitaries
     step = max(1, linalg.BLOCK_ENTRIES // d ** (2 * n))
     reports = [VerificationReport(f"tl-decorated n={n} d={d} basis={k}") for k in range(1, d * d + 1)]
     for lo in range(0, d * d, step):
         u = unitaries[lo:lo + step]
         left = np.kron(u, identity(d))
-        wn = left @ omega_projector(d) @ left.conj().swapaxes(-1, -2)
+        wn = left @ w @ left.conj().swapaxes(-1, -2)
         _check_dense_relations(reports[lo:lo + step], wn, "Et", "", n, d, tol)
         for i in range(1, n):
             # one expression, so no evaluated stack outlives its comparison
@@ -140,30 +157,13 @@ def check_tl_decorated(n: int, d: int, basis: WeylBasis | None = None,
 
 
 def check_brauer_mixed(n: int, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Mixed relations between the TL idempotents and the swap crossings:
-    E_i v_i = v_i E_i = E_i, far commutativity, and the loop-parameter
-    relations v_{i+-1} v_i E_{i+-1} = d E_i E_{i+-1} = E_i v_{i+-1} v_i."""
-    if not 3 <= n <= MAX_STRANDS:
-        raise ValueError(f"mixed adjacent relations need 3 <= n <= {MAX_STRANDS}, got {n}")
+    """BRAUER_RELATIONS, the mixed relations of the TL idempotents and the swaps, on dense matrices."""
+    letters = {"E": _projector(n, d), "v": Swap(d)}
     report = VerificationReport(f"brauer-mixed n={n} d={d}")
-    w, p = omega_projector(d), Swap(d)
-    E1, E2, E3, v1, v2, v3 = (w, 1), (w, 2), (w, 3), (p, 1), (p, 2), (p, 3)
-    up, far = _positions(n)
-    relations = [  # each once on the strands it touches
-        ([E1, v1], [E1], 1, [f"E_{i} v_{i} = E_{i}" for i in range(1, n)]),
-        ([v1, E1], [E1], 1, [f"v_{i} E_{i} = E_{i}" for i in range(1, n)]),
-        ([E1, v3], [v3, E1], 1, [f"E_{i} v_{j} = v_{j} E_{i}" for i, j in far]),
-        ([E3, v1], [v1, E3], 1, [f"E_{j} v_{i} = v_{i} E_{j}" for i, j in far]),
-        ([v2, v1, E2], [E1, E2], d, [f"v_{j} v_{i} E_{j} = d E_{i} E_{j}" for i, j in up]),
-        ([E1, v2, v1], [E1, E2], d, [f"E_{i} v_{j} v_{i} = d E_{i} E_{j}" for i, j in up]),
-        ([v1, v2, E1], [E2, E1], d, [f"v_{i} v_{j} E_{i} = d E_{j} E_{i}" for i, j in up]),
-        ([E2, v1, v2], [E2, E1], d, [f"E_{j} v_{i} v_{j} = d E_{j} E_{i}" for i, j in up]),
-    ]
-    for lhs, rhs, scale, names in relations:
-        if names:  # no far pair on 3 strands
-            residual = relation_residual(lhs, rhs, scale)
-            for name in names:
-                report.add(name, residual, tol)
+    for names, lhs, rhs, power in _relations(BRAUER_RELATIONS, n, "E", letters):
+        residual = relation_residual(lhs, rhs, d ** power)
+        for name in names:
+            report.add(name, residual, tol)
     return report
 
 

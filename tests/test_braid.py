@@ -413,6 +413,15 @@ def test_relation_residual_stays_on_four_strands(monkeypatch):
         relation_residual(*adjacent)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_empty_word_is_the_identity(rng, d):
+    # on either side, as the identity factor it stands for, to the bit
+    word, one = [(random_op(rng, d), 1), (random_op(rng, d), 2)], [(identity(d * d), 1)]
+    assert relation_residual(word, []) == relation_residual(word, one) > 0
+    assert relation_residual([], word) == relation_residual(one, word) > 0
+    assert relation_residual([(swap(d), 1), (swap(d), 1)], []) == 0
+
+
 def test_relation_residual_reads_every_block():
     # at d = 5 the 125 columns of 3 strands make blocks of 64 and 61; m x 1
     # differs from the identity only in columns 120..124, all in the last one

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,84 @@ def test_wrong_generator_scalar_fails_every_diagram_ratio_check(monkeypatch, d):
     assert not any(c.passed for c in ratio_checks)
     # the dense checks, self-adjointness and far commutativity cannot see it
     assert all(c.passed for c in checks if c not in ratio_checks)
+
+
+def diagram_ratios(table, n, d):
+    """Each row of table on n strands through the diagram letters: its names with
+    whether structural_ratio of its two composed sides is d ** power."""
+    got = []
+    for names, lhs, rhs, power, *_ in tlalgebra._relations(table, n, "E", {"E": dg.e_gen, "v": dg.v_gen}):
+        m = max(k for _, k in lhs + rhs) + 1
+        left, right = (functools.reduce(dg.compose, [gen(k, m) for gen, k in reversed(word)]) for word in (lhs, rhs))
+        ratio = dg.structural_ratio(left, right, d)
+        got += [(name, ratio is not None and abs(ratio - d ** power) < 1e-12) for name in names]
+    return got
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_brauer_rows_hold_as_diagrams(d):
+    # every Brauer row, read through e_gen and v_gen, has the two sides' strand
+    # structure equal and their scalars in the ratio d ** power
+    got = diagram_ratios(tlalgebra.BRAUER_RELATIONS, 5, d)
+    assert sorted(name for name, _ in got) == brauer_check_names(5)
+    assert all(ok for _, ok in got), [name for name, ok in got if not ok]
+
+
+def mutated(table, lhs, power):
+    """table with the power of its row whose left word is lhs replaced."""
+    return tuple((*row[:4], power, *row[5:]) if row[2] == lhs else row for row in table)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_wrong_tl_row_fails_in_every_calculus(monkeypatch, d):
+    # E1 E2 E1 = d^-1 E1 in place of d^-2: its dense, diagram and decorated lines
+    # fail, and no other line does
+    monkeypatch.setattr(tlalgebra, "TL_RELATIONS", mutated(tlalgebra.TL_RELATIONS, "E1 E2 E1", -1))
+    wrong = [f"E_{i}E_{j}E_{i} = d^-2 E_{i}" for i, j in ((1, 2), (2, 3))]
+    failed = {c.identity_name for c in check_tl_axioms(4, d).checks if not c.passed}
+    assert failed == {name + suffix for name in wrong for suffix in (" (dense)", " (diagram: half-power drop -4)")}
+    for report in check_tl_decorated(4, d):
+        failed = {c.identity_name for c in report.checks if not c.passed}
+        assert failed == {name.replace("E", "Et") for name in wrong}, report.suite_name
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_wrong_brauer_row_fails_in_every_calculus(monkeypatch, d):
+    # v2 v1 E2 = d^2 E1 E2 in place of d E1 E2: its dense lines fail, and so do its
+    # diagram ratios, and nothing else
+    table = mutated(tlalgebra.BRAUER_RELATIONS, "v2 v1 E2", 2)
+    wrong = {"v_2 v_1 E_2 = d E_1 E_2", "v_3 v_2 E_3 = d E_2 E_3"}
+    assert {name for name, ok in diagram_ratios(table, 4, d) if not ok} == wrong
+    monkeypatch.setattr(tlalgebra, "BRAUER_RELATIONS", table)
+    assert {c.identity_name for c in check_brauer_mixed(4, d).checks if not c.passed} == wrong
+
+
+def test_every_entry_shares_one_strand_range():
+    for entry in (check_tl_axioms, check_tl_decorated, check_brauer_mixed):
+        for n in (2, tlalgebra.MAX_STRANDS + 1):
+            with pytest.raises(ValueError, match=f"3 <= n <= {tlalgebra.MAX_STRANDS}, got {n}$"):
+                entry(n, 2)
+
+
+@pytest.mark.parametrize("run, refused", [
+    (lambda: check_tl_axioms(3, 9), 16 * 9 ** 4),  # the projector
+    (lambda: check_brauer_mixed(3, 9), 16 * 9 ** 4),
+    (lambda: braid.check_virtual_relations(braid.Swap(9)), 16 * 9 ** 4),  # identity(81)
+    (lambda: braid.check_braid_relation(braid.Swap(40)), 8 * 40 ** 3),  # the 3-strand columns
+    (lambda: braid.embed(braid.Swap(40), 1, 3), 8 * 40 ** 3),
+], ids=["tl", "brauer", "virtual", "braid", "embed"])
+def test_refusals_form_no_array_of_the_refused_size(monkeypatch, run, refused):
+    # each relation check or embedding past the output limit is refused before
+    # it forms an array as large as one it refuses
+    monkeypatch.setattr(linalg, "MAX_OUTPUT_ENTRIES", 2 ** 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.DimensionError, match=" entries exceeds 4096"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < refused, peak
 
 
 def test_teleportation_configuration_via_swaps():
