@@ -3,20 +3,19 @@ pairs, plus the braid teleportation configuration and teleportation swapping.
 
 A strand operator is a d^2 x d^2 matrix on two adjacent strands of d-dimensional
 systems, a (..., d^2, d^2) stack the same code broadcasts over, or Swap(d), P
-moving entries.  apply_on_strands() applies it at position i of n strands in
-O(d^(n+2)) per column, never forming the d^n x d^n embedding.
-embed() forms columns of that embedding by scattering, and apply_word() the
-same columns of a word of such factors: its rightmost factor embedded, the
-others applied.  relation_residual() compares a relation written on the
-strands it touches (2 for one pair, 3 for adjacent pairs, 4 for far
-commutativity, on basis-ket probes) one block of basis-ket columns at a time:
-on n strands both sides only gain identity strands.
+moving entries.  embed() forms columns of its embedding on n strands by
+scattering, and apply_word() the same columns of a word of such factors: its
+rightmost factor embedded, the others applied in O(d^(n+2)) per column, so no
+d^n x d^n embedding is multiplied.  relation_residual() compares a relation
+written on the strands it touches (2 for one pair, 3 for adjacent pairs, 4 for
+far commutativity, on basis-ket probes) one block of basis-ket columns at a
+time: on n strands both sides only gain identity strands.
 
 A word is checked once, whatever its number of blocks: each factor's operator,
-position and local dimension (one d for both sides of a relation), then its
-columns' entry limit, before they are formed.  The kernels _embed, _apply and
-_run check nothing and are reached only through those checked entries; embed()
-and apply_on_strands() are the same checks on one factor and the same kernels.
+position and local dimension (one d for every factor of both sides of a
+relation), then its columns' entry limit, before they are formed.  The kernels
+_embed, _apply and _run check nothing and are reached only through those
+checked entries; embed() is apply_word() on one factor.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ BLOCK = 64  # basis-ket columns a relation's words are applied to at a time
 @dataclass(frozen=True)
 class Swap:
     """The swap P_d |ij> = |ji> as a strand factor, the virtual crossing:
-    apply_on_strands swaps two axes and embed puts each column's one entry at
+    applied it swaps two axes and embedded it puts each column's one entry at
     its permuted row, so no d^2 x d^2 matrix is multiplied."""
     d: int
     shape = property(lambda self: (self.d ** 2, self.d ** 2))
@@ -66,37 +65,26 @@ def _local_dimension(op) -> tuple[int, np.ndarray | Swap]:
     return d, m
 
 
-def _check_place(d: int, i: int, n: int, rows: int) -> None:
-    """Refuse a factor of local dimension d at position i of n strands applied to an
-    operand of rows rows, as apply_on_strands and a word's every other factor do."""
-    if not 1 <= i <= n - 1:
-        raise DimensionError(f"position {i} out of range for {n} strands")
-    if rows != d ** n:
-        raise DimensionError(f"operand has {rows} rows, not {d}^{n}")
-
-
 def _check_word(word, n: int, d: int | None = None, known: dict | None = None) -> tuple[int, list]:
-    """(d, factors): the (op, i) factors of word right to left, as _run takes them.
-    The rightmost is checked as embed checks it, of local dimension d (its own unless
-    given), the others as apply_on_strands does.  Each distinct operator object is
-    checked once, known mapping its id to (d, op) across the words of a relation."""
+    """(d, factors): the (op, i) factors of word right to left, as _run takes them, each
+    at a position 1..n-1 and of local dimension d (the rightmost factor's unless given).
+    Each distinct operator object is checked once, known mapping its id to (d, op)
+    across the words of a relation."""
     known, factors = {} if known is None else known, []
     for op, i in reversed(word):
         if id(op) not in known:
             known[id(op)] = _local_dimension(op)
         dk, op = known[id(op)]
-        if factors:
-            _check_place(dk, i, n, d ** n)
-        else:  # the rightmost factor, embedded
-            d = dk if d is None else d
-            if not 1 <= i <= n - 1 or dk != d:
-                raise DimensionError(f"factor at {i} (d={dk}) does not fit {n} strands of d={d}")
+        d = dk if d is None else d
+        if not 1 <= i <= n - 1 or dk != d:
+            raise DimensionError(f"factor at {i} (d={dk}) does not fit {n} strands of d={d}")
         factors.append((op, i))
     return d, factors
 
 
 def _apply(op, i: int, n: int, x: np.ndarray, d: int) -> np.ndarray:
-    """apply_on_strands' product, checking nothing."""
+    """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based i, for x
+    with d^n rows on axis -2, checking nothing: the embedding is never formed."""
     lead = x.shape[:-2]
     if isinstance(op, Swap):  # entries moved, none multiplied
         return x.reshape(*lead, d ** (i - 1), d, d, -1).swapaxes(-3, -2).reshape(x.shape)
@@ -127,16 +115,6 @@ def _run(factors: list, n: int, cols: np.ndarray, d: int) -> np.ndarray:
     for op, i in rest:  # a loop, not reduce: reduce would keep the embedding alive
         out = _apply(op, i, n, out, d)
     return out
-
-
-def apply_on_strands(op, i: int, n: int, x) -> np.ndarray:
-    """(1 x ... x op x ... x 1) @ x with op on strands (i, i+1) of n, 1-based
-    i, for a ket x of d^n entries or x with d^n rows on axis -2; the embedding
-    is never formed."""
-    d, op = _local_dimension(op)
-    x = np.asarray(x)
-    _check_place(d, i, n, x.shape[-2:][0])
-    return _apply(op, i, n, x, d)
 
 
 def embed(op, i: int, n: int, cols=None) -> np.ndarray:
@@ -182,6 +160,8 @@ def relation_residual(lhs, rhs, scale=1) -> float:
     most 3 strands, PROBES of them on 4 or more (far commutativity, Freivalds,
     IFIP 1977), so a misplaced factor fails and no d^2n product is formed.
     Stacked operators give one residual per operator, as an array."""
+    if not lhs and not rhs:
+        raise DimensionError("a relation needs a factor in at least one of its words")
     n = max(i for _, i in (*lhs, *rhs)) + 1
     known = {}
     d, lhs = _check_word(lhs, n, known=known)

@@ -204,8 +204,7 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 def cmd_verify(args) -> int:
     # one check for every suite, before any runs: `all` refuses a bad --n at once,
     # and the suites that never read it do not ignore it
-    if not 3 <= args.n <= tlalgebra.MAX_STRANDS:
-        raise ValueError(f"strand count needs 3 <= n <= {tlalgebra.MAX_STRANDS}, got {args.n}")
+    tlalgebra.within_strand_range(args.n)
     cfg = RunConfig(dimension=args.d, strands=args.n, tolerance=args.tol, seed=args.seed)
     return _emit(run_suite(args.suite, cfg), args.format)
 

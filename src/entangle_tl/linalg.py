@@ -10,7 +10,7 @@ is a thin layer over numpy.  The operand rules every module shares are each
 written once, here: as_operator(s), as_ket, non_unitary and within_limit.
 contract() is the one planned tensor contraction.
 Operators on a pair of strands are never embedded here as kron(1, op, 1):
-braid.apply_on_strands applies them locally.
+braid.apply_word applies them locally.
 """
 
 from __future__ import annotations

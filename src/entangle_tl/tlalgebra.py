@@ -7,9 +7,10 @@ through a map from letter to factor.  On the dense side E is the maximally
 entangled projector, or a stack of decorated ones, and v the swap, compared by
 braid.relation_residual, which reads an empty word as the identity; on the
 diagram side E is dg.e_gen, composed and compared by dg.structural_ratio.
-check_tl_decorated evaluates one decorated diagram per position for a stack of
-basis elements at a time, within linalg.BLOCK_ENTRIES entries.  The flow
-diagram is its eight decorated projectors composed.
+check_tl_decorated compares its decorated diagram with the stack of decorated
+projectors once, on the two strands it touches, for a stack of basis elements
+at a time within linalg.BLOCK_ENTRIES entries, and reports that residual at
+every position.  The flow diagram is its eight decorated projectors composed.
 """
 
 from __future__ import annotations
@@ -92,10 +93,15 @@ def _relations(table: tuple, n: int, x: str, letters: dict):
         yield names, [(letters[a], k) for a, k in lhs], [(letters[a], k) for a, k in rhs], *rest
 
 
-def _projector(n: int, d: int) -> np.ndarray:
-    """omega_projector(d), the letter E, once n (3..MAX_STRANDS) and the 3-strand relations' size pass."""
+def within_strand_range(n: int) -> None:
+    """Refuse a strand count n outside 3..MAX_STRANDS, the one range of the TL and Brauer checks and --n."""
     if not 3 <= n <= MAX_STRANDS:
-        raise ValueError(f"TL and Brauer relations need 3 <= n <= {MAX_STRANDS}, got {n}")
+        raise ValueError(f"strand count needs 3 <= n <= {MAX_STRANDS}, got {n}")
+
+
+def _projector(n: int, d: int) -> np.ndarray:
+    """omega_projector(d), the letter E, once n and the 3-strand relations' size pass."""
+    within_strand_range(n)
     within_relation_limit(d, 3)
     return omega_projector(d)
 
@@ -146,12 +152,12 @@ def check_tl_decorated(n: int, d: int, basis: WeylBasis | None = None,
         u = unitaries[lo:lo + step]
         left = np.kron(u, identity(d))
         wn = left @ w @ left.conj().swapaxes(-1, -2)
-        _check_dense_relations(reports[lo:lo + step], wn, "Et", "", n, d, tol)
-        for i in range(1, n):
-            # one expression, so no evaluated stack outlives its comparison
-            residuals = linalg.max_residual(dg.evaluate(decorated_e_gen(i, n, "u"), d, {"u": u}),
-                                            embed(wn, i, n), axis=(-2, -1))
-            for report, residual in zip(reports[lo:lo + step], residuals):
+        chunk = reports[lo:lo + step]
+        _check_dense_relations(chunk, wn, "Et", "", n, d, tol)
+        # on the two strands it touches: on n strands both sides only gain identity strands
+        residuals = linalg.max_residual(dg.evaluate(decorated_e_gen(1, 2, "u"), d, {"u": u}), wn, axis=(-2, -1))
+        for report, residual in zip(chunk, residuals):
+            for i in range(1, n):
                 report.add(f"decorated diagram evaluates to Et_{i}", residual, tol)
     return reports
 

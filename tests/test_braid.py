@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entangle_tl import braid, linalg
-from entangle_tl.braid import (Swap, apply_on_strands, apply_word, braid_teleport_config,
+from entangle_tl.braid import (Swap, apply_word, braid_teleport_config,
                                check_braid_closed_form, check_braid_relation,
                                check_teleport_swapping, check_virtual_mixed,
                                check_virtual_relations, embed, relation_residual, swap,
@@ -90,15 +90,16 @@ def test_swap_is_the_permutation_matrix():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_swap_factor_equals_the_dense_swap_bit_for_bit(rng, d):
     # the factor moves entries where the dense swap multiplies by 0 and 1:
-    # applied to a ket, a block of columns or a stack of blocks, and embedded
-    # on all columns or some, the results agree to the bit
+    # applied to the columns of a random operator or of a stack of them, and
+    # embedded on all columns or some, the results agree to the bit
     factor, dense = Swap(d), swap(d)
     for n in range(2, 6):
         cols = rng.choice(d ** n, min(5, d ** n), replace=False)
-        block = rng.normal(size=(2, d ** n, 3)) + 1j * rng.normal(size=(2, d ** n, 3))
+        stack = rng.normal(size=(2, d * d, d * d)) + 1j * rng.normal(size=(2, d * d, d * d))
         for i in range(1, n):
-            for x in (block[0, :, 0], block[0], block):
-                assert np.array_equal(apply_on_strands(factor, i, n, x), apply_on_strands(dense, i, n, x))
+            for first in (stack[0], stack):
+                assert np.array_equal(apply_word([(factor, i), (first, n - i)], n, cols),
+                                      apply_word([(dense, i), (first, n - i)], n, cols))
             assert np.array_equal(embed(factor, i, n, cols), embed(dense, i, n, cols))
             if d ** n <= 256:
                 assert np.array_equal(embed(factor, i, n), embed(dense, i, n))
@@ -219,15 +220,16 @@ def test_embed_locality_far_commutes(rng):
 
 
 def test_strand_operator_validation():
+    # as the rightmost factor, embedded, and as a factor applied after it
     x = np.eye(9)
     with pytest.raises(linalg.DimensionError):
-        apply_on_strands(np.eye(3), 1, 2, x)  # 3 is not a perfect square
+        apply_word([(np.eye(3), 1), (x, 1)], 2)  # 3 is not a perfect square
     with pytest.raises(linalg.DimensionError):
         apply_word([(np.eye(3), 1)], 2)
     with pytest.raises(linalg.DimensionError):
-        apply_on_strands(np.eye(9)[:, :3], 1, 2, x)  # not square
+        apply_word([(np.eye(9)[:, :3], 1), (x, 1)], 2)  # not square
     with pytest.raises(ValueError, match="finite"):
-        apply_on_strands(np.full((9, 9), np.nan), 1, 2, x)
+        apply_word([(np.full((9, 9), np.nan), 1), (x, 1)], 2)
     assert apply_word([(np.eye(9), 1)], 2).shape == (9, 9)  # d = 3 derived from 9 x 9
 
 
@@ -247,11 +249,10 @@ def random_op(rng, d):
 
 @pytest.mark.parametrize("d,n,i", STRAND_CASES)
 def test_apply_on_strands_matches_kron(rng, d, n, i):
-    op = random_op(rng, d)
-    x = rng.normal(size=(d ** n, 3)) + 1j * rng.normal(size=(d ** n, 3))
-    dense = dense_embed(op, i, n, d)
-    assert max_residual(apply_on_strands(op, i, n, x), dense @ x) < 1e-12
-    assert max_residual(apply_on_strands(op, i, n, x[:, 0]), dense @ x[:, 0]) < 1e-12
+    # a factor applied, not embedded, on strands (i, i+1): the left factor of a two-factor word
+    op, first = random_op(rng, d), random_op(rng, d)
+    dense = dense_embed(op, i, n, d) @ dense_embed(first, n - i, n, d)
+    assert max_residual(apply_word([(op, i), (first, n - i)], n), dense) < 1e-12 * max(1.0, np.abs(dense).max())
 
 
 @pytest.mark.parametrize("d,n,i", STRAND_CASES)
@@ -275,14 +276,13 @@ def test_strand_product_matches_chained_embeds(rng, d, n):
 
 def test_strand_positions_out_of_range_raise():
     b = bell_matrix()
-    x = np.eye(8)
     for i in (0, 3):
         with pytest.raises(linalg.DimensionError):
-            apply_on_strands(b, i, 3, x)
+            apply_word([(b, i), (b, 1)], 3)
         with pytest.raises(linalg.DimensionError):
             apply_word([(b, 1), (b, i)], 3)
     with pytest.raises(linalg.DimensionError):
-        apply_on_strands(b, 1, 3, np.eye(4))  # 4 rows, not 2^3
+        apply_word([(swap(3), 2), (b, 1)], 3)  # a d = 3 factor applied to 2^3 rows
     with pytest.raises(linalg.DimensionError):
         apply_word([(b, 1), (swap(3), 2)], 3)  # mixed local dimensions
     for cols in ([8], [-1]):
@@ -420,6 +420,12 @@ def test_empty_word_is_the_identity(rng, d):
     assert relation_residual(word, []) == relation_residual(word, one) > 0
     assert relation_residual([], word) == relation_residual(one, word) > 0
     assert relation_residual([(swap(d), 1), (swap(d), 1)], []) == 0
+
+
+def test_a_relation_of_two_empty_words_is_refused():
+    # no factor gives neither a strand count nor a dimension
+    with pytest.raises(linalg.DimensionError, match="a relation needs a factor in at least one of its words"):
+        relation_residual([], [])
 
 
 def test_relation_residual_reads_every_block():

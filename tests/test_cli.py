@@ -381,6 +381,25 @@ def test_far_commutation_fails_a_misplaced_factor(monkeypatch, capsys, d):
     assert seen == FAR_CHECKS
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_tl_diagrams_fail_a_misplaced_generator(monkeypatch, capsys, d):
+    # dg.place puts a pair at i >= 2 one strand to the left: the four diagram lines of
+    # the adjacent relations and the far one fail (the decorated diagram, compared on
+    # the two strands it touches, i = 1, does not see this mutant)
+    place, caches = dg.place, (dg.e_gen, tlalgebra.decorated_e_gen, tlalgebra.closed_flow_diagram)
+    monkeypatch.setattr(dg, "place", lambda diag, i, n: place(diag, i - 1 if i >= 2 else i, n))
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        assert main(["verify", "tl", "--d", str(d), "--n", "4", "--format", "json"]) == 1
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    failed = [c["identity_name"].split(": ", 1)[1] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"] and "(diagram" in c["identity_name"]]
+    assert len(failed) == 5, failed
+
+
 @pytest.mark.parametrize("suite", ["tl", "brauer"])
 def test_relations_past_the_old_strand_guard_pass(suite, capsys):
     # d^(2n) = 3^18 entries, refused while each relation was formed on all n strands

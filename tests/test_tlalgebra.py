@@ -71,6 +71,20 @@ def test_tl_decorated_reports_do_not_depend_on_the_chunk(monkeypatch, d, n):
     assert len(reports[0]) == d * d
 
 
+def test_tl_decorated_forms_no_d6_array():
+    # each decorated diagram is compared with its projector on the two strands it
+    # touches: at d = 8 on 3 strands the peak stays below one complex d^6 array (4.2 MB)
+    d = 8
+    tracemalloc.start()
+    try:
+        reports = check_tl_decorated(3, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(report.overall_pass for report in reports)
+    assert peak < 16 * d ** 6, peak
+
+
 def test_tl_decorated_sigma1_direct_products():
     # d=2, U = sigma1 (basis element 3 of the clock-shift family): direct
     # 8x8 products
