@@ -126,7 +126,9 @@ def embed(op, i: int, n: int, cols=None) -> np.ndarray:
 def apply_word(word, n: int, cols=None) -> np.ndarray:
     """Columns cols (all by default) of the d^n x d^n product of the (op, i)
     factors of word, written left to right: the rightmost factor's columns are
-    embedded and the others applied to them, right to left."""
+    embedded and the others applied to them, right to left; an empty word has no d."""
+    if not word:
+        raise DimensionError("apply_word needs a factor: an empty word has no local dimension")
     d, factors = _check_word(word, n)
     count = d ** n if cols is None else len(cols)
     linalg.within_limit(d ** n * count, f"embedding of {d}^{n} x {count}")  # before the columns are formed

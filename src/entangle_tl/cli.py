@@ -147,8 +147,7 @@ def run_suite(suite: str, cfg: RunConfig) -> VerificationReport:
 
 
 def _parse_psi(text: str, d: int) -> np.ndarray:
-    """'uniform', 'basisK' or comma-separated amplitudes, held to linalg.as_ket
-    and normalized."""
+    """'uniform', 'basisK' or comma-separated amplitudes, held to linalg.as_state."""
     if text == "uniform":
         return np.ones(d, dtype=np.complex128) / np.sqrt(d)
     if text.startswith("basis"):
@@ -157,10 +156,7 @@ def _parse_psi(text: str, d: int) -> np.ndarray:
         except ValueError:
             raise ValueError(f"a basis state is basisK with an integer K, got {text!r}") from None
         return linalg.basis_ket(d, k)
-    v = linalg.as_ket([complex(p.strip().replace("i", "j")) for p in text.split(",")], d, "psi")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("psi must be normalized")
-    return v
+    return linalg.as_state([complex(p.strip().replace("i", "j")) for p in text.split(",")], d, "psi")
 
 
 def _parse_pairs(entry, ndim: int, message: str) -> np.ndarray:

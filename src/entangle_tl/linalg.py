@@ -7,7 +7,7 @@ kron(A, B) acts on the composite space the usual way.
 
 All helpers validate shapes and reject non-finite entries; everything else
 is a thin layer over numpy.  The operand rules every module shares are each
-written once, here: as_operator(s), as_ket, non_unitary and within_limit.
+written once, here: as_operator(s), as_ket, as_state, non_unitary and within_limit.
 contract() is the one planned tensor contraction.
 Operators on a pair of strands are never embedded here as kron(1, op, 1):
 braid.apply_word applies them locally.
@@ -29,8 +29,8 @@ DEFAULT_TOL = 1e-10
 # per operator of a stack, which its caller bounds.
 MAX_OUTPUT_ENTRIES = 2 ** 24
 
-# Most entries a blocked pass holds per array: a chunk of the decorated TL
-# basis (tlalgebra.check_tl_decorated) or of the tight-scheme terms.
+# Most entries a blocked pass holds per array: the tight-scheme terms, or a decorated
+# TL chunk's two relation words together (tlalgebra.check_tl_decorated).
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -94,6 +94,14 @@ def as_ket(v, d: int, what: str, stacked: bool = False) -> np.ndarray:
     return a
 
 
+def as_state(v, d: int, what: str) -> np.ndarray:
+    """v as as_ket(v, d, what) returns it, refused unless its norm is 1 within 1e-9."""
+    a = as_ket(v, d, what)
+    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
+        raise ValueError(f"{what} must be normalized")
+    return a
+
+
 def non_unitary(stack, tol: float = 1e-9) -> np.ndarray:
     """The flat indices n of the (..., d, d) stack with max|U_n U_n^dag - 1| >
     tol, formed in the product itself; nan counts as above tol."""
@@ -134,10 +142,6 @@ def basis_ket(d: int, i: int) -> np.ndarray:
 def product_ket(d: int, *indices: int) -> np.ndarray:
     """|i j k ...> in the d-adic composite-index convention."""
     return kron_vec(*(basis_ket(d, i) for i in indices))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
 
 
 def inner(u, v) -> complex:

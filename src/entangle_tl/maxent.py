@@ -189,9 +189,7 @@ def partial_inner_ca_ab(bra_ca, ket_ab, d: int) -> np.ndarray:
 
 def transfer_composition(u, v, d: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """<Phi(U)|_CA |Phi(V^T)>_AB = (1/d) (V U^dag) composed with the transfer map."""
-    u, v = linalg.as_operator(u, d, "operators"), linalg.as_operator(v, d, "operators")
-    if not (linalg.is_unitary(u, tol=1e-9) and linalg.is_unitary(v, tol=1e-9)):
-        raise ValueError("transfer composition expects unitary operators")
+    u, v = linalg.as_operators([u, v], d, ("U", "V"), unitary=True)
     report = VerificationReport("transfer-composition")
     got = partial_inner_ca_ab(phi_of(u, d), phi_of(v.T, d), d)
     expected = (v @ u.conj().T) / d

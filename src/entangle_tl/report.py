@@ -32,7 +32,7 @@ class VerificationReport:
 
     suite_name: str
     checks: list[CheckResult] = field(default_factory=list)
-    details: list[str | Callable[[], Iterable[str]]] = field(default_factory=list)
+    details: list[Callable[[], Iterable[str]]] = field(default_factory=list)
 
     def add(self, identity_name: str, max_residual: float, tol: float) -> CheckResult:
         if not 0 < tol < float("inf"):  # nan would fail every check and inf pass every one
@@ -48,8 +48,8 @@ class VerificationReport:
         bisect.insort(self.checks, result, key=lambda c: c.identity_name)
         return result
 
-    def note(self, line: str | Callable[[], Iterable[str]]) -> None:
-        self.details.append(line)  # or a function giving lines, called by lines() only
+    def note(self, lines: Callable[[], Iterable[str]]) -> None:
+        self.details.append(lines)  # a function giving lines, called by lines() only
 
     @property
     def overall_pass(self) -> bool:
@@ -73,7 +73,7 @@ class VerificationReport:
             status = "PASS" if c.passed else "FAIL"
             yield f"  [{status}] {c.identity_name}  residual={c.max_residual:.3e}"
         for d in self.details:
-            yield from ("  " + line for line in (d() if callable(d) else [d]))
+            yield from ("  " + line for line in d())
         verdict = "pass" if self.overall_pass else "FAIL"
         yield f"suite {self.suite_name}: {verdict} ({len(self.checks)} checks)"
 

@@ -4,7 +4,8 @@ Covers the standard qubit expansion in the Bell basis, its rewrites through
 the entangling matrix B and through the swap/virtual-crossing form, the
 measurement formulation at general dimension, the qudit resolution summing
 those measurement branches, a Monte Carlo protocol simulation, and the
-characteristic trace equations of the tight schemes.
+characteristic trace equations of the tight schemes.  Every psi is held to
+linalg.as_state, and every default basis comes from maxent.resolve_basis.
 
 The B-matrix and virtual-crossing forms are identities of linear maps of
 Charlie's qubit, and each is compared as one: the 8 x 2 matrix psi -> output,
@@ -30,17 +31,10 @@ import numpy as np
 from . import linalg
 from .braid import braid_teleport_config, teleport_swap
 from .linalg import DEFAULT_TOL, identity, kron
-from .maxent import WeylBasis, omega, omega_kets, resolve_basis, weyl_basis
-from .maxent import omega_n  # noqa: F401  unused here; perfbench's test_tracer_rebinds_aliases_and_defaults wraps it
+from .maxent import WeylBasis, omega, omega_kets, resolve_basis
+from .maxent import omega_n, weyl_basis  # noqa: F401  perfbench's tracer test looks both up here
 from .qubit import BellKind, bell_matrix, bell_state, pauli, permutation_qubit, sigma_vec_11
 from .report import VerificationReport
-
-
-def _require_unit(v, d: int, what="state"):
-    v = linalg.as_ket(v, d, "psi")
-    if abs(linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"{what} must be normalized")
-    return v
 
 
 def _bell_corrections() -> list[tuple[BellKind, np.ndarray]]:
@@ -56,7 +50,7 @@ def _bell_corrections() -> list[tuple[BellKind, np.ndarray]]:
 def teleport_equation_qubit_check(a: complex, b: complex, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|psi>_C |phi+>_AB = (1/2) sum over Bell branches with corrections
     (1, s3, s1, -i s2)."""
-    psi = _require_unit(np.array([a, b], dtype=np.complex128), 2, "(a, b)")
+    psi = linalg.as_state(np.array([a, b], dtype=np.complex128), 2, "(a, b)")
     report = VerificationReport("teleport-equation-qubit")
     lhs = linalg.kron_vec(psi, bell_state(BellKind.PHI_PLUS))
     rhs = np.zeros(8, dtype=np.complex128)
@@ -156,8 +150,8 @@ def measurement_form(d: int, psi, basis: WeylBasis | None = None) -> np.ndarray:
     (1/d)|Omega_n> x U_n^dag|psi> for every n.  The projector is rank one on CA,
     so the residual is max|Omega_n| max|branch_n - U_n^dag psi / d|, a guard
     held to DEFAULT_TOL (ValueError above it), not a check held to --tol."""
-    basis = basis if basis is not None else weyl_basis(d)
-    psi = _require_unit(psi, d)
+    psi = linalg.as_state(psi, d, "psi")
+    basis = resolve_basis(d, basis)
     kets = omega_kets(d, basis)
     state = np.outer(psi, omega(d)).reshape(d * d, d)  # |psi>_C x |Omega>_AB, row CA and column B
     branches = np.einsum("nk,kb->nb", kets.conj(), state)  # numpy's loop, not BLAS: keeps simulate's bits
@@ -178,8 +172,8 @@ def branch_weights_check(d: int, psi, basis: WeylBasis | None = None, tol: float
 
 def qudit_resolution_check(d: int, psi, basis: WeylBasis | None = None, tol: float = DEFAULT_TOL) -> VerificationReport:
     """|psi> x |Omega> = (1/d) sum_n |Omega_n> x U_n^dag |psi>: K^T times the rows U_n^dag psi / d."""
-    basis = basis if basis is not None else weyl_basis(d)
-    psi = _require_unit(psi, d)
+    psi = linalg.as_state(psi, d, "psi")
+    basis = resolve_basis(d, basis)
     report = VerificationReport("qudit-resolution")
     lhs = linalg.kron_vec(psi, omega(d))
     rhs = omega_kets(d, basis).T @ (psi @ basis.unitaries.conj() / d)  # row CA, column B
@@ -237,8 +231,8 @@ def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, se
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    basis = basis if basis is not None else weyl_basis(d)
-    psi = _require_unit(psi, d)
+    psi = linalg.as_state(psi, d, "psi")
+    basis = resolve_basis(d, basis)
     branches = measurement_form(d, psi, basis)
     # np.linalg.norm of each row to the bit: it too sums two real dot products
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
@@ -259,8 +253,8 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     linalg.BLOCK_ENTRIES // d^2 at a time, so d <= 16 is one block (one
     linalg.contract call).
     """
-    basis = basis if basis is not None else weyl_basis(d)
     rho, obs = linalg.as_operator(rho, d, "rho and O"), linalg.as_operator(obs, d, "rho and O")
+    basis = resolve_basis(d, basis)
     report = VerificationReport("tight-teleportation")
     target = np.trace(rho @ obs)
     w = omega(d).reshape(d, d)

@@ -8,9 +8,10 @@ entangled projector, or a stack of decorated ones, and v the swap, compared by
 braid.relation_residual, which reads an empty word as the identity; on the
 diagram side E is dg.e_gen, composed and compared by dg.structural_ratio.
 check_tl_decorated compares its decorated diagram with the stack of decorated
-projectors once, on the two strands it touches, for a stack of basis elements
-at a time within linalg.BLOCK_ENTRIES entries, and reports that residual at
-every position.  The flow diagram is its eight decorated projectors composed.
+projectors once, on the two strands it touches, and reports that residual at
+every position; it takes basis elements in chunks whose two relation words
+(braid.BLOCK columns of d^3 rows per element) hold linalg.BLOCK_ENTRIES
+entries at most.  The flow diagram is its eight decorated projectors composed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from . import diagram as dg
-from .braid import Swap, embed, relation_residual, within_relation_limit
+from .braid import BLOCK, Swap, embed, relation_residual, within_relation_limit
 from .linalg import DEFAULT_TOL, identity
 from .maxent import WeylBasis, clock, omega_projector, resolve_basis
 from .report import VerificationReport
@@ -146,7 +147,7 @@ def check_tl_decorated(n: int, d: int, basis: WeylBasis | None = None,
     checked in one stacked pass."""
     w = _projector(n, d)
     unitaries = resolve_basis(d, basis).unitaries
-    step = max(1, linalg.BLOCK_ENTRIES // d ** (2 * n))
+    step = max(1, linalg.BLOCK_ENTRIES // (2 * d ** 3 * min(BLOCK, d ** 3)))  # a relation's two blocks per element
     reports = [VerificationReport(f"tl-decorated n={n} d={d} basis={k}") for k in range(1, d * d + 1)]
     for lo in range(0, d * d, step):
         u = unitaries[lo:lo + step]

@@ -428,6 +428,13 @@ def test_a_relation_of_two_empty_words_is_refused():
         relation_residual([], [])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_word_refuses_an_empty_word_by_name(n):
+    # no factor gives no d, so d ** n is never reached
+    with pytest.raises(linalg.DimensionError, match="apply_word needs a factor: an empty word has no local dimension"):
+        apply_word([], n)
+
+
 def test_relation_residual_reads_every_block():
     # at d = 5 the 125 columns of 3 strands make blocks of 64 and 61; m x 1
     # differs from the identity only in columns 120..124, all in the last one

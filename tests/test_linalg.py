@@ -116,6 +116,12 @@ OPERAND_RULES = [  # (call, its result, or the (class, message) it raises)
     (lambda: linalg.within_limit(linalg.MAX_OUTPUT_ENTRIES, "output of 2^24"), None),
     (lambda: linalg.within_limit(linalg.MAX_OUTPUT_ENTRIES + 1, "output of 2^24 + 1"),
      (DimensionError, "output of 2^24 + 1 entries exceeds 16777216")),
+    (lambda: linalg.as_state([1, 1], 2, "psi"), (ValueError, "psi must be normalized")),
+    (lambda: linalg.as_state([1 + 2e-9, 0], 2, "(a, b)"), (ValueError, "(a, b) must be normalized")),
+    (lambda: linalg.as_state(np.ones(3) / np.sqrt(3), 2, "psi"), (DimensionError, "psi must have dimension 2")),
+    (lambda: linalg.as_state([np.nan, 0], 2, "psi"), (ValueError, "vector entries must be finite")),
+    (lambda: linalg.as_state([0.6, 0.8j], 2, "psi").tolist(), [0.6, 0.8j]),
+    (lambda: linalg.as_state([1 + 5e-10, 0], 2, "psi").tolist(), [1 + 5e-10, 0]),  # within 1e-9 of unit norm
 ]
 
 

@@ -317,8 +317,12 @@ def test_transfer_composition_u_equals_v_random(rng):
 
 
 def test_transfer_composition_rejects_nonunitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^U is not unitary$"):
         transfer_composition(np.diag([1.0, 2.0]), identity(2), 2)
+    with pytest.raises(ValueError, match="^V is not unitary$"):
+        transfer_composition(identity(2), np.diag([1.0, 2.0]), 2)
+    with pytest.raises(linalg.DimensionError, match="^V must be 2x2"):
+        transfer_composition(identity(2), identity(3), 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])

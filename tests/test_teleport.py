@@ -49,8 +49,14 @@ def test_qubit_equation_expansion_oracle(rng):
 
 
 def test_qubit_equation_rejects_unnormalized():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^\\(a, b\\) must be normalized$"):
         teleport_equation_qubit_check(1.0, 1.0)
+
+
+@pytest.mark.parametrize("entry", [measurement_form, branch_weights_check, qudit_resolution_check, simulate])
+def test_psi_entries_refuse_an_unnormalized_psi_by_name(entry):
+    with pytest.raises(ValueError, match="^psi must be normalized$"):
+        entry(2, np.array([1.0, 1.0]))
 
 
 def test_bell_matrix_form():
@@ -405,8 +411,8 @@ def test_text_emission_holds_a_few_rows_not_the_whole_text():
 def test_the_dense_coding_table_is_formatted_for_text_reports_only(monkeypatch, capsys):
     # every deferred detail counts its calls: only `verify dense` as text formats the table
     calls, note = [], VerificationReport.note
-    monkeypatch.setattr(VerificationReport, "note", lambda self, line: note(
-        self, (lambda: calls.append(self.suite_name) or line()) if callable(line) else line))
+    monkeypatch.setattr(VerificationReport, "note", lambda self, lines: note(
+        self, lambda: calls.append(self.suite_name) or lines()))
     assert main(["verify", "dense", "--d", "8", "--format", "json"]) == 0
     assert main(["verify", "all", "--d", "3"]) == 0  # `verify all` drops the details
     assert calls == []

@@ -65,7 +65,7 @@ def test_tl_decorated_reports_do_not_depend_on_the_chunk(monkeypatch, d, n):
     # boundary inside the basis, and d^2 elements make one stack
     reports = []
     for per_chunk in (1, 2, d * d):
-        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", per_chunk * d ** (2 * n))
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 2 * per_chunk * d ** 3 * min(braid.BLOCK, d ** 3))
         reports.append([r.to_dict() for r in check_tl_decorated(n, d)])
     assert reports[0] == reports[1] == reports[2]
     assert len(reports[0]) == d * d
