@@ -446,7 +446,8 @@ def _plan_network(diag: DecoratedDiagram) -> tuple:
 def brute_force_evaluate(diag: DecoratedDiagram, d: int, ops: dict | None = None) -> np.ndarray:
     """Oracle evaluation: build the full tensor network node by node
     (normalized cup/cap tensors, one matrix node per decoration) and contract
-    every internal index by linalg.contract, a program compiled once per network.
+    every internal index by linalg.contract: plain pairwise einsums along numpy's
+    greedy path, planned once per (subscripts, shapes).
 
     Shares no strand walking or flavor logic with evaluate(), only the size
     check, labels, letters and operator lookup; agreement between the two is

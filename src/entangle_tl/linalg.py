@@ -7,8 +7,10 @@ kron(A, B) acts on the composite space the usual way.
 
 All helpers validate shapes and reject non-finite entries; everything else
 is a thin layer over numpy.  The operand rules every module shares are each
-written once, here: as_operator(s), as_ket, as_state, non_unitary and within_limit.
-contract() is the one planned tensor contraction.
+written once, here: as_operator(s), as_ket, as_state, non_unitary and within_limit,
+with the one guard bound GUARD_TOL.  _plan holds numpy's greedy contraction path
+per (subscripts, shapes), and two entries run it: einsum() as numpy's own einsum
+(its BLAS kernels) and contract() as plain pairwise einsums (the diagram oracle).
 Operators on a pair of strands are never embedded here as kron(1, op, 1):
 braid.apply_word applies them locally.
 """
@@ -16,13 +18,16 @@ braid.apply_word applies them locally.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 # The default --tol, the bound of every reported check: each identity resolves
 # far below it in double precision, the flow's (near 1e-15 up to d = 64) too.
 DEFAULT_TOL = 1e-10
+
+# The bound of every input guard: a normalised ket, a unitary, a trace-orthogonal
+# basis and the tables it is built from are each refused past it.
+GUARD_TOL = 1e-9
 
 # Largest array, in entries, a diagram evaluation, a strand embedding or a Weyl
 # basis may allocate (256 MiB of complex128), and most entries a relation walks:
@@ -95,14 +100,14 @@ def as_ket(v, d: int, what: str, stacked: bool = False) -> np.ndarray:
 
 
 def as_state(v, d: int, what: str) -> np.ndarray:
-    """v as as_ket(v, d, what) returns it, refused unless its norm is 1 within 1e-9."""
+    """v as as_ket(v, d, what) returns it, refused unless its norm is 1 within GUARD_TOL."""
     a = as_ket(v, d, what)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(a) - 1.0) > GUARD_TOL:
         raise ValueError(f"{what} must be normalized")
     return a
 
 
-def non_unitary(stack, tol: float = 1e-9) -> np.ndarray:
+def non_unitary(stack, tol: float = GUARD_TOL) -> np.ndarray:
     """The flat indices n of the (..., d, d) stack with max|U_n U_n^dag - 1| >
     tol, formed in the product itself; nan counts as above tol."""
     off = stack @ stack.conj().swapaxes(-1, -2)
@@ -177,67 +182,35 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return not non_unitary(m[None], tol).size
 
 
+def einsum(spec: str, *operands) -> np.ndarray:
+    """np.einsum(spec, *operands, optimize=True) to the bit: numpy's own kernels along
+    the greedy path _plan holds for these shapes, so no path is searched per call."""
+    return np.einsum(spec, *operands, optimize=_plan(spec, tuple(op.shape for op in operands))[0])
+
+
 def contract(spec: str, *operands) -> np.ndarray:
-    """np.einsum(spec, *operands, optimize=True) to the bit, running only the
-    steps _program compiled for these shapes: no path is searched or parsed,
-    and no operand is reshaped to its own shape or transposed in place."""
+    """The einsum spec over operands, contracted pairwise along _plan's greedy path,
+    each step one plain np.einsum (numpy's C loop, no BLAS and no further planning)."""
     ops = list(operands)
-    for inds, eq, prep, combine, shape, perm in _program(spec, tuple(op.shape for op in ops)):
-        taken = [ops.pop(i) for i in inds]
-        if prep is None:  # not a pairwise step: one einsum
-            ops.append(np.einsum(eq, *taken))
-            continue
-        for k, (lay, laid) in enumerate(prep):  # each operand laid out, then multiplied or matmul'd
-            x = taken[k] if lay is None else lay(taken[k])
-            taken[k] = x if laid is None else x.reshape(laid)
-        out = combine(*taken)
-        out = out if shape is None else out.reshape(shape)
-        ops.append(out if perm is None else out.transpose(perm))
+    for inds, eq in _plan(spec, tuple(op.shape for op in ops))[1]:
+        ops.append(np.einsum(eq, *[ops.pop(i) for i in inds]))
     return ops[0]
 
 
 @functools.lru_cache(maxsize=128)
-def _program(spec: str, shapes: tuple) -> tuple:
-    """Each step along numpy's greedy path as (positions popped, subscripts, and
-    _pair's plan or four Nones), read from np.einsum_path's output: the path,
-    and each step's subscripts from its line of the report ("current" column)."""
-    path, info = np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")
-    dims = {ix: n for term, s in zip(spec.split("->")[0].split(","), shapes) for ix, n in zip(term, s) if n != 1}
-    current, program = list(shapes), []
-    for inds, line in zip(path[1:], info.splitlines()[1 - len(path):]):  # the report ends with a line per step
-        inds, eq = tuple(sorted(inds, reverse=True)), line.split()[1]  # popped right to left, as numpy does
-        taken = [current.pop(i) for i in inds]
-        current.append(tuple(dims.get(ix, 1) for ix in eq.split("->")[1]))
-        program.append((inds, eq, *(_pair(eq, *taken) if len(inds) == 2 else (None, None, None, None))))
-    return tuple(program)
-
-
-def _pair(eq: str, shape_a: tuple, shape_b: tuple) -> tuple:
-    """The step eq on two operands as numpy 2.4's einsum runs it (bmm_einsum): each
-    term laid out by one einsum, then multiplied, or fused for one batched matmul
-    whose product is reshaped and permuted; None for a reshape or permutation that
-    would leave its operand as it is."""
-    (ta, tb), out = eq.split("->")[0].split(","), eq.split("->")[1]
-    big_a, big_b = ({ix: n for ix, n in zip(t, s) if n != 1} for t, s in ((ta, shape_a), (tb, shape_b)))
-    size, con = {**big_a, **big_b}, [ix for ix in big_a if ix in big_b and ix not in out]
-    if not con:  # each term laid out as out, with axes of length one where it lacks an index, and multiplied
-        return tuple(_layout(t, s, [ix for ix in out if ix in t], [s[t.index(ix)] if ix in t else 1 for ix in out])
-                     for t, s in ((ta, shape_a), (tb, shape_b))), np.multiply, None, None
-    bat, keep_a = ([ix for ix in big_a if ix in out and (ix in big_b) == shared] for shared in (True, False))
-    keep_b = [ix for ix in big_b if ix not in big_a and ix in out]
-    sizes = [math.prod(size[ix] for ix in group) for group in ([bat] if bat else []) + [keep_a, con, keep_b]]
-    produced = [ix for ix in out if ix not in size] + bat + keep_a + keep_b  # axes of length one lead
-    shape, perm = tuple(size.get(ix, 1) for ix in produced), tuple(map(produced.index, out))
-    return ((_layout(ta, shape_a, bat + keep_a + con, sizes[:-1]),
-             _layout(tb, shape_b, bat + con + keep_b, sizes[:-3] + sizes[-2:])), np.matmul,
-            None if shape == (*sizes[:-2], sizes[-1]) else shape, None if perm == tuple(range(len(perm))) else perm)
-
-
-def _layout(term: str, own: tuple, want: list, shape: list) -> tuple:
-    """What lays term, of shape own, out as want (None when it already is, a transpose
-    when want permutes term's distinct indices, else one einsum) and the shape it is
-    then read as (None when it has that shape already)."""
-    want, laid = "".join(want), tuple(dict(zip(term, own))[ix] for ix in want)
-    return (None if want == term else functools.partial(np.transpose, axes=tuple(map(term.index, want)))
-            if sorted(want) == sorted(term) == sorted(set(term)) else functools.partial(np.einsum, f"{term}->{want}"),
-            None if laid == tuple(shape) else tuple(shape))
+def _plan(spec: str, shapes: tuple) -> tuple:
+    """numpy's greedy path for spec on operands of these shapes (np.einsum_path's own,
+    as np.einsum's optimize takes it) and its steps as contract runs them: the positions taken,
+    right to left as numpy pops them, and the subscripts of their einsum.  A step keeps
+    the indices its terms share with the terms left or the output, in first-seen order,
+    and the last step gives the output itself."""
+    path = np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0]
+    terms, out = spec.split("->")
+    terms, steps = terms.split(","), []
+    for inds in path[1:]:
+        inds = tuple(sorted(inds, reverse=True))
+        taken = [terms.pop(i) for i in inds]
+        rest = "".join(terms) + out
+        terms.append("".join(dict.fromkeys(ix for t in taken for ix in t if ix in rest)) if terms else out)
+        steps.append((inds, ",".join(taken) + "->" + terms[-1]))
+    return path, tuple(steps)

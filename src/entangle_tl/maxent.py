@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL, DimensionError, identity
+from .linalg import DEFAULT_TOL, GUARD_TOL, DimensionError, identity
 from .report import VerificationReport
 
 
@@ -77,7 +77,7 @@ class WeylBasis:
             raise ValueError("U_1 must be the identity")
         flat = mats.reshape(d * d, d * d)
         gram = flat.conj() @ flat.T  # tr(U_n^dag U_m) for all n, m, less d 1 in place
-        if not _identity_residual(gram, d) <= 1e-9:
+        if not _identity_residual(gram, d) <= GUARD_TOL:
             raise ValueError("basis is not trace-orthogonal")
         mats.setflags(write=False)
         object.__setattr__(self, "unitaries", mats)
@@ -98,9 +98,9 @@ def shift_and_multiply(h, latin) -> WeylBasis:
     linalg.within_limit(d ** 4, f"Weyl basis of {d}^4")  # the scatter's entries
     if not (latin.dtype.kind in "iu" and (np.sort(latin, 0) == ks[:, None]).all() and (np.sort(latin, 1) == ks).all()):
         raise ValueError("latin is not a Latin square: a row or column repeats an entry")
-    if not (np.abs(np.abs(h) ** 2 - 1) <= 1e-9).all():
+    if not (np.abs(np.abs(h) ** 2 - 1) <= GUARD_TOL).all():
         raise ValueError("h has an entry off the unit circle")
-    if not _identity_residual(h @ h.conj().T, d) <= 1e-9:
+    if not _identity_residual(h @ h.conj().T, d) <= GUARD_TOL:
         raise ValueError("h h^dag is not d 1: the rows of h are not orthogonal")
     if not ((np.abs(h[0] - 1) <= 1e-12).all() and (latin[0] == ks).all()):
         raise ValueError("U_1 is not the identity: h[0] must be all ones and latin[0] 0..d-1")

@@ -15,10 +15,12 @@ psi, so maps that agree agree on every |psi>, and no ket is sampled.
 measurement_form is the one place the measurement branches are computed: one
 contraction returns Bob's branches (<Omega_n| x 1)(|psi> x |Omega>) for all
 d^2 outcomes as the rows of one array, after checking the measurement
-equation, and the branch weights and the simulator reuse that array.  The
+equation, and the branch weights reuse that array.  The simulator checks psi
+and resolves its basis once and calls measurement_form's kernel itself.  The
 rank-one projectors omega and omega_n are contracted as kets, and every sum
-over n is one product (the qudit resolution) or linalg.contract call per block
-of the stacked basis (the tight-scheme terms, the dense-coding table).
+over n is one product (the qudit resolution) or one linalg.einsum call (numpy's
+einsum along its greedy path) per block of the stacked basis (the tight-scheme
+terms, the dense-coding table).
 """
 
 from __future__ import annotations
@@ -150,8 +152,11 @@ def measurement_form(d: int, psi, basis: WeylBasis | None = None) -> np.ndarray:
     (1/d)|Omega_n> x U_n^dag|psi> for every n.  The projector is rank one on CA,
     so the residual is max|Omega_n| max|branch_n - U_n^dag psi / d|, a guard
     held to DEFAULT_TOL (ValueError above it), not a check held to --tol."""
-    psi = linalg.as_state(psi, d, "psi")
-    basis = resolve_basis(d, basis)
+    return _branches(d, linalg.as_state(psi, d, "psi"), resolve_basis(d, basis))
+
+
+def _branches(d: int, psi: np.ndarray, basis: WeylBasis) -> np.ndarray:
+    """measurement_form on a psi as_state returned and a basis resolve_basis returned."""
     kets = omega_kets(d, basis)
     state = np.outer(psi, omega(d)).reshape(d * d, d)  # |psi>_C x |Omega>_AB, row CA and column B
     branches = np.einsum("nk,kb->nb", kets.conj(), state)  # numpy's loop, not BLAS: keeps simulate's bits
@@ -221,7 +226,7 @@ def _draw_counts(seed: int, probs: np.ndarray, trials: int) -> np.ndarray:
 def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, seed: int = 0) -> SimulationResult:
     """Sample measurement outcomes, apply Bob's correction, record fidelity.
 
-    The branches come from one measurement_form call and each outcome's probability is its
+    The branches come from measurement_form's kernel and each outcome's probability is its
     branch weight (1/d^2 each).  The outcomes are drawn by indexed search (Chen & Asau 1974)
     over Generator.choice's cdf and uniforms: u's outcome is guessed as floor(u d^2), kept when
     cdf[g - 1] <= u < cdf[g] (then it is the index choice's search returns) and searched when
@@ -233,7 +238,7 @@ def simulate(d: int, psi, basis: WeylBasis | None = None, trials: int = 1024, se
         raise ValueError("trials must be >= 1")
     psi = linalg.as_state(psi, d, "psi")
     basis = resolve_basis(d, basis)
-    branches = measurement_form(d, psi, basis)
+    branches = _branches(d, psi, basis)
     # np.linalg.norm of each row to the bit: it too sums two real dot products
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
     counts = _draw_counts(seed, norms ** 2 / np.sum(norms ** 2), trials)
@@ -251,7 +256,7 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
     rho and O may be any d x d matrices (rank-one non-hermitian forms
     included); no positivity is assumed.  The terms form
     linalg.BLOCK_ENTRIES // d^2 at a time, so d <= 16 is one block (one
-    linalg.contract call).
+    linalg.einsum call).
     """
     rho, obs = linalg.as_operator(rho, d, "rho and O"), linalg.as_operator(obs, d, "rho and O")
     basis = resolve_basis(d, basis)
@@ -265,7 +270,7 @@ def tight_teleportation_check(d: int, rho, obs, basis: WeylBasis | None = None, 
         # rho on C, omega on AB, omega_n on CA, T_n(O) = U_n^dag O U_n on B
         u, k = basis.unitaries[lo:lo + step], kets[lo:lo + step]
         t_n = u.conj().transpose(0, 2, 1) @ obs @ u
-        blocks.append(linalg.contract("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n))
+        blocks.append(linalg.einsum("cC,ab,AB,nCA,nca,nBb->n", rho, w, w.conj(), k, k.conj(), t_n))
     terms = np.concatenate(blocks)
     report.add("per-term value tr(rho O)/d^2", float(np.max(np.abs(terms - target / d ** 2))), tol)
     report.add("total sum = tr(rho O)", abs(terms.sum() - target), tol)
@@ -287,7 +292,7 @@ def dense_coding_table(d: int, basis: WeylBasis | None = None) -> np.ndarray:
     table = np.empty((d * d, d * d))
     for lo in range(0, d * d, step):
         u = basis.unitaries[lo:lo + step].conj()
-        table[lo:lo + step] = np.abs(linalg.contract("ca,nxc,axm->nm", w, u, k)) ** 2
+        table[lo:lo + step] = np.abs(linalg.einsum("ca,nxc,axm->nm", w, u, k)) ** 2
     return table
 
 

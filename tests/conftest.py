@@ -89,14 +89,25 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-@pytest.fixture
-def contract_calls(monkeypatch):
-    """Every linalg.contract call made during the test, as (spec, operands, result)."""
-    calls, contract = [], linalg.contract
+def _record(monkeypatch, name):
+    """Every call of linalg.<name> made during the test, as (spec, operands, result)."""
+    calls, entry = [], getattr(linalg, name)
 
     def record(spec, *operands):
-        calls.append((spec, operands, contract(spec, *operands)))
+        calls.append((spec, operands, entry(spec, *operands)))
         return calls[-1][2]
 
-    monkeypatch.setattr(linalg, "contract", record)
+    monkeypatch.setattr(linalg, name, record)
     return calls
+
+
+@pytest.fixture
+def contract_calls(monkeypatch):
+    """Every linalg.contract call (the oracle's pairwise contraction) made during the test."""
+    return _record(monkeypatch, "contract")
+
+
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """Every linalg.einsum call (numpy's einsum along the planned path) made during the test."""
+    return _record(monkeypatch, "einsum")

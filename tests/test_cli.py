@@ -554,6 +554,24 @@ def test_verify_flow_fails_a_zero_output(monkeypatch, capsys, d):
     assert _octuple_verdicts(capsys.readouterr().out, d) == [False, False]
 
 
+def test_a_permuted_oracle_step_fails_the_oracle_line_only(monkeypatch, capsys):
+    # a plan whose first intermediate step of two or more indices lays its output out
+    # reversed, while the steps after it read the planned order: the oracle's flow is
+    # then wrong, and only its line fails
+    plan = linalg._plan
+
+    def mutant(spec, shapes):
+        path, steps = plan(spec, shapes)
+        k = next(k for k, (_, eq) in enumerate(steps[:-1]) if len(eq.split("->")[1]) > 1)
+        terms, out = steps[k][1].split("->")
+        return path, (*steps[:k], (steps[k][0], f"{terms}->{out[::-1]}"), *steps[k + 1:])
+
+    monkeypatch.setattr(linalg, "_plan", mutant)
+    assert main(["verify", "flow", "--d", "3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    assert len(failed) == 1 and "random octuples: brute-force contraction vs closed form" in failed[0]
+
+
 def test_verify_flow_takes_tol_as_flow_spec_does(tmp_path, capsys):
     rng = np.random.default_rng(1)
     ops = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(8)]

@@ -198,12 +198,21 @@ def test_operator_labels_resolved_once_per_evaluation(evaluator):
     assert max_residual(evaluator(dg.e_gen(1, 3), 2), embed(omega_projector(2), 1, 3)) < 1e-12
 
 
-def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(contract_calls):
-    # linalg.contract runs the steps numpy's einsum runs along the greedy path
-    # optimize=True searches for, so every brute-force contraction of the flow
-    # check is unchanged; 200 seeded random composed diagrams add steps whose
-    # operands are laid out by a transpose or by an einsum, trace steps and
-    # steps that close to a scalar
+def _assert_within_roundoff(calls):
+    # each oracle contraction (plain pairwise einsums) against numpy's einsum with
+    # optimize=True (its BLAS kernels along the same greedy path), entrywise within
+    # 1e-14 of the same sum over the operands' moduli: a roundoff bound, some 20
+    # times the worst difference seen (4.8e-16 of that sum)
+    for spec, operands, out in calls:
+        want = np.einsum(spec, *operands, optimize=True)
+        scale = np.einsum(spec, *map(np.abs, operands), optimize=True)
+        assert (np.abs(out - want) <= 1e-14 * scale).all(), spec
+
+
+def test_contraction_matches_einsum_within_roundoff(contract_calls):
+    # every brute-force contraction of the flow check at d = 2..5, and 200
+    # seeded random composed diagrams, whose steps take one term or two,
+    # trace a loop and close to a scalar
     for d in (2, 3, 4, 5):
         check_flow(d)
     assert len(contract_calls) == 4 * 10
@@ -211,12 +220,7 @@ def test_contraction_matches_einsum_with_optimize_true_bit_for_bit(contract_call
     for _ in range(200):
         d = int(rng.integers(1, 4))
         dg.brute_force_evaluate(random_composed_diagram(rng), d, random_operator_table(rng, d))
-    layouts = {lay and lay.func for spec, operands, _ in contract_calls
-               for step in linalg._program(spec, tuple(op.shape for op in operands)) if step[2]
-               for lay, _ in step[2]}
-    assert layouts == {None, np.transpose, np.einsum}
-    for spec, operands, out in contract_calls:  # mirrored from numpy 2.4's kernels
-        assert np.array_equal(out, np.einsum(spec, *operands, optimize=True)), f"{spec} on numpy {np.__version__}"
+    _assert_within_roundoff(contract_calls)
 
 
 def test_plans_hold_structure_only(rng, monkeypatch):
@@ -241,7 +245,7 @@ def test_plans_hold_structure_only(rng, monkeypatch):
         assert not np.allclose(evaluator(diag, d, tables[0]), want)
 
 
-def test_random_contractions_match_einsum_with_optimize_true_bit_for_bit(rng, contract_calls):
+def test_random_contractions_match_einsum_within_roundoff(rng, contract_calls):
     # random composed diagrams reach every kind of step: the trace of a loop
     # with one decoration (a repeated letter), empty loops beside a
     # contraction, a strand of its own (letters met nowhere else) and a
@@ -265,8 +269,7 @@ def test_random_contractions_match_einsum_with_optimize_true_bit_for_bit(rng, co
         if any(not loop for loop in diag.loops):
             seen.add("empty loop")
     assert seen == {"trace", "empty loop", "strand of its own", "scalar"}
-    for spec, operands, out in contract_calls:
-        assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
+    _assert_within_roundoff(contract_calls)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -311,24 +314,24 @@ def test_brute_force_refuses_a_stacked_table(rng):
 
 
 def test_planned_path_gives_the_same_report_on_a_miss_and_a_hit():
-    linalg._program.cache_clear()
+    linalg._plan.cache_clear()
     first = check_flow(4, seed=7).to_dict()
-    missed = linalg._program.cache_info()
+    missed = linalg._plan.cache_info()
     second = check_flow(4, seed=7).to_dict()
-    hit = linalg._program.cache_info()
+    hit = linalg._plan.cache_info()
     assert missed.misses > 0 and hit.misses == missed.misses and hit.hits > missed.hits
     assert second == first
 
 
 def test_path_cache_is_bounded():
     # every d is a new (spec, shapes) key; the oldest plans are dropped
-    size = linalg._program.cache_info().maxsize
+    size = linalg._plan.cache_info().maxsize
     assert size is not None
     loop = dg.DecoratedDiagram(0, 0, (), ((dg.Decoration("m"), dg.Decoration("m", "dagger")),))
     for d in range(1, size + 40):
         assert abs(dg.brute_force_evaluate(loop, d, {"m": np.eye(d)})[0, 0] - d) < 1e-9
         assert np.array_equal(dg.evaluate(dg.identity_diagram(1), d), np.eye(d))
-    assert linalg._program.cache_info().currsize <= size
+    assert linalg._plan.cache_info().currsize <= size
 
 
 def test_matching_validation():

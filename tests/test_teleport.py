@@ -261,11 +261,11 @@ def test_simulate_golden_histogram_d3():
 
 
 def test_simulate_work_per_outcome_not_per_trial(monkeypatch):
-    # all d^2 branches come from one measurement_form call, however many
-    # trials are drawn
+    # all d^2 branches come from one call of measurement_form's kernel, however
+    # many trials are drawn
     calls = []
-    measure = teleport.measurement_form
-    monkeypatch.setattr(teleport, "measurement_form", lambda *args: calls.append(args) or measure(*args))
+    measure = teleport._branches
+    monkeypatch.setattr(teleport, "_branches", lambda *args: calls.append(args) or measure(*args))
     for trials in (10, 10_000):
         calls.clear()
         result = simulate(2, np.array([0.6, 0.8]), trials=trials, seed=1)
@@ -475,14 +475,15 @@ def test_tight_teleportation_holds_no_d4_product(rng):
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 17])
-def test_tight_and_dense_contractions_match_einsum_bit_for_bit(rng, d, contract_calls):
+def test_tight_and_dense_contractions_match_einsum_bit_for_bit(rng, d, einsum_calls):
     # one block of basis elements up to d = 16 and two at d = 17, each
-    # linalg.contract call equal to np.einsum with optimize=True to the bit
+    # linalg.einsum call (numpy's einsum along the cached greedy path) equal
+    # to np.einsum with optimize=True, which searches that path itself, to the bit
     basis = weyl_basis(d)
     tight_teleportation_check(d, random_unitary(rng, d) / d, random_unitary(rng, d), basis)
     dense_coding_table(d, basis)
-    assert len(contract_calls) == 2 * (1 if d <= 16 else 2)
-    for spec, operands, out in contract_calls:
+    assert len(einsum_calls) == 2 * (1 if d <= 16 else 2)
+    for spec, operands, out in einsum_calls:
         assert np.array_equal(out, np.einsum(spec, *operands, optimize=True))
 
 
